@@ -1,6 +1,6 @@
 # Tier-1 verification (referenced from ROADMAP.md): vet + build + full test
 # suite + a race-detector pass over the packages with concurrent query paths.
-.PHONY: tier1 vet build test race bench bench-scale bench-serve ci
+.PHONY: tier1 vet build test race bench bench-scale bench-serve ci loc
 
 tier1: vet build test race
 
@@ -47,3 +47,8 @@ bench-serve:
 	go test -bench='BenchmarkServeSustained' -benchtime=1x -timeout 20m -run '^$$' | go run ./cmd/benchjson -merge -o BENCH_results.json
 
 ci: tier1 bench
+
+# Non-test Go lines of the main module (perfbench is a module of its own and
+# .bench_build holds its build state), the size figure each change reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' -not -path './.bench_build/*' | xargs cat | wc -l

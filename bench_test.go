@@ -112,8 +112,8 @@ func BenchmarkE19Churn(b *testing.B) { benchExperiment(b, expt.E19) }
 func BenchmarkE20Abstraction(b *testing.B) { benchExperiment(b, expt.E20) }
 
 // BenchmarkE22Adversary runs the Byzantine adversary sweep (verified
-// delivery and reputation arms against misrouting/dropping/ack-forging/
-// telemetry-lying nodes, plus the colluding-endpoints row).
+// delivery against misrouting/dropping/ack-forging/telemetry-lying nodes,
+// plus the colluding-endpoints row).
 func BenchmarkE22Adversary(b *testing.B) { benchExperiment(b, expt.E22) }
 
 // --- hole abstraction backend micro-benchmarks ---

@@ -33,7 +33,7 @@
 //
 //	hybridroute [-n 600] [-holes 3] [-queries 200] [-seed 1] [-scenario uniform|city|maze|grid]
 //	            [-abstraction hull|bbox] [-batch] [-workers 0] [-cache 4096]
-//	            [-loss 0.05] [-crash 5] [-churn 4] [-retries 3] [-lossaware]
+//	            [-loss 0.05] [-crash 5] [-churn 4] [-retries 3]
 //	            [-adversary 0.2 | -adversary 0.2,misroute+forge]
 //	            [-trace FILE] [-pprof FILE]
 //	            [-serve] [-addr :8080] [-serve-export FILE]
@@ -84,8 +84,7 @@ func main() {
 	crash := flag.Int("crash", 0, "number of crashed nodes to inject into the delivery run")
 	churn := flag.Int("churn", 0, "number of seeded crash+recover cycles replayed while the delivery run is in flight")
 	retries := flag.Int("retries", core.DefaultRetries, "per-hop retry budget for fault-injected delivery")
-	lossAware := flag.Bool("lossaware", false, "plan around observed lossy links (ETX weights) in the delivery run")
-	adversary := flag.String("adversary", "", "Byzantine adversaries in the delivery run: FRAC[,BEHAVIORS] e.g. 0.2 or 0.2,misroute+forge (behaviors: misroute, drop, forge, lie, all; default all); engages verified delivery + reputation-weighted planning")
+	adversary := flag.String("adversary", "", "Byzantine adversaries in the delivery run: FRAC[,BEHAVIORS] e.g. 0.2 or 0.2,misroute+forge (behaviors: misroute, drop, forge, lie, all; default all); engages end-to-end verified delivery")
 	traceFile := flag.String("trace", "", "record stack-wide trace events; write metrics + a traced sample query as JSON to this file")
 	pprofFile := flag.String("pprof", "", "write a CPU profile of the run to this file")
 	static := flag.Bool("static", false, "build the network with the simulator-free static pipeline (identical routing state, no protocol rounds; enables much larger -n)")
@@ -102,7 +101,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("flags: %v", err)
 	}
-	if err := validateFlags(*loss, *crash, *churn, *retries, *lossAware); err != nil {
+	if err := validateFlags(*loss, *crash, *churn, *retries); err != nil {
 		log.Fatalf("flags: %v", err)
 	}
 	if err := validateNameFlags(*scenario, *router, *abstraction); err != nil {
@@ -249,7 +248,7 @@ func main() {
 	// Fault-injected delivery run: only when requested, so the default output
 	// stays byte-identical to earlier releases.
 	if *loss > 0 || *crash > 0 || *churn > 0 || advFrac > 0 {
-		runFaultedDelivery(nw, pairs, *loss, *crash, *churn, *retries, *seed, *lossAware, advFrac, advBehaviors)
+		runFaultedDelivery(nw, pairs, *loss, *crash, *churn, *retries, *seed, advFrac, advBehaviors)
 	}
 
 	if tracer != nil {
@@ -274,7 +273,7 @@ func parseAdversaryFlag(s string) (float64, sim.AdversaryBehavior, error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("-adversary %q: fraction %q is not a number", s, fracStr)
 	}
-	if frac <= 0 || frac > 1 {
+	if !(frac > 0 && frac <= 1) { // negated so NaN is rejected too
 		return 0, 0, fmt.Errorf("-adversary %q: fraction %v must be in (0, 1]", s, frac)
 	}
 	behaviors, err := sim.ParseBehaviors(behavStr)
@@ -284,12 +283,11 @@ func parseAdversaryFlag(s string) (float64, sim.AdversaryBehavior, error) {
 	return frac, behaviors, nil
 }
 
-// validateFlags rejects fault-model flag combinations that would otherwise
-// run silently with surprising semantics: probabilities outside [0, 1],
-// negative counts, and -lossaware without any fault-injected delivery run to
-// act on.
-func validateFlags(loss float64, crash, churn, retries int, lossAware bool) error {
-	if loss < 0 || loss > 1 {
+// validateFlags rejects fault-model flag values that would otherwise run
+// silently with surprising semantics: probabilities outside [0, 1] (NaN
+// included) and negative counts.
+func validateFlags(loss float64, crash, churn, retries int) error {
+	if !(loss >= 0 && loss <= 1) {
 		return fmt.Errorf("-loss %v is not a probability in [0, 1]", loss)
 	}
 	if crash < 0 {
@@ -300,9 +298,6 @@ func validateFlags(loss float64, crash, churn, retries int, lossAware bool) erro
 	}
 	if retries < 0 {
 		return fmt.Errorf("-retries %d must be >= 0 (0 means the default of %d)", retries, core.DefaultRetries)
-	}
-	if lossAware && loss == 0 && crash == 0 && churn == 0 {
-		return fmt.Errorf("-lossaware needs a fault-injected delivery run: set -loss, -crash and/or -churn")
 	}
 	return nil
 }
@@ -592,9 +587,9 @@ func writeTraceOutput(path string, nw *core.Network, tracer *trace.Tracer, pairs
 // runFaultedDelivery installs the seeded fault model and re-answers the query
 // workload as actual payload deliveries on the simulator, reporting how many
 // survive message loss, crashed nodes, mid-run churn and Byzantine
-// adversaries through retries, replanning, topology repair, suspect
-// failover, verified delivery and reputation-weighted planning.
-func runFaultedDelivery(nw *core.Network, pairs []core.Query, loss float64, crash, churn, retries int, seed int64, lossAware bool, advFrac float64, advBehaviors sim.AdversaryBehavior) {
+// adversaries through retries, replanning, loss-aware detours, topology
+// repair, suspect failover and verified delivery.
+func runFaultedDelivery(nw *core.Network, pairs []core.Query, loss float64, crash, churn, retries int, seed int64, advFrac float64, advBehaviors sim.AdversaryBehavior) {
 	rng := rand.New(rand.NewSource(seed + 7))
 	crashed := make([]sim.NodeID, 0, crash)
 	isCrashed := make(map[sim.NodeID]bool)
@@ -629,12 +624,6 @@ func runFaultedDelivery(nw *core.Network, pairs []core.Query, loss float64, cras
 		log.Fatalf("faults: %v", err)
 	}
 	topt := core.TransportOptions{PayloadWords: 32, Retries: retries, Reliable: true}
-	if lossAware {
-		topt.LossAware = core.LossAwareOn
-	}
-	if advFrac > 0 {
-		topt.Reputation = core.ReputationOn
-	}
 	delivered, attempted, retrans, replans, detours, skipped := 0, 0, 0, 0, 0, 0
 	suspected, suspectDetours := 0, 0
 	verified, e2eResends, misrouteDet := 0, 0, 0
@@ -687,15 +676,9 @@ func runFaultedDelivery(nw *core.Network, pairs []core.Query, loss float64, cras
 			100*advFrac, advBehaviors, adv.Misrouted, adv.ForgedAcks, adv.SelectiveDrops)
 		fmt.Printf("verified delivery: %d/%d confirmed end to end, %d e2e relaunches, %d misroutes detected\n",
 			verified, delivered, e2eResends, misrouteDet)
-		if nw.Rep != nil {
-			fmt.Printf("reputation: generation %d (recovery replans tie-break on per-node delivery trust)\n",
-				nw.Rep.Generation())
-		}
 	}
-	if lossAware {
-		fmt.Printf("loss-aware detours %d\n", detours)
-		printLinkSummary(nw)
-	}
+	fmt.Printf("loss-aware detours %d\n", detours)
+	printLinkSummary(nw)
 	for _, f := range failures {
 		fmt.Printf("failure: %s\n", f)
 	}
@@ -721,13 +704,6 @@ func printLinkSummary(nw *core.Network) {
 		fmt.Printf("  worst link %d->%d: estimated loss %.2f (ETX %.2f)\n",
 			e.From, e.To, e.Loss, nw.Link.ETX(e.From, e.To))
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func buildScenario(kind string, seed int64, n, holes int) (*workload.Scenario, error) {

@@ -1,40 +1,42 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"hybridroute/internal/sim"
 )
 
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
-		name      string
-		loss      float64
-		crash     int
-		churn     int
-		retries   int
-		lossAware bool
-		wantErr   string // empty means valid
+		name    string
+		loss    float64
+		crash   int
+		churn   int
+		retries int
+		wantErr string // empty means valid
 	}{
 		{name: "defaults", retries: 3},
 		{name: "faulted run", loss: 0.05, crash: 2, retries: 3},
+		{name: "loss only", loss: 0.05, retries: 3},
+		{name: "crash only", crash: 1, retries: 3},
 		{name: "churn only", churn: 4, retries: 3},
 		{name: "churn with loss", loss: 0.02, churn: 2, retries: 3},
-		{name: "lossaware with loss", loss: 0.05, retries: 3, lossAware: true},
-		{name: "lossaware with crash only", crash: 1, retries: 3, lossAware: true},
-		{name: "lossaware with churn only", churn: 2, retries: 3, lossAware: true},
 		{name: "loss boundary 1", loss: 1, retries: 3},
 		{name: "zero retries means default", loss: 0.01},
 		{name: "negative loss", loss: -0.1, wantErr: "-loss"},
 		{name: "loss above 1", loss: 1.5, wantErr: "-loss"},
+		{name: "NaN loss", loss: math.NaN(), wantErr: "-loss"},
+		{name: "infinite loss", loss: math.Inf(1), wantErr: "-loss"},
 		{name: "negative crash", crash: -1, wantErr: "-crash"},
 		{name: "negative churn", churn: -1, wantErr: "-churn"},
 		{name: "negative retries", loss: 0.05, retries: -2, wantErr: "-retries"},
-		{name: "lossaware without faults", retries: 3, lossAware: true, wantErr: "-lossaware"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.loss, tc.crash, tc.churn, tc.retries, tc.lossAware)
+			err := validateFlags(tc.loss, tc.crash, tc.churn, tc.retries)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -49,6 +51,73 @@ func TestValidateFlags(t *testing.T) {
 			}
 		})
 	}
+}
+
+func TestParseAdversaryFlag(t *testing.T) {
+	cases := []struct {
+		in        string
+		frac      float64
+		behaviors sim.AdversaryBehavior
+		wantErr   string // empty means valid
+	}{
+		{in: ""},
+		{in: "0.2", frac: 0.2, behaviors: sim.AdvAll},
+		{in: "1,all", frac: 1, behaviors: sim.AdvAll},
+		{in: "0.5,", frac: 0.5, behaviors: sim.AdvAll},
+		{in: "0.2,misroute+forge", frac: 0.2, behaviors: sim.AdvMisroute | sim.AdvForgeAck},
+		{in: "0.1,drop+lie", frac: 0.1, behaviors: sim.AdvSelectiveDrop | sim.AdvLieTelemetry},
+		{in: "0", wantErr: "must be in (0, 1]"},
+		{in: "-0.1", wantErr: "must be in (0, 1]"},
+		{in: "1.5", wantErr: "must be in (0, 1]"},
+		{in: "NaN", wantErr: "must be in (0, 1]"},
+		{in: "nan,misroute", wantErr: "must be in (0, 1]"},
+		{in: "Inf", wantErr: "must be in (0, 1]"},
+		{in: "x", wantErr: "not a number"},
+		{in: ",misroute", wantErr: "not a number"},
+		{in: "0.2,teleport", wantErr: "unknown adversary behavior"},
+		{in: "0.2,misroute+", wantErr: "unknown adversary behavior"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.in, func(t *testing.T) {
+			frac, b, err := parseAdversaryFlag(tc.in)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("error %v does not mention %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("unexpected error: %v", err)
+			}
+			if frac != tc.frac || b != tc.behaviors {
+				t.Fatalf("got (%v, %v), want (%v, %v)", frac, b, tc.frac, tc.behaviors)
+			}
+		})
+	}
+}
+
+// FuzzParseAdversaryFlag checks that every accepted -adversary value names a
+// fraction in (0, 1] and a non-empty behavior set that round-trips through
+// its string form.
+func FuzzParseAdversaryFlag(f *testing.F) {
+	for _, s := range []string{"", "0.2", "NaN", "0.2,misroute+forge", "1,all", "0.5,", "-1", "Inf", "1e-400", "0x1p-2,lie"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		frac, b, err := parseAdversaryFlag(s)
+		if err != nil || s == "" {
+			return
+		}
+		if !(frac > 0 && frac <= 1) {
+			t.Fatalf("%q: accepted fraction %v outside (0, 1]", s, frac)
+		}
+		if b == 0 || b&^sim.AdvAll != 0 {
+			t.Fatalf("%q: accepted behaviors %b outside %b", s, b, sim.AdvAll)
+		}
+		if back, err := sim.ParseBehaviors(b.String()); err != nil || back != b {
+			t.Fatalf("%q: behaviors %v do not round-trip (%v, %v)", s, b, back, err)
+		}
+	})
 }
 
 // TestValidateNameFlags pins the fail-fast behaviour for the enum flags that

@@ -146,7 +146,7 @@ func (e *Engine) label() string { return "engine" }
 func (e *Engine) Route(s, t sim.NodeID) Outcome {
 	e.inflight.Add(1)
 	defer e.inflight.Add(-1)
-	k := planKey{kind: kindOutcome, abs: e.absID(), a: s, b: t, gen: e.linkGen(), topo: e.topoGen(), rep: e.repGen()}
+	k := planKey{kind: kindOutcome, abs: e.absID(), a: s, b: t, gen: e.linkGen(), topo: e.topoGen()}
 	if v, hit := e.lookup(k); hit {
 		sc := e.scratch.Get().(*routeScratch)
 		out := *v.out
@@ -253,9 +253,6 @@ const (
 // fragments computed under one abstraction are never served to another
 // (a repair can swap the Abstraction instance, and engines may share a
 // Network whose backend differs from what a stale key assumed).
-// rep is the reputation generation: verified-delivery scores shifting make
-// reputation-weighted fragments stale the same way link estimates do. It
-// stays 0 whenever the table is absent or untouched (every clean run).
 type planKey struct {
 	kind int8
 	abs  uint8
@@ -264,7 +261,6 @@ type planKey struct {
 	x, y float64
 	gen  uint64
 	topo uint64
-	rep  uint64
 }
 
 // linkGen is the current link-quality generation to stamp into plan keys.
@@ -277,9 +273,6 @@ func (e *Engine) linkGen() uint64 {
 
 // topoGen is the current topology-repair generation to stamp into plan keys.
 func (e *Engine) topoGen() uint64 { return e.nw.TopoGeneration() }
-
-// repGen is the current reputation generation to stamp into plan keys.
-func (e *Engine) repGen() uint64 { return e.nw.Rep.Generation() }
 
 // absID is the hole abstraction backend identifier to stamp into plan keys.
 func (e *Engine) absID() uint8 { return e.nw.Abs.ID() }
@@ -296,7 +289,7 @@ type planValue struct {
 }
 
 func (e *Engine) groupPathNodes(gi int, s, t sim.NodeID) ([]sim.NodeID, bool) {
-	k := planKey{kind: kindGroupPath, abs: e.absID(), gi: int32(gi), a: s, b: t, gen: e.linkGen(), topo: e.topoGen(), rep: e.repGen()}
+	k := planKey{kind: kindGroupPath, abs: e.absID(), gi: int32(gi), a: s, b: t, gen: e.linkGen(), topo: e.topoGen()}
 	if v, hit := e.lookup(k); hit {
 		return copyIDs(v.wps), v.ok
 	}
@@ -306,7 +299,7 @@ func (e *Engine) groupPathNodes(gi int, s, t sim.NodeID) ([]sim.NodeID, bool) {
 }
 
 func (e *Engine) exitPlan(gi int, v sim.NodeID, toward geom.Point) ([]sim.NodeID, sim.NodeID, bool) {
-	k := planKey{kind: kindExitPlan, abs: e.absID(), gi: int32(gi), a: v, x: toward.X, y: toward.Y, gen: e.linkGen(), topo: e.topoGen(), rep: e.repGen()}
+	k := planKey{kind: kindExitPlan, abs: e.absID(), gi: int32(gi), a: v, x: toward.X, y: toward.Y, gen: e.linkGen(), topo: e.topoGen()}
 	if c, hit := e.lookup(k); hit {
 		return copyIDs(c.wps), c.exit, c.ok
 	}
@@ -316,7 +309,7 @@ func (e *Engine) exitPlan(gi int, v sim.NodeID, toward geom.Point) ([]sim.NodeID
 }
 
 func (e *Engine) overlayWaypoints(a, b sim.NodeID) ([]sim.NodeID, bool) {
-	k := planKey{kind: kindOverlay, abs: e.absID(), a: a, b: b, gen: e.linkGen(), topo: e.topoGen(), rep: e.repGen()}
+	k := planKey{kind: kindOverlay, abs: e.absID(), a: a, b: b, gen: e.linkGen(), topo: e.topoGen()}
 	if v, hit := e.lookup(k); hit {
 		return copyIDs(v.wps), v.ok
 	}
@@ -372,7 +365,6 @@ func shardOf(k planKey, shards int) int {
 	h = fnvMix(h, math.Float64bits(k.y))
 	h = fnvMix(h, k.gen)
 	h = fnvMix(h, k.topo)
-	h = fnvMix(h, k.rep)
 	return int(h % uint64(shards))
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"testing"
 
 	"hybridroute/internal/geom"
@@ -77,6 +78,67 @@ func routeDigest(nw *Network) string {
 		}
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// goldenAdversarialDigest pins the reliable transport under Byzantine
+// adversaries: verified delivery, relaunches, misroute detection and the
+// liveness table learning across the batch.
+const goldenAdversarialDigest = "a75f304ef2e83a3f"
+
+// adversarialDigest routes 24 seeded pairs in order through the reliable
+// transport on the golden scenario with 30% of the non-endpoint nodes
+// adversarial, and hashes every observable field of each report. It also
+// returns the batch's relaunch, misroute-detection and failure totals, so the
+// test can check the digest covers a batch that exercised the tier.
+func adversarialDigest(t testing.TB) (digest string, resends, misroutes, failed int) {
+	nw := goldenScenario(t)
+	rng := rand.New(rand.NewSource(22))
+	var pairs [][2]sim.NodeID
+	var exempt []sim.NodeID
+	for len(pairs) < 24 {
+		s, d := sim.NodeID(rng.Intn(nw.G.N())), sim.NodeID(rng.Intn(nw.G.N()))
+		if s != d {
+			pairs = append(pairs, [2]sim.NodeID{s, d})
+			exempt = append(exempt, s, d)
+		}
+	}
+	cfg := sim.FaultConfig{Seed: 22, Adversary: sim.AdversaryConfig{Fraction: 0.3, Exempt: exempt}}
+	if err := nw.Sim.SetFaults(cfg); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, p := range pairs {
+		rep, err := nw.RouteOnSimOpt(p[0], p[1], TransportOptions{PayloadWords: 32})
+		errText := ""
+		if err != nil {
+			errText = err.Error()
+			failed++
+		}
+		resends += rep.E2EResends
+		misroutes += rep.MisrouteDetected
+		fmt.Fprintf(h, "%d>%d path=%v delivered=%v verified=%v rounds=%d msgs=%d/%d words=%d/%d retrans=%d replans=%d detours=%d suspect=%d resends=%d misroute=%d err=%q\n",
+			p[0], p[1], rep.Path, rep.DeliveredSim, rep.Verified, rep.Rounds,
+			rep.AdHocMsgs, rep.LongMsgs, rep.AdHocWords, rep.LongWords,
+			rep.Retransmits, rep.Replans, rep.Detours, rep.SuspectDetours,
+			rep.E2EResends, rep.MisrouteDetected, errText)
+	}
+	return fmt.Sprintf("%016x", h.Sum64()), resends, misroutes, failed
+}
+
+// TestAdversarialTransportGolden pins the Byzantine tier's transport output
+// byte for byte.
+func TestAdversarialTransportGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden digest scenario is not short")
+	}
+	got, resends, misroutes, failed := adversarialDigest(t)
+	t.Logf("batch: %d e2e resends, %d misroutes detected, %d failed queries", resends, misroutes, failed)
+	if resends == 0 || misroutes == 0 {
+		t.Errorf("batch did not exercise verified delivery: %d resends, %d misroutes detected", resends, misroutes)
+	}
+	if got != goldenAdversarialDigest {
+		t.Fatalf("adversarial transport output drifted: digest %s, want %s", got, goldenAdversarialDigest)
+	}
 }
 
 // TestHullBackendByteIdentical pins the default backend's routing output to

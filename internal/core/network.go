@@ -153,12 +153,6 @@ type Network struct {
 	// inert (empty) on clean runs.
 	Live *Liveness
 
-	// Rep is the verified-delivery reputation table: per-node EWMA scores fed
-	// by the end-to-end verification protocol, weighting plan edges when
-	// reputation-aware planning is engaged. Like Link and Live it stays inert
-	// on clean runs (full trust everywhere, generation 0).
-	Rep *Reputation
-
 	// tracer is the installed event recorder (nil: tracing disabled). The
 	// transport and planner emit through it; SetTracer shares it with the
 	// simulator so one recorder sees the whole stack.

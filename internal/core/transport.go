@@ -150,11 +150,6 @@ type TransportOptions struct {
 	// away from links whose observed loss estimate (Network.Link) makes
 	// their expected transmission cost exceed a clean detour's.
 	LossAware LossAwareMode
-	// Reputation selects reputation-weighted planning: plans and replans
-	// additionally weight nodes by their verified-delivery score
-	// (Network.Rep), draining traffic away from nodes whose paths keep
-	// failing end-to-end verification.
-	Reputation ReputationMode
 }
 
 // LossAwareMode selects when route planning consults the link-quality
@@ -171,22 +166,6 @@ const (
 	LossAwareOn
 	// LossAwareOff never does: the retry-through baseline.
 	LossAwareOff
-)
-
-// ReputationMode selects when route planning consults the verified-delivery
-// reputation table.
-type ReputationMode int
-
-const (
-	// ReputationAuto engages reputation-weighted planning exactly when the
-	// simulator has Byzantine adversaries installed — the default. The table
-	// is all-trust until verifications fail, so even then it starts inert.
-	ReputationAuto ReputationMode = iota
-	// ReputationOn always consults the table (still a no-op without one).
-	ReputationOn
-	// ReputationOff never does: the unweighted baseline the E22 sweep
-	// compares against.
-	ReputationOff
 )
 
 // DefaultRetries is the per-hop retransmission budget when none is given.
@@ -272,18 +251,7 @@ func (nw *Network) routeOnSim(planner planSource, s, t sim.NodeID, opt Transport
 	if opt.Reliable || nw.Sim.FaultsActive() {
 		lossAware := opt.LossAware == LossAwareOn ||
 			(opt.LossAware == LossAwareAuto && nw.Sim.FaultsActive())
-		repAware := nw.Rep != nil && (opt.Reputation == ReputationOn ||
-			(opt.Reputation == ReputationAuto && nw.Sim.AdversaryActive()))
-		// Reputation deliberately does NOT touch the initial plan. The debit
-		// signal cannot localize a thief (a failed launch debits every interior
-		// node), so steering first launches by score detours them around mostly
-		// framed bystanders — through longer corridors that cross *more*
-		// adversaries — and an avoided innocent never carries traffic again, so
-		// it can never redeem its score. Routing first launches straight keeps
-		// redemption credits flowing and reserves the table for what it is
-		// actually good at: choosing among detours once a corridor has already
-		// failed (replans and relaunches below).
-		if lossAware && nw.applyLossDetour(&rep.Outcome, t, nil, false) {
+		if lossAware && nw.applyLossDetour(&rep.Outcome, t, nil) {
 			rep.Detours++
 			initialPlan = planLDelETX
 		}
@@ -295,7 +263,7 @@ func (nw *Network) routeOnSim(planner planSource, s, t sim.NodeID, opt Transport
 		// adjudicates.
 		avoid := nw.Live.AvoidFor(s, t)
 		if len(avoid) > 0 && pathHitsAny(rep.Path, avoid) {
-			if p := nw.suspectDetourPath(s, t, avoid, lossAware, false); p != nil {
+			if p := nw.suspectDetourPath(s, t, avoid, lossAware); p != nil {
 				rep.Path = p
 				rep.Waypoints = nil
 				rep.SuspectDetours++
@@ -305,7 +273,7 @@ func (nw *Network) routeOnSim(planner planSource, s, t sim.NodeID, opt Transport
 				}
 			}
 		}
-		return nw.deliverReliable(planner, s, t, opt, rep, lossAware, repAware, initialPlan)
+		return nw.deliverReliable(planner, s, t, opt, rep, lossAware, initialPlan)
 	}
 	return nw.deliverLossless(s, t, opt.PayloadWords, rep, initialPlan)
 }
@@ -517,14 +485,13 @@ type rsourceState struct {
 	suspectDetours int
 	failure        string
 	// Verified-delivery protocol state (engaged only under adversaries).
-	verified   bool         // the destination confirmed arrival
-	verSentAt  int          // round of the last verification poll (-1: none yet)
-	verFails   int          // "not delivered" replies since the current launch
-	launch     int          // payload launch number (0 = initial)
-	launchedAt int          // round the current launch (or its last resume) started
-	launchVia  []sim.NodeID // interior nodes handed a leg of the current launch
-	launchSeen map[sim.NodeID]bool
-	resends    int // end-to-end relaunches after failed verification
+	verified   bool                // the destination confirmed arrival
+	verSentAt  int                 // round of the last verification poll (-1: none yet)
+	verFails   int                 // "not delivered" replies since the current launch
+	launch     int                 // payload launch number (0 = initial)
+	launchedAt int                 // round the current launch (or its last resume) started
+	launchSeen map[sim.NodeID]bool // interior nodes handed a leg of the current launch
+	resends    int                 // end-to-end relaunches after failed verification
 	// extraAvoid is set transiently around a relaunch replan: the interior
 	// nodes of the launch that just failed verification. A selective-drop
 	// adversary black-holes flows deterministically, so relaunching down the
@@ -542,23 +509,22 @@ type rsourceState struct {
 }
 
 // noteLaunchPath records the interior nodes of a path handed out for the
-// current launch, so verification outcomes can credit or debit them.
+// current launch: a relaunch diversifies around them, and only a verified
+// launch's nodes earn liveness probation credit.
 func (src *rsourceState) noteLaunchPath(path []sim.NodeID, s, t sim.NodeID) {
 	for _, v := range path {
-		if v == s || v == t || src.launchSeen[v] {
+		if v == s || v == t {
 			continue
 		}
 		if src.launchSeen == nil {
 			src.launchSeen = make(map[sim.NodeID]bool)
 		}
 		src.launchSeen[v] = true
-		src.launchVia = append(src.launchVia, v)
 	}
 }
 
 // resetLaunchPath clears the per-launch node record for a fresh launch.
 func (src *rsourceState) resetLaunchPath() {
-	src.launchVia = src.launchVia[:0]
 	for v := range src.launchSeen {
 		delete(src.launchSeen, v)
 	}
@@ -569,9 +535,9 @@ func (src *rsourceState) resetLaunchPath() {
 // prefers low-loss links), plain node-avoiding otherwise. Returns nil when no
 // path avoids every suspect — suspicion is not proof of death, so the caller
 // then routes through the suspect and lets the retry protocol adjudicate.
-func (nw *Network) suspectDetourPath(s, t sim.NodeID, avoid map[sim.NodeID]bool, lossAware, repAware bool) []sim.NodeID {
-	if lossAware || repAware {
-		if p, _, ok := nw.LDel.ShortestPathWeighted(s, t, nw.costWeight(t, avoid, repAware)); ok {
+func (nw *Network) suspectDetourPath(s, t sim.NodeID, avoid map[sim.NodeID]bool, lossAware bool) []sim.NodeID {
+	if lossAware {
+		if p, _, ok := nw.LDel.ShortestPathWeighted(s, t, nw.etxWeight(t, avoid)); ok {
 			return p
 		}
 		return nil
@@ -586,7 +552,7 @@ func (nw *Network) suspectDetourPath(s, t sim.NodeID, avoid map[sim.NodeID]bool,
 // lossAware set, every replan consults the link-quality estimates and may
 // substitute an ETX-weighted detour for the geometric plan. initialPlan
 // labels the planner that produced the starting plan, for trace attribution.
-func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt TransportOptions, rep *TransportReport, lossAware, repAware bool, initialPlan string) (*TransportReport, error) {
+func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt TransportOptions, rep *TransportReport, lossAware bool, initialPlan string) (*TransportReport, error) {
 	retries := opt.Retries
 	if retries <= 0 {
 		retries = DefaultRetries
@@ -635,11 +601,6 @@ func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt Tran
 	replanFrom := func(holder sim.NodeID) ([]sim.NodeID, string, bool) {
 		avoid := src.dead
 		suspects := nw.Live.AvoidSet(holder, t)
-		// Reputation enters recovery planning only through the soft weights in
-		// costWeight below — never as a hard avoid set. Hard-avoiding every
-		// low-score node routinely leaves no plannable path at high adversary
-		// density (most low scores are framed bystanders), and each "no path"
-		// escape burns a launch slot the query needed for real attempts.
 		if len(src.extraAvoid) > 0 {
 			suspects = mergeAvoid(suspects, src.extraAvoid)
 		}
@@ -658,15 +619,15 @@ func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt Tran
 			if out.PlanFallback {
 				plan = planLDelFallback
 			}
-			if (lossAware || repAware) && nw.applyLossDetour(&out, t, avoid, repAware) {
+			if lossAware && nw.applyLossDetour(&out, t, avoid) {
 				src.detours++
 				plan = planLDelETX
 			}
 			return out.Path, plan, true
 		}
 		suspectsOnly := out.Reached && !pathHitsAny(out.Path, src.dead)
-		if lossAware || repAware {
-			if p, _, ok := nw.LDel.ShortestPathWeighted(holder, t, nw.costWeight(t, avoid, repAware)); ok {
+		if lossAware {
+			if p, _, ok := nw.LDel.ShortestPathWeighted(holder, t, nw.etxWeight(t, avoid)); ok {
 				if suspectsOnly {
 					src.suspectDetours++
 					return p, planSuspectAvoid, true
@@ -684,8 +645,8 @@ func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt Tran
 		if len(suspects) > 0 {
 			// No path clears every suspect: readmit them and avoid only the
 			// nodes whose retry budgets actually died on this query.
-			if lossAware || repAware {
-				if p, _, ok := nw.LDel.ShortestPathWeighted(holder, t, nw.costWeight(t, src.dead, repAware)); ok {
+			if lossAware {
+				if p, _, ok := nw.LDel.ShortestPathWeighted(holder, t, nw.etxWeight(t, src.dead)); ok {
 					return p, planLDelETX, true
 				}
 			}
@@ -700,10 +661,9 @@ func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt Tran
 			// disconnected — so as a last resort readmit it. If a readmitted
 			// node really is dead the launch fails verification and the
 			// relaunch machinery owns the failure; if it was framed, the
-			// query gets through. Reputation weights (when on) still steer
-			// the path toward the least-distrusted of the readmitted nodes.
-			if lossAware || repAware {
-				if p, _, ok := nw.LDel.ShortestPathWeighted(holder, t, nw.costWeight(t, nil, repAware)); ok {
+			// query gets through.
+			if lossAware {
+				if p, _, ok := nw.LDel.ShortestPathWeighted(holder, t, nw.etxWeight(t, nil)); ok {
 					return p, planLDelETX, true
 				}
 			}
@@ -842,13 +802,6 @@ func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt Tran
 					}
 					if msg.delivered {
 						src.verified = true
-						if repAware {
-							// Credit every interior node of the verified
-							// launch's paths.
-							for _, u := range src.launchVia {
-								nw.Rep.Observe(u, true)
-							}
-						}
 					} else {
 						src.verFails++
 					}
@@ -881,7 +834,7 @@ func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt Tran
 						// release the strand instead of opening yet another
 						// corridor, and force the end-to-end relaunch timer —
 						// the relaunch replans from the source with a refilled
-						// budget and a debited reputation table.
+						// budget, diversified around this launch's corridors.
 						ctx.SendLong(env.From, resumeMsg{seq: msg.seq})
 						src.verFails++
 						src.launchedAt = round - launchBudget
@@ -909,8 +862,8 @@ func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt Tran
 							// The stranded corridor is unrecoverable from the
 							// holder. Under verification this is not fatal:
 							// release the strand and force the end-to-end
-							// relaunch timer (which replans from the source and
-							// debits the abandoned corridor). A frame-shifting
+							// relaunch timer (which replans from the source
+							// around the abandoned corridor). A frame-shifting
 							// forger can exhaust a holder's whole neighborhood
 							// with bogus nacks without ever cutting s from t.
 							ctx.SendLong(env.From, resumeMsg{seq: msg.seq})
@@ -985,14 +938,6 @@ func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt Tran
 					len(me.pends) == 0 && len(me.strands) == 0 {
 					if tr != nil {
 						tr.Emit(trace.Event{Kind: trace.KindVerifyFail, Round: round, From: int(s), To: int(t), Attempt: src.launch + 1})
-					}
-					if repAware {
-						// Debit every interior node the failed launch was
-						// routed through: the EWMA, not this one failure,
-						// decides who the next plan trusts.
-						for _, u := range src.launchVia {
-							nw.Rep.Observe(u, false)
-						}
 					}
 					if src.launch >= retries {
 						src.failure = fmt.Sprintf("delivery to %d unverified after %d launches", t, src.launch+1)
@@ -1071,8 +1016,7 @@ func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt Tran
 							// Mirror the nack handler's escape: under
 							// verification an unplannable local replan is not
 							// fatal — force the end-to-end relaunch timer,
-							// which replans from scratch with a debited
-							// reputation table.
+							// which replans from scratch around this launch.
 							src.verFails++
 							src.launchedAt = round - launchBudget
 							continue
@@ -1153,14 +1097,6 @@ func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt Tran
 		return rep, err
 	}
 	fillDiagnostics()
-	if verif && repAware && !src.verified && len(src.launchVia) > 0 {
-		// The run ended (deadline or failure) with the last launch never
-		// verified and never debited: fold the debit now, so the next query
-		// on this network plans around the nodes that swallowed it.
-		for _, u := range src.launchVia {
-			nw.Rep.Observe(u, false)
-		}
-	}
 	// Feed the ack outcomes back into the link-quality estimates and the
 	// liveness table's probation counters, in node order so the fold is
 	// deterministic. Clean first-attempt successes are no-ops inside Observe

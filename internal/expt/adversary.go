@@ -22,10 +22,9 @@ type e22Outcome struct {
 
 // e22Run routes the shared query batch on a fresh network with the given
 // adversary population installed (frac <= 0 and no colluders leaves the fault
-// model out entirely) under the given reputation mode. Queries run
-// sequentially, so the liveness and reputation tables learn across the batch
-// — the serving shape the reputation layer is designed for.
-func e22Run(opt Options, n int, pairs [][2]sim.NodeID, frac float64, behaviors sim.AdversaryBehavior, rep core.ReputationMode, colluders []sim.NodeID, exempt []sim.NodeID) (*e22Outcome, error) {
+// model out entirely) through the reliable transport. Queries run
+// sequentially, so the liveness table learns across the batch.
+func e22Run(opt Options, n int, pairs [][2]sim.NodeID, frac float64, behaviors sim.AdversaryBehavior, colluders []sim.NodeID, exempt []sim.NodeID) (*e22Outcome, error) {
 	nw, _, err := preprocessScenario(opt, n)
 	if err != nil {
 		return nil, err
@@ -51,7 +50,7 @@ func e22Run(opt Options, n int, pairs [][2]sim.NodeID, frac float64, behaviors s
 	for i, p := range pairs {
 		queries[i] = core.Query{S: p[0], T: p[1]}
 	}
-	reports, err := nw.TraceBatch(queries, core.TransportOptions{PayloadWords: 32, Reputation: rep})
+	reports, err := nw.TraceBatch(queries, core.TransportOptions{PayloadWords: 32, Reliable: true})
 	if err != nil {
 		return nil, err
 	}
@@ -100,15 +99,11 @@ func e22Artifacts(dir string, rowsOut []map[string]interface{}, heavy *e22Outcom
 // nodes misroutes payloads, black-holes selected flows, forges hop
 // acknowledgements and lies in its telemetry, while a traced query batch runs
 // with end-to-end verified delivery engaged. The resilience gate is on
-// verification, not reputation: delivery rate must hold a floor at every
-// adversarial fraction up to 30% in *both* reputation arms. Each fraction
-// still runs twice — reputation-weighted planning off and on — but the arms
-// are reported as measurement, not gated as a win: at these densities the
-// verify signal debits whole corridors and cannot localize the thief, so
-// reputation is deliberately a bounded tie-breaker (repWeightCap) and the
-// sweep shows verification carrying the resilience either way. The
-// adversary-0 rows of both arms must be byte-identical (per-hop) to a run on
-// a network that never had a fault config installed, and a final
+// verification: delivery rate must hold a floor at every adversarial fraction
+// up to 30%. The adversary-0 row installs the adversary tier but exempts every
+// node from the election, so the fault machinery is live while verification
+// stays off; it must be byte-identical (per hop) to a reliable run on a
+// network that never had a fault config installed. A final
 // colluding-endpoints row demonstrates the known limit of endpoint
 // verification: a colluding destination forges confirmations, which the
 // harness surfaces as verified-but-undelivered queries. With Options.TraceDir
@@ -117,8 +112,8 @@ func e22Artifacts(dir string, rowsOut []map[string]interface{}, heavy *e22Outcom
 func E22(opt Options) (*Result, error) {
 	res := &Result{
 		ID:    "E22",
-		Title: "Byzantine adversaries: verified delivery and reputation-weighted planning",
-		Claim: "end-to-end verification sustains delivery under misrouting/dropping/ack-forging/telemetry-lying adversaries: delivery rate holds a floor at every fraction up to 30% adversarial nodes with reputation weighting off and on; adversary-0 rows are byte-identical to a never-faulted network; colluding endpoints are surfaced as verified-but-undelivered",
+		Title: "Byzantine adversaries: verified delivery",
+		Claim: "end-to-end verification sustains delivery under misrouting/dropping/ack-forging/telemetry-lying adversaries: delivery rate holds a floor at every fraction up to 30% adversarial nodes; the adversary-0 row is byte-identical to a never-faulted network; colluding endpoints are surfaced as verified-but-undelivered",
 	}
 	n, q := 420, 48
 	floorRate := 0.85
@@ -129,9 +124,10 @@ func E22(opt Options) (*Result, error) {
 		floorRate = 0.60
 	}
 	fracs := []float64{0, 0.10, 0.20, 0.30}
+	heavyFrac := fracs[len(fracs)-1]
 
-	// Learn the node count, then draw the query set all arms share. Endpoints
-	// are exempt from the adversary election so every arm answers the same
+	// Learn the node count, then draw the query set all rows share. Endpoints
+	// are exempt from the adversary election so every row answers the same
 	// answerable pairs; the collude row deliberately removes that protection
 	// for its designated destinations.
 	nw0, _, err := preprocessScenario(opt, n)
@@ -145,106 +141,88 @@ func E22(opt Options) (*Result, error) {
 	for _, p := range pairs {
 		exempt = append(exempt, p[0], p[1])
 	}
+	everyone := make([]sim.NodeID, nodes)
+	for v := range everyone {
+		everyone[v] = sim.NodeID(v)
+	}
 
 	// Baseline: the batch on a network that never saw a fault config.
-	base, err := e22Run(opt, n, pairs, 0, sim.AdvAll, core.ReputationOff, nil, nil)
+	base, err := e22Run(opt, n, pairs, 0, sim.AdvAll, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 
-	res.Table = stats.NewTable("adversaries", "rep", "delivered", "rate", "verified", "mean ratio", "e2e resends", "misroute det", "adv actions")
+	res.Table = stats.NewTable("adversaries", "delivered", "rate", "verified", "mean ratio", "e2e resends", "misroute det", "adv actions")
 
 	identical := true
 	floorOK := true
 	var heavy *e22Outcome
 	var rowsOut []map[string]interface{}
-	deliveredAt := map[bool]map[float64]int{false: {}, true: {}}
-	resendsBy := map[bool]int{}
 	for _, frac := range fracs {
-		for _, repOn := range []bool{false, true} {
-			mode := core.ReputationOff
-			if repOn {
-				mode = core.ReputationOn
-			}
-			var out *e22Outcome
-			if frac == 0 {
-				// Reuse the baseline network shape but honor the arm's mode:
-				// with no adversaries the reputation table never moves, so
-				// both arms must reproduce the never-faulted run exactly.
-				out, err = e22Run(opt, n, pairs, 0, sim.AdvAll, mode, nil, nil)
-			} else {
-				out, err = e22Run(opt, n, pairs, frac, sim.AdvAll, mode, nil, exempt)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if frac == fracs[len(fracs)-1] && repOn {
-				heavy = out
-			}
+		var out *e22Outcome
+		if frac == 0 {
+			// The tier is installed (FaultsActive) but the election is
+			// empty (AdversaryActive stays false), so verification stays
+			// off and the run must reproduce the never-faulted baseline.
+			out, err = e22Run(opt, n, pairs, heavyFrac, sim.AdvAll, nil, everyone)
+		} else {
+			out, err = e22Run(opt, n, pairs, frac, sim.AdvAll, nil, exempt)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if frac == heavyFrac {
+			heavy = out
+		}
 
-			delivered, verified, resends, misdet := 0, 0, 0, 0
-			var ratioSum float64
-			ratioN := 0
-			for _, r := range out.reports {
-				if r == nil {
-					continue
-				}
-				resends += r.E2EResends
-				misdet += r.MisrouteDetected
-				if !r.Delivered {
-					continue
-				}
-				delivered++
-				if r.Verified {
-					verified++
-				}
-				if r.CompetitiveRatio > 0 {
-					ratioSum += r.CompetitiveRatio
-					ratioN++
-				}
+		delivered, verified, resends, misdet := 0, 0, 0, 0
+		var ratioSum float64
+		ratioN := 0
+		for _, r := range out.reports {
+			if r == nil {
+				continue
 			}
-			adv := out.nw.Sim.AdversaryCounters()
-			actions := adv.Misrouted + adv.ForgedAcks + adv.SelectiveDrops
-			rate := float64(delivered) / float64(len(pairs))
-			repLabel := "off"
-			if repOn {
-				repLabel = "on"
+			resends += r.E2EResends
+			misdet += r.MisrouteDetected
+			if !r.Delivered {
+				continue
 			}
-			res.Table.AddRow(fmt.Sprintf("%.0f%%", frac*100), repLabel,
-				fmt.Sprintf("%d/%d", delivered, len(pairs)),
-				fmt.Sprintf("%.3f", rate), verified,
-				fmt.Sprintf("%.3f", ratioSum/float64(max(ratioN, 1))),
-				resends, misdet, actions)
-			rowsOut = append(rowsOut, map[string]interface{}{
-				"fraction": frac, "reputation": repOn, "delivered": delivered,
-				"queries": len(pairs), "rate": rate, "verified": verified,
-				"mean_ratio": ratioSum / float64(max(ratioN, 1)),
-				"e2e_resends": resends, "misroute_detected": misdet,
-				"adversary_actions": actions,
-			})
-			deliveredAt[repOn][frac] = delivered
-			resendsBy[repOn] += resends
-			if rate < floorRate {
-				floorOK = false
+			delivered++
+			if r.Verified {
+				verified++
 			}
+			if r.CompetitiveRatio > 0 {
+				ratioSum += r.CompetitiveRatio
+				ratioN++
+			}
+		}
+		adv := out.nw.Sim.AdversaryCounters()
+		actions := adv.Misrouted + adv.ForgedAcks + adv.SelectiveDrops
+		rate := float64(delivered) / float64(len(pairs))
+		meanRatio := ratioSum / float64(max(ratioN, 1))
+		res.Table.AddRow(fmt.Sprintf("%.0f%%", frac*100),
+			fmt.Sprintf("%d/%d", delivered, len(pairs)),
+			fmt.Sprintf("%.3f", rate), verified,
+			fmt.Sprintf("%.3f", meanRatio),
+			resends, misdet, actions)
+		rowsOut = append(rowsOut, map[string]interface{}{
+			"fraction": frac, "delivered": delivered,
+			"queries": len(pairs), "rate": rate, "verified": verified,
+			"mean_ratio": meanRatio, "e2e_resends": resends,
+			"misroute_detected": misdet, "adversary_actions": actions,
+		})
+		if rate < floorRate {
+			floorOK = false
+		}
 
-			if frac == 0 {
-				for i := range out.reports {
-					if !traceReportsEqual(base.reports[i], out.reports[i]) {
-						identical = false
-						break
-					}
+		if frac == 0 {
+			for i := range out.reports {
+				if !traceReportsEqual(base.reports[i], out.reports[i]) {
+					identical = false
+					break
 				}
 			}
 		}
-	}
-	// The reputation arms are reported, not gated as a win: the verify signal
-	// debits whole corridors and cannot localize the thief, so the table's
-	// weights are a bounded tie-breaker by design.
-	sumOn, sumOff := 0, 0
-	for _, frac := range fracs[1:] {
-		sumOn += deliveredAt[true][frac]
-		sumOff += deliveredAt[false][frac]
 	}
 
 	// Colluding endpoints: the destinations of every fourth pair join the
@@ -255,7 +233,7 @@ func E22(opt Options) (*Result, error) {
 			colluders = append(colluders, p[1])
 		}
 	}
-	coll, err := e22Run(opt, n, pairs, 0.20, sim.AdvAll, core.ReputationOn, colluders, exempt)
+	coll, err := e22Run(opt, n, pairs, 0.20, sim.AdvAll, colluders, exempt)
 	if err != nil {
 		return nil, err
 	}
@@ -266,12 +244,12 @@ func E22(opt Options) (*Result, error) {
 			collDelivered++
 		}
 	}
-	res.Table.AddRow("20% +collusion", "on",
+	res.Table.AddRow("20% +collusion",
 		fmt.Sprintf("%d/%d", collDelivered, len(pairs)),
 		fmt.Sprintf("%.3f", float64(collDelivered)/float64(len(pairs))),
 		laundered, "-", "-", "-", "-")
 	rowsOut = append(rowsOut, map[string]interface{}{
-		"fraction": 0.20, "reputation": true, "collusion": true,
+		"fraction": 0.20, "collusion": true,
 		"delivered": collDelivered, "queries": len(pairs), "laundered": laundered,
 	})
 
@@ -289,11 +267,9 @@ func E22(opt Options) (*Result, error) {
 	exercised := heavy != nil &&
 		advTotal.Misrouted+advTotal.ForgedAcks+advTotal.SelectiveDrops > 0 && verifyFails > 0
 
-	res.note("adversary-0 rows byte-identical (per-hop) to a never-faulted network, both reputation arms: %v", identical)
-	res.note("delivery rate >= %.2f at every fraction through 30%% adversaries, both reputation arms: %v", floorRate, floorOK)
-	res.note("reputation arms (measurement, not gate): %d vs %d delivered, %d vs %d e2e resends summed over adversarial fractions, rep on vs off — verification carries the resilience",
-		sumOn, sumOff, resendsBy[true], resendsBy[false])
-	res.note("heaviest row (30%%, rep on): %d misroutes, %d forged acks, %d selective drops, %d verify failures",
+	res.note("adversary-0 row (tier installed, nobody elected) byte-identical (per-hop) to a never-faulted network: %v", identical)
+	res.note("delivery rate >= %.2f at every fraction through 30%% adversaries: %v", floorRate, floorOK)
+	res.note("heaviest row (30%%): %d misroutes, %d forged acks, %d selective drops, %d verify failures",
 		advTotal.Misrouted, advTotal.ForgedAcks, advTotal.SelectiveDrops, verifyFails)
 	res.note("colluding endpoints: %d/%d queries verified-but-undelivered (forged confirmations surfaced, not hidden)",
 		laundered, len(pairs))

@@ -75,12 +75,16 @@ type e17Totals struct {
 // e17Run answers all pairs on a fresh network under one fault row with one
 // planning mode: warmupPasses un-measured passes feed the link-quality
 // estimator (the retry-through baseline records the same telemetry but never
-// consults it), then one measured pass is reported.
+// consults it), then one measured pass is reported. Both arms run without the
+// liveness table: its suspect failover would divert the retry-through arm
+// around the lossy region too, so that arm would no longer retry through and
+// the sweep would stop comparing the two policies its claim names.
 func e17Run(opt Options, row e17Row, mode core.LossAwareMode, warmupPasses int) (*e17Totals, error) {
 	nw, w, h, err := e17Scenario(opt.seed(), opt.Quick)
 	if err != nil {
 		return nil, err
 	}
+	nw.Live = nil
 	cfg := sim.FaultConfig{
 		AdHocLoss: row.base,
 		LongLoss:  row.base,
