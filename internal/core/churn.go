@@ -160,7 +160,12 @@ func (nw *Network) repairTopology(v sim.NodeID, up bool) {
 	nw.LDel = live
 	nw.Holes = holes
 	nw.Router = routing.New(live)
-	nw.rebuildDerived()
+	// The backend name was validated at preprocessing time, so rebuilding
+	// with it cannot fail. Bay.DS (phase L) stays nil: the query path never
+	// reads it.
+	if err := nw.buildDerived(nw.Report.Abstraction); err != nil {
+		panic("core: churn repair: " + err.Error())
+	}
 
 	plan := "full"
 	if incremental {
@@ -173,32 +178,4 @@ func (nw *Network) repairTopology(v sim.NodeID, up bool) {
 	if nw.tracer != nil {
 		nw.tracer.Emit(trace.Event{Kind: trace.KindRepair, Round: nw.Sim.Rounds(), From: int(v), Plan: plan, Value: len(holes.Holes)})
 	}
-}
-
-// rebuildDerived reconstructs every query-path structure downstream of
-// (LDel, Holes): the hole abstraction (same backend the network was
-// preprocessed with), its group and overlay views, visibility domains,
-// hull-node index and bay areas. Mirrors the tail of preprocess.
-func (nw *Network) rebuildDerived() {
-	// The backend name was validated at preprocessing time, so rebuilding
-	// with it cannot fail.
-	if err := nw.buildAbstraction(nw.Report.Abstraction); err != nil {
-		panic("core: rebuildDerived: " + err.Error())
-	}
-	var boundaries [][]geom.Point
-	for _, h := range nw.Holes.Holes {
-		boundaries = append(boundaries, h.Polygon)
-	}
-	nw.VisDomain = vis.NewDomain(boundaries)
-	nw.hullNodeOf = make(map[geom.Point]sim.NodeID)
-	for _, h := range nw.Holes.Holes {
-		for _, u := range h.HullNodes {
-			nw.hullNodeOf[nw.G.Point(u)] = u
-		}
-	}
-	nw.groupDomains = make([]*vis.Domain, len(nw.Groups))
-	nw.groupDomainInit = make([]sync.Once, len(nw.Groups))
-	nw.Bays = nil
-	nw.buildBays()
-	// Bay.DS (phase L) intentionally stays nil: never read on the query path.
 }

@@ -155,7 +155,7 @@ func (e *Engine) Route(s, t sim.NodeID) Outcome {
 		e.scratch.Put(sc)
 		return out
 	}
-	out := e.nw.route(e, s, t, false)
+	out := e.nw.route(e, s, t)
 	stored := out
 	stored.Path = copyIDs(out.Path)
 	stored.Waypoints = copyIDs(out.Waypoints)

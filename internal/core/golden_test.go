@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hybridroute/internal/geom"
 	"hybridroute/internal/sim"
+	"hybridroute/internal/trace"
 	"hybridroute/internal/workload"
 )
 
@@ -151,5 +153,126 @@ func TestHullBackendByteIdentical(t *testing.T) {
 	got := routeDigest(nw)
 	if got != goldenHullDigest {
 		t.Fatalf("hull backend routing output drifted from the pre-refactor seed: digest %s, want %s", got, goldenHullDigest)
+	}
+}
+
+// goldenReliableDigests pins the reliable transport's recovery ladder under
+// plain faults and under adversaries, per fault configuration: every
+// TransportReport field plus the transport-level trace event stream of 40
+// seeded pairs routed in order. The digests were recorded on the transport
+// as it stood before its split into per-query transition methods.
+var goldenReliableDigests = map[string]string{
+	"loss8-5+crash6/etx":   "9a85bc1762cf5e7b",
+	"loss8-5+crash6/noetx": "4ccd5b9824881960",
+	"loss20-10":            "1b87a96690e6f39e",
+	"adv25+loss3":          "cb65e9dadf27c346",
+}
+
+// transportKinds are the trace kinds the reliable transport itself emits.
+var transportKinds = map[trace.Kind]bool{
+	trace.KindHopSend: true, trace.KindHopRetry: true, trace.KindHopAck: true,
+	trace.KindHopNack: true, trace.KindReplan: true, trace.KindDetour: true,
+	trace.KindSuspect: true, trace.KindMisrouteDetected: true,
+	trace.KindVerifyFail: true, trace.KindE2EResend: true,
+}
+
+// reliableTotals are a batch's recovery counters, so the test can check the
+// digests cover batches that actually climbed the ladder.
+type reliableTotals struct {
+	replans, detours, resends, misroutes, failed int
+}
+
+// reliableDigest routes 40 seeded pairs in order through the reliable
+// transport on the golden scenario under one fault configuration and hashes
+// every report field and every transport trace event (in emission order; the
+// golden scenario steps sequentially). The crash configuration crashes the
+// middle node of the first plans that have a non-endpoint one, so its replans
+// are guaranteed to fire.
+func reliableDigest(t testing.TB, name string) (string, reliableTotals) {
+	nw := goldenScenario(t)
+	tr := trace.New(0)
+	nw.SetTracer(tr)
+	rng := rand.New(rand.NewSource(14))
+	var pairs [][2]sim.NodeID
+	endpoint := make(map[sim.NodeID]bool)
+	var exempt []sim.NodeID
+	for len(pairs) < 40 {
+		s, d := sim.NodeID(rng.Intn(nw.G.N())), sim.NodeID(rng.Intn(nw.G.N()))
+		if s != d {
+			pairs = append(pairs, [2]sim.NodeID{s, d})
+			endpoint[s], endpoint[d] = true, true
+			exempt = append(exempt, s, d)
+		}
+	}
+	var crashed []sim.NodeID
+	for _, p := range pairs {
+		path := nw.Route(p[0], p[1]).Path
+		if v := path[len(path)/2]; len(crashed) < 6 && !endpoint[v] && !slices.Contains(crashed, v) {
+			crashed = append(crashed, v)
+		}
+	}
+	cfg := sim.FaultConfig{Seed: 14}
+	opt := TransportOptions{PayloadWords: 16}
+	switch name {
+	case "loss8-5+crash6/etx", "loss8-5+crash6/noetx":
+		cfg.AdHocLoss, cfg.LongLoss, cfg.Crashed = 0.08, 0.05, crashed
+		if name == "loss8-5+crash6/noetx" {
+			opt.LossAware = LossAwareOff
+		}
+	case "loss20-10":
+		cfg.AdHocLoss, cfg.LongLoss = 0.2, 0.1
+	case "adv25+loss3":
+		cfg.AdHocLoss, cfg.LongLoss = 0.03, 0.03
+		cfg.Adversary = sim.AdversaryConfig{Fraction: 0.25, Exempt: exempt}
+	default:
+		t.Fatalf("unknown reliable golden config %q", name)
+	}
+	if err := nw.Sim.SetFaults(cfg); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var tot reliableTotals
+	for _, p := range pairs {
+		rep, err := nw.RouteOnSimOpt(p[0], p[1], opt)
+		errText := ""
+		if err != nil {
+			errText = err.Error()
+			tot.failed++
+		}
+		tot.replans += rep.Replans
+		tot.detours += rep.Detours + rep.SuspectDetours
+		tot.resends += rep.E2EResends
+		tot.misroutes += rep.MisrouteDetected
+		fmt.Fprintf(h, "%d>%d %+v err=%q\n", p[0], p[1], *rep, errText)
+		for _, e := range tr.Drain() {
+			if transportKinds[e.Kind] {
+				fmt.Fprintf(h, "%s r%d %d>%d seq=%d att=%d plan=%s v=%d\n",
+					e.Kind, e.Round, e.From, e.To, e.Seq, e.Attempt, e.Plan, e.Value)
+			}
+		}
+	}
+	if d := tr.Dropped(); d > 0 {
+		t.Fatalf("%s: tracer dropped %d events", name, d)
+	}
+	return fmt.Sprintf("%016x", h.Sum64()), tot
+}
+
+// TestReliableTransportGolden pins the reliable transport's reports and trace
+// event stream, per fault configuration, byte for byte.
+func TestReliableTransportGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden digest scenario is not short")
+	}
+	for _, name := range []string{"loss8-5+crash6/etx", "loss8-5+crash6/noetx", "loss20-10", "adv25+loss3"} {
+		t.Run(name, func(t *testing.T) {
+			got, tot := reliableDigest(t, name)
+			t.Logf("batch: %+v", tot)
+			if tot.replans == 0 {
+				t.Errorf("batch never replanned: %+v", tot)
+			}
+			if got != goldenReliableDigests[name] {
+				t.Fatalf("reliable transport output drifted: digest %s, want %s", got, goldenReliableDigests[name])
+			}
+		})
 	}
 }

@@ -212,6 +212,40 @@ func (nw *Network) buildAbstraction(name string) error {
 	return nil
 }
 
+// buildDerived (re)builds every query-path structure downstream of (LDel,
+// Holes): the hole abstraction backend name with its group and overlay views,
+// the Section-3 visibility domain, the hull-node and position indexes, the
+// lazily built group domains and the bay areas. Preprocess, PreprocessStatic
+// and churn repair all call it. Node positions never change once a network
+// is built, so a repair keeps the position index.
+func (nw *Network) buildDerived(name string) error {
+	if err := nw.buildAbstraction(name); err != nil {
+		return err
+	}
+	var boundaries [][]geom.Point
+	for _, h := range nw.Holes.Holes {
+		boundaries = append(boundaries, h.Polygon)
+	}
+	nw.VisDomain = vis.NewDomain(boundaries)
+	nw.hullNodeOf = make(map[geom.Point]sim.NodeID)
+	for _, h := range nw.Holes.Holes {
+		for _, v := range h.HullNodes {
+			nw.hullNodeOf[nw.G.Point(v)] = v
+		}
+	}
+	if nw.nodeAtPt == nil {
+		nw.nodeAtPt = make(map[geom.Point]sim.NodeID, nw.G.N())
+		for v := 0; v < nw.G.N(); v++ {
+			nw.nodeAtPt[nw.G.Point(sim.NodeID(v))] = sim.NodeID(v)
+		}
+	}
+	nw.groupDomains = make([]*vis.Domain, len(nw.Groups))
+	nw.groupDomainInit = make([]sync.Once, len(nw.Groups))
+	nw.Bays = nil
+	nw.buildBays()
+	return nil
+}
+
 // groupDomain returns (building lazily, exactly once, race-free) the
 // visibility domain over the member hole boundary polygons of group gi, used
 // for geodesics inside the group's merged hull (bay areas and inter-hole
@@ -329,31 +363,13 @@ func preprocess(g *udg.Graph, cfg Config, tree *overlaytree.Tree, prev *Network)
 
 	// Build the configured hole abstraction (merging intersecting abstracted
 	// shapes into disjoint regions — singletons whenever the paper's
-	// disjointness assumption holds) and the routing structures every hull
-	// node now possesses.
-	if err := nw.buildAbstraction(cfg.Abstraction); err != nil {
+	// disjointness assumption holds), the routing structures every hull node
+	// now possesses and the bay areas of phase L.
+	if err := nw.buildDerived(cfg.Abstraction); err != nil {
 		return nil, err
 	}
-	var boundaries [][]geom.Point
-	for _, h := range nw.Holes.Holes {
-		boundaries = append(boundaries, h.Polygon)
-	}
-	nw.VisDomain = vis.NewDomain(boundaries)
-	nw.hullNodeOf = make(map[geom.Point]sim.NodeID)
-	for _, h := range nw.Holes.Holes {
-		for _, v := range h.HullNodes {
-			nw.hullNodeOf[nw.G.Point(v)] = v
-		}
-	}
-	nw.nodeAtPt = make(map[geom.Point]sim.NodeID, g.N())
-	for v := 0; v < g.N(); v++ {
-		nw.nodeAtPt[g.Point(sim.NodeID(v))] = sim.NodeID(v)
-	}
-	nw.groupDomains = make([]*vis.Domain, len(nw.Groups))
-	nw.groupDomainInit = make([]sync.Once, len(nw.Groups))
 
-	// Phase L: bay areas and their dominating sets.
-	nw.buildBays()
+	// Phase L: the bay areas' dominating sets.
 	if !cfg.SkipDomSets {
 		if err := nw.runDomSetPhase(cfg.Seed); err != nil {
 			return nil, fmt.Errorf("core: dominating sets: %w", err)

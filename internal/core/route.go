@@ -99,17 +99,17 @@ func (nw *Network) label() string { return "network" }
 // Graph; bay-area endpoints are routed via the extreme-point strategy of
 // Section 4.4.
 func (nw *Network) Route(s, t sim.NodeID) Outcome {
-	return nw.route(nw, s, t, false)
+	return nw.route(nw, s, t)
 }
 
 // RouteVisibility answers a query with the Section-3 protocol: identical
 // flow, but hole nodes store the full Visibility Graph of all hole boundary
 // nodes (larger storage, 17.7-competitive versus ≤ 35.37).
 func (nw *Network) RouteVisibility(s, t sim.NodeID) Outcome {
-	return nw.route(nw, s, t, true)
+	return nw.routeSection3(s, t, nw.VisDomain.ShortestPath)
 }
 
-func (nw *Network) route(src planSource, s, t sim.NodeID, useVisibility bool) Outcome {
+func (nw *Network) route(src planSource, s, t sim.NodeID) Outcome {
 	out := Outcome{}
 	c, gs, gt := nw.caseOf(s, t)
 	out.Case = c
@@ -120,12 +120,6 @@ func (nw *Network) route(src planSource, s, t sim.NodeID, useVisibility bool) Ou
 		return out
 	}
 	out.LongRange = 2 // position query + response over long-range
-
-	if useVisibility {
-		// The visibility-graph variant treats hole boundary polygons as the
-		// obstacles, which subsumes all bay-area cases.
-		return nw.routeVisibility(s, t, out)
-	}
 
 	switch c {
 	case 1:
@@ -223,43 +217,7 @@ func (nw *Network) routeOutside(src planSource, s, t sim.NodeID, out Outcome) Ou
 // The domain should be built once via vis.NewDomain and reused across
 // queries.
 func (nw *Network) RouteWithObstacles(s, t sim.NodeID, domain *vis.Domain) Outcome {
-	out := Outcome{}
-	c, _, _ := nw.caseOf(s, t)
-	out.Case = c
-	if s == t {
-		out.Result = routing.Result{Path: []sim.NodeID{s}, Reached: true}
-		return out
-	}
-	out.LongRange = 2
-	first := nw.Router.Chew(s, t)
-	if first.Reached {
-		out.Result = first
-		return out
-	}
-	if !first.HoleHit || len(first.Path) == 0 {
-		return nw.globalFallback(s, t, out)
-	}
-	h0 := first.HitNode
-	out.LongRange++
-	pts, _, ok := domain.ShortestPath(nw.G.Point(h0), nw.G.Point(t))
-	if !ok {
-		return nw.globalFallback(s, t, out)
-	}
-	wps, ok := nw.pointsToNodes(h0, t, pts)
-	if !ok {
-		return nw.globalFallback(s, t, out)
-	}
-	rest := nw.Router.ChewVia(wps)
-	if !rest.Reached {
-		return nw.globalFallback(s, t, out)
-	}
-	out.Waypoints = wps
-	out.Result = routing.Result{
-		Path:     spliceTail(first.Path, rest.Path),
-		Reached:  true,
-		Fallback: first.Fallback || rest.Fallback,
-	}
-	return out
+	return nw.routeSection3(s, t, domain.ShortestPath)
 }
 
 // RouteWithOverlay routes like RouteWithObstacles but plans over an overlay
@@ -268,6 +226,14 @@ func (nw *Network) RouteWithObstacles(s, t sim.NodeID, domain *vis.Domain) Outco
 // holes"), with O(h) instead of Θ(h²) edges and a 1.998× longer plan in the
 // worst case.
 func (nw *Network) RouteWithOverlay(s, t sim.NodeID, overlay *vis.Overlay) Outcome {
+	return nw.routeSection3(s, t, overlay.ShortestPath)
+}
+
+// routeSection3 is the Section-3 protocol over an obstacle representation
+// given by its waypoint search: Chew toward t until a hole is hit, then the
+// hit node plans a shortest waypoint path to t around the obstacles (which
+// subsumes all bay-area cases) and the message follows it.
+func (nw *Network) routeSection3(s, t sim.NodeID, search func(a, b geom.Point) ([]geom.Point, float64, bool)) Outcome {
 	out := Outcome{}
 	c, _, _ := nw.caseOf(s, t)
 	out.Case = c
@@ -286,41 +252,7 @@ func (nw *Network) RouteWithOverlay(s, t sim.NodeID, overlay *vis.Overlay) Outco
 	}
 	h0 := first.HitNode
 	out.LongRange++
-	pts, _, ok := overlay.ShortestPath(nw.G.Point(h0), nw.G.Point(t))
-	if !ok {
-		return nw.globalFallback(s, t, out)
-	}
-	wps, ok := nw.pointsToNodes(h0, t, pts)
-	if !ok {
-		return nw.globalFallback(s, t, out)
-	}
-	rest := nw.Router.ChewVia(wps)
-	if !rest.Reached {
-		return nw.globalFallback(s, t, out)
-	}
-	out.Waypoints = wps
-	out.Result = routing.Result{
-		Path:     spliceTail(first.Path, rest.Path),
-		Reached:  true,
-		Fallback: first.Fallback || rest.Fallback,
-	}
-	return out
-}
-
-// routeVisibility is the Section-3 protocol: Chew until hole hit, then a
-// shortest path in the Visibility Graph of all hole boundary nodes.
-func (nw *Network) routeVisibility(s, t sim.NodeID, out Outcome) Outcome {
-	first := nw.Router.Chew(s, t)
-	if first.Reached {
-		out.Result = first
-		return out
-	}
-	if !first.HoleHit || len(first.Path) == 0 {
-		return nw.globalFallback(s, t, out)
-	}
-	h0 := first.HitNode
-	out.LongRange++
-	pts, _, ok := nw.VisDomain.ShortestPath(nw.G.Point(h0), nw.G.Point(t))
+	pts, _, ok := search(nw.G.Point(h0), nw.G.Point(t))
 	if !ok {
 		return nw.globalFallback(s, t, out)
 	}

@@ -19,17 +19,20 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 
 	"hybridroute/internal/delaunay"
-	"hybridroute/internal/geom"
 	"hybridroute/internal/overlaytree"
 	"hybridroute/internal/routing"
-	"hybridroute/internal/sim"
 	"hybridroute/internal/udg"
-	"hybridroute/internal/vis"
 )
+
+// ErrNoSimulator is the error of the on-simulator entry points (RouteOnSim,
+// TraceQuery, TraceBatch and their options and engine variants) on a network
+// built by PreprocessStatic, which has no simulator to run the query on. The
+// report they return still carries the plan outcome.
+var ErrNoSimulator = errors.New("core: network has no simulator (built by PreprocessStatic)")
 
 // PreprocessStatic builds a query-ready Network without a simulator.
 // Config fields other than Abstraction are ignored (there is no
@@ -57,28 +60,9 @@ func PreprocessStatic(g *udg.Graph, cfg Config) (*Network, error) {
 	nw.Tree = overlaytree.Synthetic(g.N())
 	nw.Report.TreeHeight = nw.Tree.Height()
 
-	if err := nw.buildAbstraction(cfg.Abstraction); err != nil {
+	if err := nw.buildDerived(cfg.Abstraction); err != nil {
 		return nil, err
 	}
-	var boundaries [][]geom.Point
-	for _, h := range nw.Holes.Holes {
-		boundaries = append(boundaries, h.Polygon)
-	}
-	nw.VisDomain = vis.NewDomain(boundaries)
-	nw.hullNodeOf = make(map[geom.Point]sim.NodeID)
-	for _, h := range nw.Holes.Holes {
-		for _, v := range h.HullNodes {
-			nw.hullNodeOf[nw.G.Point(v)] = v
-		}
-	}
-	nw.nodeAtPt = make(map[geom.Point]sim.NodeID, g.N())
-	for v := 0; v < g.N(); v++ {
-		nw.nodeAtPt[g.Point(sim.NodeID(v))] = sim.NodeID(v)
-	}
-	nw.groupDomains = make([]*vis.Domain, len(nw.Groups))
-	nw.groupDomainInit = make([]sync.Once, len(nw.Groups))
-
-	nw.buildBays()
 	nw.accountStorage()
 	nw.enableChurnRepair()
 	return nw, nil

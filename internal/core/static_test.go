@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"hybridroute/internal/geom"
 	"hybridroute/internal/sim"
+	"hybridroute/internal/trace"
 	"hybridroute/internal/workload"
 )
 
@@ -60,6 +63,59 @@ func TestPreprocessStaticBBoxBackend(t *testing.T) {
 			out := nw.Route(sim.NodeID(s), sim.NodeID(tt))
 			if !out.Reached {
 				t.Fatalf("static bbox route %d->%d not delivered", s, tt)
+			}
+		}
+	}
+}
+
+// TestStaticNetworkRejectsSimulatorQueries: a PreprocessStatic network has no
+// simulator, so every on-simulator entry point returns ErrNoSimulator, with
+// the plan outcome in its report, instead of dereferencing the nil simulator.
+func TestStaticNetworkRejectsSimulatorQueries(t *testing.T) {
+	sc, err := workload.JitteredGrid(0.55, 8, 8, 1, [][]geom.Point{
+		workload.StarPolygon(geom.Pt(3, 3.2), 1.6, 0.7, 5, 0.3),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw, err := PreprocessStatic(sc.Build(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.SetTracer(trace.New(0))
+	eng := NewEngine(nw, EngineConfig{})
+	s, d := sim.NodeID(0), sim.NodeID(nw.G.N()-1)
+	want := nw.Route(s, d)
+	opt := TransportOptions{PayloadWords: 8, Reliable: true}
+	for _, c := range []struct {
+		name string
+		call func() (*TransportReport, error)
+	}{
+		{"Network.RouteOnSim", func() (*TransportReport, error) { return nw.RouteOnSim(s, d, 8) }},
+		{"Network.RouteOnSimOpt", func() (*TransportReport, error) { return nw.RouteOnSimOpt(s, d, opt) }},
+		{"Engine.RouteOnSim", func() (*TransportReport, error) { return eng.RouteOnSim(s, d, 8) }},
+		{"Engine.RouteOnSimOpt", func() (*TransportReport, error) { return eng.RouteOnSimOpt(s, d, opt) }},
+		{"Network.TraceQuery", func() (*TransportReport, error) { _, rep, err := nw.TraceQuery(s, d, opt); return rep, err }},
+		{"Engine.TraceQuery", func() (*TransportReport, error) { _, rep, err := eng.TraceQuery(s, d, opt); return rep, err }},
+	} {
+		rep, err := c.call()
+		if !errors.Is(err, ErrNoSimulator) {
+			t.Errorf("%s: error %v, want ErrNoSimulator", c.name, err)
+		}
+		if rep == nil || !reflect.DeepEqual(rep.Outcome, want) {
+			t.Errorf("%s: report does not carry the plan outcome: %+v", c.name, rep)
+		}
+	}
+	for name, batch := range map[string]func([]Query, TransportOptions) ([]*TraceReport, error){
+		"Network.TraceBatch": nw.TraceBatch, "Engine.TraceBatch": eng.TraceBatch,
+	} {
+		reports, err := batch([]Query{{S: s, T: d}, {S: d, T: s}}, opt)
+		if err != nil || len(reports) != 2 {
+			t.Fatalf("%s: %d reports, error %v", name, len(reports), err)
+		}
+		for _, r := range reports {
+			if r.Err != ErrNoSimulator.Error() || r.Delivered {
+				t.Errorf("%s: query %d->%d reported %q (delivered %v), want ErrNoSimulator", name, r.S, r.T, r.Err, r.Delivered)
 			}
 		}
 	}

@@ -19,6 +19,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"hybridroute/internal/sim"
@@ -70,7 +72,7 @@ type rdataMsg struct {
 	payload int
 	plan    string
 	// launch tags the payload with the end-to-end launch epoch it belongs to
-	// (rsourceState.launch). A nack echoes it so the source can tell a live
+	// (rquery.epoch). A nack echoes it so the source can tell a live
 	// corridor's distress from a relic of an epoch the relaunch already
 	// replaced — resuming a stale strand would graft the abandoned corridor
 	// (and whoever swallowed its payload) into the new launch's verification
@@ -225,8 +227,11 @@ func (e *Engine) RouteOnSimOpt(s, t sim.NodeID, opt TransportOptions) (*Transpor
 }
 
 func (nw *Network) routeOnSim(planner planSource, s, t sim.NodeID, opt TransportOptions) (*TransportReport, error) {
-	plan := nw.route(planner, s, t, false)
+	plan := nw.route(planner, s, t)
 	rep := &TransportReport{Outcome: plan}
+	if nw.Sim == nil {
+		return rep, ErrNoSimulator
+	}
 	if !plan.Reached {
 		return rep, fmt.Errorf("core: no plan for %d->%d", s, t)
 	}
@@ -460,7 +465,7 @@ type rnode struct {
 	pends     []*rpending
 	strands   []*rstrand
 	nextN     int
-	seen      map[sim.NodeID]map[int]bool
+	seen      map[[2]int]bool // (sender, transfer number) pairs received; made on first receipt
 	delivered bool
 	misrouted bool
 	hopsIn    int // fresh (non-duplicate) payload receipts
@@ -468,14 +473,68 @@ type rnode struct {
 	suspects  int // next hops this node marked suspected (retry exhaustion)
 	misdetect int // unforwardable payloads this (honest) holder reported
 	obs       []linkObs
-	// abandoned records a strand this holder gave up on after its failure
-	// notices to the source went unanswered — the payload is gone, and the
-	// query error must say where and why instead of "did not arrive".
+	// abandoned is a strand given up after its nacks went unanswered, kept so
+	// the query error says where and why instead of "did not arrive".
 	abandoned *rstrand
 }
 
-// rsourceState is the extra state of the query source.
-type rsourceState struct {
+// suspectDetourPath plans s→t around the avoid set over LDel²: ETX-weighted
+// when loss-aware planning is engaged (the detour then also prefers low-loss
+// links), plain node-avoiding otherwise. Returns nil when no path avoids
+// every node of the set — for a suspect set, suspicion is not proof of death,
+// so the caller then routes through the suspect and lets the retry protocol
+// adjudicate.
+func (nw *Network) suspectDetourPath(s, t sim.NodeID, avoid map[sim.NodeID]bool, lossAware bool) []sim.NodeID {
+	if lossAware {
+		p, _, _ := nw.LDel.ShortestPathWeighted(s, t, nw.etxWeight(t, avoid))
+		return p
+	}
+	p, _, _ := nw.LDel.ShortestPathAvoiding(s, t, avoid)
+	return p
+}
+
+// rquery is one reliable delivery as an explicit state machine: the query's
+// parameters, the per-node protocol state and the source's recovery state,
+// with one method per protocol transition —
+//
+//	launch        the payload starts down a fresh plan from the source
+//	forward       a holder acks a payload hop, then delivers, strands or passes it on
+//	ack           a hop acknowledgement retires a pending transfer
+//	hopExhausted  a hop spent its retry budget: the source replans, a holder strands
+//	nack, resume  the source replans around the blamed hop; the holder continues
+//	verify        the destination's answer to an end-to-end poll reaches the source
+//	relaunch      an unverified launch is resent end to end around its corridor
+//	giveUp        the query fails with a reason and the source's timers stop
+//	finish        the quiesced run becomes the report, link telemetry and error
+//
+// step, each node's simulator protocol, only dispatches its inbox and due
+// timers to them, and every recovery that needs a fresh path climbs the one
+// ladder in replanFrom.
+type rquery struct {
+	nw          *Network
+	planner     planSource
+	tr          *trace.Tracer
+	rep         *TransportReport
+	pr          counterProbe
+	s, t        sim.NodeID
+	payload     int
+	retries     int
+	initialPlan string // planner label of the starting plan, for trace attribution
+	timeout     int    // query-level round budget
+	deadline    int    // simulator round at which every timer stops
+	// verif engages end-to-end verified delivery exactly when the simulator
+	// has Byzantine adversaries: hop acks are trustworthy against plain loss
+	// and crashes, and keeping it off preserves those runs byte for byte.
+	verif bool
+	// lossAware makes every replan consult the link-quality estimates, so it
+	// may substitute an ETX-weighted detour for the geometric plan.
+	lossAware bool
+	// launchBudget is how long a launch may stay unverified (and the source
+	// idle) before a relaunch: a clean traversal plus one retry per hop.
+	launchBudget int
+	st           []rnode
+
+	// Source state.
 	posSentAt      int
 	posAttempts    int
 	havePos        bool
@@ -484,665 +543,614 @@ type rsourceState struct {
 	detours        int
 	suspectDetours int
 	failure        string
-	// Verified-delivery protocol state (engaged only under adversaries).
+	// Verified-delivery state (engaged only under adversaries).
 	verified   bool                // the destination confirmed arrival
 	verSentAt  int                 // round of the last verification poll (-1: none yet)
 	verFails   int                 // "not delivered" replies since the current launch
-	launch     int                 // payload launch number (0 = initial)
+	epoch      int                 // payload launch number (0 = initial)
 	launchedAt int                 // round the current launch (or its last resume) started
 	launchSeen map[sim.NodeID]bool // interior nodes handed a leg of the current launch
 	resends    int                 // end-to-end relaunches after failed verification
 	// extraAvoid is set transiently around a relaunch replan: the interior
-	// nodes of the launch that just failed verification. A selective-drop
-	// adversary black-holes flows deterministically, so relaunching down the
-	// same corridor fails the same way — diversifying the corridor is the
-	// recovery. replanFrom treats these like suspects (soft: readmitted if
-	// no path clears them).
+	// nodes of the launch that just failed verification, which replanFrom
+	// treats like suspects (soft: readmitted if no path clears them).
 	extraAvoid map[sim.NodeID]bool
 	// resumeBudget caps how many stranded corridors the current launch may
-	// resume with a fresh path. Every resume opens a corridor that can
-	// strand again (and, with retries, nack several times more), so under
-	// adversarial misrouting an unbounded resume policy breeds corridors
-	// faster than they die — a branching process that outlives any
-	// deadline. Refilled per launch.
+	// resume. Every resume opens a corridor that can strand and nack again,
+	// so under misrouting an unbounded policy breeds corridors faster than
+	// they die, outliving any deadline. Refilled per launch.
 	resumeBudget int
+}
+
+// deliverReliable runs the ack/retry/replan protocol for one query: an
+// rquery stepped on the simulator until it quiesces.
+func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt TransportOptions, rep *TransportReport, lossAware bool, initialPlan string) (*TransportReport, error) {
+	q := &rquery{
+		nw: nw, planner: planner, tr: nw.tracer, rep: rep, s: s, t: t,
+		payload: opt.PayloadWords, retries: opt.Retries, timeout: opt.TimeoutRounds,
+		initialPlan: initialPlan, verif: nw.Sim.AdversaryActive(), lossAware: lossAware,
+		st:        make([]rnode, nw.G.N()),
+		posSentAt: -1, verSentAt: -1,
+		dead: make(map[sim.NodeID]bool), launchSeen: make(map[sim.NodeID]bool),
+	}
+	if q.retries <= 0 {
+		q.retries = DefaultRetries
+	}
+	if q.timeout <= 0 {
+		// Every hop may burn (retries+1) attempts of ackWait+1 rounds, plus
+		// handshake, nack/resume round trips and slack for longer replans.
+		// Verified delivery may relaunch `retries` times: its budget doubles.
+		q.timeout = (len(rep.Path)+8)*(ackWait+1)*(q.retries+1) + 32
+		if q.verif {
+			q.timeout *= 2
+		}
+	}
+	q.launchBudget = (len(rep.Path) + 2) * (ackWait + 1)
+	q.pr = nw.probe()
+	q.deadline = nw.Sim.Rounds() + q.timeout
+	nw.Sim.SetAllProtos(func(v sim.NodeID) sim.Proto {
+		return sim.ProtoFunc(func(ctx *sim.Context, round int, inbox []sim.Envelope) {
+			q.step(v, ctx, round, inbox)
+		})
+	})
+	_, err := nw.Sim.Run()
+	return q.finish(err)
+}
+
+// step is node v's protocol for one round: the source opens the position
+// handshake, every inbox message goes to its transition, then due timers run.
+func (q *rquery) step(v sim.NodeID, ctx *sim.Context, round int, inbox []sim.Envelope) {
+	me := &q.st[v]
+	if v == q.s && q.posSentAt < 0 && q.failure == "" {
+		q.posSentAt = round
+		q.posAttempts = 1
+		ctx.SendLong(q.t, posQuery{})
+	}
+	for _, env := range inbox {
+		switch msg := env.Msg.(type) {
+		case posQuery:
+			p := ctx.Pos()
+			ctx.SendLong(env.From, posReply{x: p.X, y: p.Y})
+		case posReply:
+			if v == q.s && !q.havePos {
+				q.havePos = true
+				if len(q.rep.Path) < 2 {
+					me.misrouted = true // a plan of one node with s != t cannot deliver
+				} else {
+					q.launch(ctx, me, round, q.rep.Path, q.initialPlan)
+				}
+			}
+		case rdataMsg:
+			q.forward(ctx, me, round, env.From, msg)
+		case hopAck:
+			q.ack(me, v, round, env.From, msg.n)
+		case verifyQuery:
+			// The destination answers truthfully — unless it is a colluding
+			// adversary covering for a fellow adversary's discarded payload.
+			laundered := q.verif && q.nw.Sim.AdversaryLaundered(env.From, v)
+			ctx.SendLong(env.From, verifyReply{n: msg.n, delivered: me.delivered || laundered})
+		case verifyReply:
+			if v == q.s {
+				q.verify(msg)
+			}
+		case nackMsg:
+			if v == q.s {
+				q.nack(ctx, round, env.From, msg)
+			}
+		case resumeMsg:
+			q.resume(ctx, me, round, msg)
+		}
+	}
+	if round >= q.deadline {
+		return // deadline passed: all timers stop, the run quiesces
+	}
+	if v == q.s {
+		q.handshakeTimer(ctx, me, round)
+		q.verifyTimer(ctx, me, round)
+	}
+	q.hopTimers(ctx, me, v, round)
+	q.nackTimers(ctx, me, v, round)
+	if len(me.pends) > 0 || len(me.strands) > 0 {
+		ctx.KeepAlive()
+	}
+}
+
+// send starts (and registers) one transfer to path[0] carrying the rest of
+// path; plan tags the planner whose path this leg executes, epoch the launch
+// the payload belongs to.
+func (q *rquery) send(ctx *sim.Context, me *rnode, round int, path []sim.NodeID, payload int, plan string, epoch int) {
+	m := rdataMsg{n: me.nextN, src: q.s, path: path[1:], payload: payload, plan: plan, launch: epoch}
+	me.nextN++
+	if q.tr != nil {
+		q.tr.Emit(trace.Event{Kind: trace.KindHopSend, Round: round, From: int(ctx.ID()), To: int(path[0]), Seq: m.n, Attempt: 1, Plan: plan})
+	}
+	ctx.SendAdHoc(path[0], m)
+	me.pends = append(me.pends, &rpending{to: path[0], msg: m, sentAt: round, attempts: 1})
+}
+
+// launch sends the payload from the source down path as the current launch
+// (the initial plan once the target's position is known, or a relaunch),
+// restarting its relaunch clock and refilling its resume budget.
+func (q *rquery) launch(ctx *sim.Context, me *rnode, round int, path []sim.NodeID, plan string) {
+	q.launchedAt = round
+	q.resumeBudget = len(path) + 2*q.retries
+	q.noteLaunchPath(path)
+	q.send(ctx, me, round, path[1:], q.payload, plan, q.epoch)
 }
 
 // noteLaunchPath records the interior nodes of a path handed out for the
 // current launch: a relaunch diversifies around them, and only a verified
 // launch's nodes earn liveness probation credit.
-func (src *rsourceState) noteLaunchPath(path []sim.NodeID, s, t sim.NodeID) {
+func (q *rquery) noteLaunchPath(path []sim.NodeID) {
 	for _, v := range path {
-		if v == s || v == t {
+		if v != q.s && v != q.t {
+			q.launchSeen[v] = true
+		}
+	}
+}
+
+// forward is a holder's transition on a payload hop. It always acknowledges —
+// the previous hop may be retransmitting because an earlier ack was lost —
+// then suppresses duplicates and delivers, strands or passes the payload on.
+func (q *rquery) forward(ctx *sim.Context, me *rnode, round int, from sim.NodeID, msg rdataMsg) {
+	ctx.SendAdHoc(from, hopAck{n: msg.n})
+	key := [2]int{int(from), msg.n}
+	if me.seen[key] {
+		return
+	}
+	if me.seen == nil {
+		me.seen = make(map[[2]int]bool)
+	}
+	me.seen[key] = true
+	me.hopsIn++
+	v := ctx.ID()
+	switch {
+	case v == q.t && (len(msg.path) == 0 || q.verif):
+		// Arrival at the destination delivers; under verification even with
+		// plan leftover (a misroute can land the payload at t early).
+		me.delivered = true
+	case q.verif && (len(msg.path) == 0 || !q.nw.G.HasEdge(v, msg.path[0])):
+		// The plan ends at the wrong node or its next hop is no neighbor
+		// (strict mode would abort the run): the payload was misrouted here.
+		// Blame the forwarder and ask the source for a fresh path.
+		q.strand(ctx, me, msg.payload, msg.launch, from,
+			trace.Event{Kind: trace.KindMisrouteDetected, Round: round, From: int(v), To: int(from)})
+	case len(msg.path) == 0:
+		me.misrouted = true
+	default:
+		q.send(ctx, me, round, msg.path, msg.payload, msg.plan, msg.launch)
+	}
+}
+
+// ack retires the pending transfer a hop acknowledgement matches and records
+// the link's outcome.
+func (q *rquery) ack(me *rnode, v sim.NodeID, round int, from sim.NodeID, n int) {
+	for i, p := range me.pends {
+		if p.to == from && p.msg.n == n {
+			if q.tr != nil {
+				q.tr.Emit(trace.Event{Kind: trace.KindHopAck, Round: round, From: int(v), To: int(p.to), Seq: p.msg.n, Attempt: p.attempts, Plan: p.msg.plan})
+			}
+			me.obs = append(me.obs, linkObs{to: p.to, attempts: p.attempts, acked: true})
+			me.pends = append(me.pends[:i], me.pends[i+1:]...)
+			return
+		}
+	}
+}
+
+// verify is the source's transition on the destination's answer to an
+// end-to-end poll of the current launch.
+func (q *rquery) verify(msg verifyReply) {
+	if msg.n != q.epoch || q.verified || q.failure != "" {
+		return
+	}
+	if msg.delivered {
+		q.verified = true
+	} else {
+		q.verFails++
+	}
+}
+
+// hopTimers runs v's hop retransmission timers: an unacknowledged transfer is
+// resent until its budget is spent, then handed to hopExhausted.
+func (q *rquery) hopTimers(ctx *sim.Context, me *rnode, v sim.NodeID, round int) {
+	for i := 0; i < len(me.pends); {
+		p := me.pends[i]
+		switch {
+		case round < p.sentAt+ackWait:
+			i++
+		case p.attempts <= q.retries:
+			p.attempts++
+			p.sentAt = round
+			me.retrans++
+			if q.tr != nil {
+				q.tr.Emit(trace.Event{Kind: trace.KindHopRetry, Round: round, From: int(v), To: int(p.to), Seq: p.msg.n, Attempt: p.attempts, Plan: p.msg.plan})
+			}
+			ctx.SendAdHoc(p.to, p.msg)
+			i++
+		default:
+			me.pends = append(me.pends[:i], me.pends[i+1:]...)
+			q.hopExhausted(ctx, me, v, round, p)
+		}
+	}
+}
+
+// hopExhausted is the transition of a hop that spent its retransmission
+// budget: the next hop is dead. It is suspected in the shared liveness table,
+// so later plans of every query route around it without burning another
+// budget; then the source replans locally and any other holder strands.
+func (q *rquery) hopExhausted(ctx *sim.Context, me *rnode, v sim.NodeID, round int, p *rpending) {
+	me.obs = append(me.obs, linkObs{to: p.to, attempts: p.attempts, acked: false})
+	q.suspect(me, trace.Event{Round: round, From: int(v), To: int(p.to), Attempt: p.attempts, Plan: p.msg.plan})
+	if v != q.s {
+		q.strand(ctx, me, p.msg.payload, p.msg.launch, p.to,
+			trace.Event{Kind: trace.KindHopNack, Round: round, From: int(v), To: int(p.to), Attempt: 1, Plan: p.msg.plan})
+		return
+	}
+	full, plan, _ := q.replanAround(round, q.s, p.to, false)
+	if full == nil {
+		return
+	}
+	q.launchedAt = round
+	q.noteLaunchPath(full)
+	q.send(ctx, me, round, full[1:], p.msg.payload, plan, q.epoch)
+}
+
+// suspect marks e.To suspected in the shared liveness table; a new suspicion
+// is counted and traced as e.
+func (q *rquery) suspect(me *rnode, e trace.Event) {
+	if !q.nw.Live.Suspect(sim.NodeID(e.To)) {
+		return
+	}
+	me.suspects++
+	if q.tr != nil {
+		e.Kind = trace.KindSuspect
+		q.tr.Emit(e)
+	}
+}
+
+// strand parks a payload its holder cannot pass on and nacks the source,
+// blaming dead. why is the trace event of the cause, completed with the
+// strand's sequence number: hop_nack after an exhausted retry budget, or
+// misroute_detected for a plan the holder cannot follow, which also suspects
+// the forwarder. The first notice is a first send, not a retransmission.
+func (q *rquery) strand(ctx *sim.Context, me *rnode, payload, epoch int, dead sim.NodeID, why trace.Event) {
+	me.nextN++
+	sd := &rstrand{seq: me.nextN, payload: payload, sentAt: why.Round, attempts: 1, dead: dead, launch: epoch}
+	me.strands = append(me.strands, sd)
+	if q.tr != nil {
+		why.Seq = sd.seq
+		q.tr.Emit(why)
+	}
+	if why.Kind == trace.KindMisrouteDetected {
+		me.misdetect++
+		q.suspect(me, trace.Event{Round: why.Round, From: why.From, To: int(dead)})
+	}
+	ctx.SendLong(q.s, nackMsg{seq: sd.seq, dead: dead, launch: epoch})
+}
+
+// nackTimers runs v's failure-notice timers: an unanswered nack is resent
+// until the budget is spent; then the payload is abandoned here, and the
+// strand is kept so the query error names the holder and the dead hop.
+func (q *rquery) nackTimers(ctx *sim.Context, me *rnode, v sim.NodeID, round int) {
+	for i := 0; i < len(me.strands); {
+		sd := me.strands[i]
+		switch {
+		case round < sd.sentAt+ackWait:
+			i++
+		case sd.attempts > q.retries:
+			me.abandoned = sd
+			me.strands = append(me.strands[:i], me.strands[i+1:]...)
+		default:
+			sd.attempts++
+			sd.sentAt = round
+			me.retrans++
+			if q.tr != nil {
+				q.tr.Emit(trace.Event{Kind: trace.KindHopNack, Round: round, From: int(v), To: int(sd.dead), Seq: sd.seq, Attempt: sd.attempts})
+			}
+			ctx.SendLong(q.s, nackMsg{seq: sd.seq, dead: sd.dead, launch: sd.launch})
+			i++
+		}
+	}
+}
+
+// nack is the source's transition on a stranded holder's failure notice: it
+// replans around the blamed hop and resumes the holder on the new path, or
+// releases the strand (an empty resume) when the corridor is given up.
+func (q *rquery) nack(ctx *sim.Context, round int, holder sim.NodeID, msg nackMsg) {
+	if !q.havePos || q.failure != "" {
+		return
+	}
+	if q.verif {
+		switch {
+		case round >= q.deadline:
+			// Misrouted payloads strand wherever they land, so nacks keep
+			// arriving after the timers stop; opening no fresh corridor past
+			// the deadline is what lets the run quiesce.
+			return
+		case msg.launch != q.epoch:
+			// A relaunch replaced this strand's epoch: release it. Resuming
+			// would graft the abandoned corridor — and whoever swallowed its
+			// payload — into the current launch's verification record.
+			ctx.SendLong(holder, resumeMsg{seq: msg.seq})
+			return
+		case q.resumeBudget <= 0:
+			// The launch spent its corridor budget: release the strand and
+			// let the relaunch replan from the source.
+			ctx.SendLong(holder, resumeMsg{seq: msg.seq})
+			q.expireLaunch(round)
+			return
+		}
+		q.resumeBudget--
+	}
+	// Under verification blame is unreliable — a forger whose discarded
+	// forward went unacked nacks its innocent next hop, endpoints included —
+	// so s and t are immune; otherwise an unresponsive target ends the query.
+	full, plan, expired := q.replanAround(round, holder, msg.dead, q.verif)
+	if full == nil {
+		if expired {
+			ctx.SendLong(holder, resumeMsg{seq: msg.seq})
+		}
+		return
+	}
+	// Record the resumed leg's nodes for verification credit. Deliberately
+	// NOT a relaunch-clock reset: a forger that keeps nacking (blaming its
+	// own neighbors) must not be able to postpone the relaunch forever.
+	q.noteLaunchPath(full)
+	ctx.SendLong(holder, resumeMsg{seq: msg.seq, path: full[1:], plan: plan})
+}
+
+// resume is a stranded holder's transition on the source's answer: a fresh
+// path restarts the payload; an empty one releases the strand (under
+// verification) or means the plan cannot continue from here.
+func (q *rquery) resume(ctx *sim.Context, me *rnode, round int, msg resumeMsg) {
+	for i, sd := range me.strands {
+		if sd.seq != msg.seq {
 			continue
 		}
-		if src.launchSeen == nil {
-			src.launchSeen = make(map[sim.NodeID]bool)
+		me.strands = append(me.strands[:i], me.strands[i+1:]...)
+		if len(msg.path) > 0 {
+			q.send(ctx, me, round, msg.path, sd.payload, msg.plan, sd.launch)
+		} else if !q.verif {
+			me.misrouted = true
 		}
-		src.launchSeen[v] = true
+		return
 	}
 }
 
-// resetLaunchPath clears the per-launch node record for a fresh launch.
-func (src *rsourceState) resetLaunchPath() {
-	for v := range src.launchSeen {
-		delete(src.launchSeen, v)
+// replanAround is the mark-dead-and-replan step of a nack and of the
+// source's own exhausted hop: dead joins the dead set (unless endpointsImmune
+// and it is s or t) and a path from holder is planned. With none left the
+// launch expires if a relaunch may recover — a forger can exhaust a holder's
+// neighborhood with bogus nacks without cutting s from t — else it gives up.
+func (q *rquery) replanAround(round int, holder, dead sim.NodeID, endpointsImmune bool) (path []sim.NodeID, plan string, expired bool) {
+	if !q.dead[dead] && !(endpointsImmune && (dead == q.s || dead == q.t)) {
+		q.dead[dead] = true
+		q.replans++
 	}
-}
-
-// suspectDetourPath plans s→t around the suspect avoid set over LDel²:
-// ETX-weighted when loss-aware planning is engaged (the detour then also
-// prefers low-loss links), plain node-avoiding otherwise. Returns nil when no
-// path avoids every suspect — suspicion is not proof of death, so the caller
-// then routes through the suspect and lets the retry protocol adjudicate.
-func (nw *Network) suspectDetourPath(s, t sim.NodeID, avoid map[sim.NodeID]bool, lossAware bool) []sim.NodeID {
-	if lossAware {
-		if p, _, ok := nw.LDel.ShortestPathWeighted(s, t, nw.etxWeight(t, avoid)); ok {
-			return p
+	path, plan, ok := q.replanFrom(holder)
+	if !ok || len(path) < 2 {
+		if q.verif && q.epoch < q.retries {
+			q.expireLaunch(round)
+			return nil, "", true
 		}
-		return nil
-	}
-	if p, _, ok := nw.LDel.ShortestPathAvoiding(s, t, avoid); ok {
-		return p
-	}
-	return nil
-}
-
-// deliverReliable runs the ack/retry/replan protocol for one query. With
-// lossAware set, every replan consults the link-quality estimates and may
-// substitute an ETX-weighted detour for the geometric plan. initialPlan
-// labels the planner that produced the starting plan, for trace attribution.
-func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt TransportOptions, rep *TransportReport, lossAware bool, initialPlan string) (*TransportReport, error) {
-	retries := opt.Retries
-	if retries <= 0 {
-		retries = DefaultRetries
-	}
-	// verif engages the end-to-end verified-delivery protocol exactly when
-	// the simulator has Byzantine adversaries installed: hop-by-hop acks are
-	// trustworthy against plain loss and crashes, and keeping the protocol
-	// off then preserves those runs byte for byte.
-	verif := nw.Sim.AdversaryActive()
-	timeout := opt.TimeoutRounds
-	if timeout <= 0 {
-		// Budget: every hop may burn (retries+1) attempts of ackWait+1
-		// rounds, plus handshake, nack/resume round trips and slack for
-		// replanned (longer) paths. Verified delivery may relaunch the
-		// payload end to end up to `retries` times, so its budget doubles.
-		timeout = (len(rep.Path)+8)*(ackWait+1)*(retries+1) + 32
-		if verif {
-			timeout *= 2
-		}
-	}
-	// launchBudget is how long the source lets one launch stay unverified
-	// (and itself idle) before relaunching end to end: a clean traversal of
-	// the plan plus one retransmission round trip per hop.
-	launchBudget := (len(rep.Path) + 2) * (ackWait + 1)
-	pr := nw.probe()
-	tr := nw.tracer
-	deadline := nw.Sim.Rounds() + timeout
-
-	// Per-node duplicate-suppression maps are created lazily on first packet
-	// receipt: only nodes the payload actually crosses pay for them, where
-	// the old eager loop allocated n maps per query.
-	st := make([]rnode, nw.G.N())
-	src := &rsourceState{posSentAt: -1, verSentAt: -1, dead: make(map[sim.NodeID]bool)}
-
-	// replanFrom computes a fresh hop path holder→t around the known-dead
-	// nodes and the liveness table's current suspects: first through the
-	// hybrid planner (Network or Engine plan cache), loss-detoured when the
-	// mode is on; if that plan crosses a dead or suspected node, through an
-	// LDel² shortest path with the avoid set removed (ETX-weighted in
-	// loss-aware mode, so the escape route also prefers low-loss links).
-	// Mid-query replans never probe a suspect — the payload at stake just
-	// lost a retry budget — but suspicion stays soft: if no path avoids every
-	// suspect, the suspects are readmitted and only the dead set is avoided.
-	// The second return names the planner that produced the path, for trace
-	// attribution.
-	replanFrom := func(holder sim.NodeID) ([]sim.NodeID, string, bool) {
-		avoid := src.dead
-		suspects := nw.Live.AvoidSet(holder, t)
-		if len(src.extraAvoid) > 0 {
-			suspects = mergeAvoid(suspects, src.extraAvoid)
-		}
-		if len(suspects) > 0 {
-			avoid = make(map[sim.NodeID]bool, len(src.dead)+len(suspects))
-			for v := range src.dead {
-				avoid[v] = true
-			}
-			for v := range suspects {
-				avoid[v] = true
-			}
-		}
-		out := nw.route(planner, holder, t, false)
-		if out.Reached && !pathHitsAny(out.Path, avoid) {
-			plan := planner.label()
-			if out.PlanFallback {
-				plan = planLDelFallback
-			}
-			if lossAware && nw.applyLossDetour(&out, t, avoid) {
-				src.detours++
-				plan = planLDelETX
-			}
-			return out.Path, plan, true
-		}
-		suspectsOnly := out.Reached && !pathHitsAny(out.Path, src.dead)
-		if lossAware {
-			if p, _, ok := nw.LDel.ShortestPathWeighted(holder, t, nw.etxWeight(t, avoid)); ok {
-				if suspectsOnly {
-					src.suspectDetours++
-					return p, planSuspectAvoid, true
-				}
-				return p, planLDelETX, true
-			}
-		}
-		if p, _, ok := nw.LDel.ShortestPathAvoiding(holder, t, avoid); ok {
-			if suspectsOnly {
-				src.suspectDetours++
-				return p, planSuspectAvoid, true
-			}
-			return p, planLDelAvoid, true
-		}
-		if len(suspects) > 0 {
-			// No path clears every suspect: readmit them and avoid only the
-			// nodes whose retry budgets actually died on this query.
-			if lossAware {
-				if p, _, ok := nw.LDel.ShortestPathWeighted(holder, t, nw.etxWeight(t, src.dead)); ok {
-					return p, planLDelETX, true
-				}
-			}
-			if p, _, ok := nw.LDel.ShortestPathAvoiding(holder, t, src.dead); ok {
-				return p, planLDelAvoid, true
-			}
-		}
-		if verif {
-			// Even the dead set cuts holder from t. Under adversaries that
-			// set is itself unreliable — a frame-shifting forger fills it
-			// with innocent neighbors of the corridor until the target looks
-			// disconnected — so as a last resort readmit it. If a readmitted
-			// node really is dead the launch fails verification and the
-			// relaunch machinery owns the failure; if it was framed, the
-			// query gets through.
-			if lossAware {
-				if p, _, ok := nw.LDel.ShortestPathWeighted(holder, t, nw.etxWeight(t, nil)); ok {
-					return p, planLDelETX, true
-				}
-			}
-			if p, _, ok := nw.LDel.ShortestPathAvoiding(holder, t, nil); ok {
-				return p, planLDelAvoid, true
-			}
-		}
+		q.giveUp("no path from %d to %d around dead nodes %v", holder, q.t, deadList(q.dead))
 		return nil, "", false
 	}
+	if q.tr != nil {
+		q.tr.Emit(trace.Event{Kind: trace.KindReplan, Round: round, From: int(holder), To: int(q.t), Plan: plan, Value: len(q.dead)})
+	}
+	return path, plan, false
+}
 
-	// sendData starts (and registers) one transfer from v to `to`; plan tags
-	// the planner whose path this leg executes, launch the epoch the payload
-	// belongs to.
-	sendData := func(ctx *sim.Context, me *rnode, round int, to sim.NodeID, path []sim.NodeID, payload int, plan string, launch int) {
-		m := rdataMsg{n: me.nextN, src: s, path: path, payload: payload, plan: plan, launch: launch}
-		me.nextN++
-		if tr != nil {
-			tr.Emit(trace.Event{Kind: trace.KindHopSend, Round: round, From: int(ctx.ID()), To: int(to), Seq: m.n, Attempt: 1, Plan: plan})
+// replanFrom computes a fresh hop path holder→t around the dead set, the
+// liveness table's current suspects and, around a relaunch, the failed
+// launch's corridor. It asks the hybrid planner first (Network or Engine plan
+// cache; loss-detoured in loss-aware mode). If that plan crosses an avoided
+// node it climbs a ladder of LDel² searches over shrinking avoid sets:
+// dead+suspects; the dead alone (mid-query replans never probe a suspect,
+// but suspicion is soft and readmitted when no path clears it); and, under
+// verification only, nothing — a frame-shifting forger can fill the dead set
+// with innocent neighbors until the target looks disconnected, and a
+// readmitted node that really is dead fails verification, leaving the
+// failure to the relaunch. The second return names the producing planner.
+func (q *rquery) replanFrom(holder sim.NodeID) ([]sim.NodeID, string, bool) {
+	suspects := mergeAvoid(q.nw.Live.AvoidSet(holder, q.t), q.extraAvoid)
+	avoid := mergeAvoid(q.dead, suspects)
+	out := q.nw.route(q.planner, holder, q.t)
+	if out.Reached && !pathHitsAny(out.Path, avoid) {
+		plan := q.planner.label()
+		if out.PlanFallback {
+			plan = planLDelFallback
 		}
-		ctx.SendAdHoc(to, m)
-		me.pends = append(me.pends, &rpending{to: to, msg: m, sentAt: round, attempts: 1})
+		if q.lossAware && q.nw.applyLossDetour(&out, q.t, avoid) {
+			q.detours++
+			plan = planLDelETX
+		}
+		return out.Path, plan, true
 	}
+	ladder := []map[sim.NodeID]bool{avoid}
+	if len(suspects) > 0 {
+		ladder = append(ladder, q.dead)
+	}
+	if q.verif {
+		ladder = append(ladder, nil)
+	}
+	// ETX multipliers are finite (maxLinkLoss caps them), so a weighted
+	// search fails exactly when the plain avoiding one does: one search per
+	// rung suffices in either mode.
+	escape := planLDelAvoid
+	if q.lossAware {
+		escape = planLDelETX
+	}
+	for rung, set := range ladder {
+		p := q.nw.suspectDetourPath(holder, q.t, set, q.lossAware)
+		if p == nil {
+			continue
+		}
+		if rung == 0 && out.Reached && !pathHitsAny(out.Path, q.dead) {
+			// Only suspects blocked the hybrid plan: a suspect detour.
+			q.suspectDetours++
+			return p, planSuspectAvoid, true
+		}
+		return p, escape, true
+	}
+	return nil, "", false
+}
 
-	// strandMisroute parks a payload an honest holder cannot forward — the
-	// previous hop handed it a plan that does not start at one of the
-	// holder's neighbors, i.e. the payload was misrouted — and notifies the
-	// source, blaming the forwarder. The existing nack/resume machinery then
-	// replans around the adversary and resumes from here. Only runs under
-	// verification (a trusted network never produces unforwardable plans).
-	strandMisroute := func(ctx *sim.Context, me *rnode, round int, v sim.NodeID, payload int, blame sim.NodeID, launch int) {
-		me.misdetect++
-		me.nextN++
-		sd := &rstrand{seq: me.nextN, payload: payload, sentAt: round, attempts: 1, dead: blame, launch: launch}
-		me.strands = append(me.strands, sd)
-		if tr != nil {
-			tr.Emit(trace.Event{Kind: trace.KindMisrouteDetected, Round: round, From: int(v), To: int(blame), Seq: sd.seq})
-		}
-		if nw.Live.Suspect(blame) {
-			me.suspects++
-			if tr != nil {
-				tr.Emit(trace.Event{Kind: trace.KindSuspect, Round: round, From: int(v), To: int(blame)})
-			}
-		}
-		ctx.SendLong(s, nackMsg{seq: sd.seq, dead: blame, launch: launch})
-	}
+// expireLaunch abandons the current launch as unrecoverable by forcing the
+// relaunch timer due: the next verification round relaunches from the source
+// around the abandoned corridor.
+func (q *rquery) expireLaunch(round int) {
+	q.verFails++
+	q.launchedAt = round - q.launchBudget
+}
 
-	nw.Sim.SetAllProtos(func(v sim.NodeID) sim.Proto {
-		return sim.ProtoFunc(func(ctx *sim.Context, round int, inbox []sim.Envelope) {
-			me := &st[v]
-			if v == s && src.posSentAt < 0 && src.failure == "" {
-				src.posSentAt = round
-				src.posAttempts = 1
-				ctx.SendLong(t, posQuery{})
-			}
-			for _, env := range inbox {
-				switch msg := env.Msg.(type) {
-				case posQuery:
-					p := ctx.Pos()
-					ctx.SendLong(env.From, posReply{x: p.X, y: p.Y})
-				case posReply:
-					if v == s && !src.havePos {
-						src.havePos = true
-						if len(rep.Path) > 1 {
-							src.launchedAt = round
-							src.resumeBudget = len(rep.Path) + 2*retries
-							src.noteLaunchPath(rep.Path, s, t)
-							sendData(ctx, me, round, rep.Path[1], rep.Path[2:], opt.PayloadWords, initialPlan, src.launch)
-						} else {
-							// A plan of one node with s != t cannot deliver.
-							me.misrouted = true
-						}
-					}
-				case rdataMsg:
-					// Always acknowledge — the previous hop may be
-					// retransmitting because our earlier ack was lost.
-					ctx.SendAdHoc(env.From, hopAck{n: msg.n})
-					if me.seen[env.From][msg.n] {
-						continue
-					}
-					if me.seen == nil {
-						me.seen = make(map[sim.NodeID]map[int]bool)
-					}
-					if me.seen[env.From] == nil {
-						me.seen[env.From] = make(map[int]bool)
-					}
-					me.seen[env.From][msg.n] = true
-					me.hopsIn++
-					switch {
-					case v == t && (len(msg.path) == 0 || verif):
-						// Arrival at the destination delivers; under
-						// verification even with plan leftover (a misroute
-						// can land the payload at t early).
-						me.delivered = true
-					case len(msg.path) == 0:
-						if verif {
-							// Plan exhausted at the wrong node: the payload
-							// was misrouted here. Blame the forwarder and ask
-							// the source for a fresh remaining path.
-							strandMisroute(ctx, me, round, v, msg.payload, env.From, msg.launch)
-						} else {
-							me.misrouted = true
-						}
-					case verif && !nw.G.HasEdge(v, msg.path[0]):
-						// The planned next hop is not our neighbor: a
-						// misrouted payload whose plan we cannot legally
-						// follow (strict mode would abort the run). Same
-						// recovery as plan exhaustion.
-						strandMisroute(ctx, me, round, v, msg.payload, env.From, msg.launch)
-					default:
-						sendData(ctx, me, round, msg.path[0], msg.path[1:], msg.payload, msg.plan, msg.launch)
-					}
-				case hopAck:
-					for i, p := range me.pends {
-						if p.to == env.From && p.msg.n == msg.n {
-							if tr != nil {
-								tr.Emit(trace.Event{Kind: trace.KindHopAck, Round: round, From: int(v), To: int(p.to), Seq: p.msg.n, Attempt: p.attempts, Plan: p.msg.plan})
-							}
-							me.obs = append(me.obs, linkObs{to: p.to, attempts: p.attempts, acked: true})
-							me.pends = append(me.pends[:i], me.pends[i+1:]...)
-							break
-						}
-					}
-				case verifyQuery:
-					// End-to-end verification poll: answer truthfully —
-					// unless this node is a colluding adversary covering for
-					// a fellow adversary's discarded payload, in which case
-					// the confirmation is forged.
-					d := me.delivered
-					if !d && verif && nw.Sim.AdversaryLaundered(env.From, v) {
-						d = true
-					}
-					ctx.SendLong(env.From, verifyReply{n: msg.n, delivered: d})
-				case verifyReply:
-					if v != s || msg.n != src.launch || src.verified || src.failure != "" {
-						continue
-					}
-					if msg.delivered {
-						src.verified = true
-					} else {
-						src.verFails++
-					}
-				case nackMsg:
-					if v != s || !src.havePos || src.failure != "" {
-						continue
-					}
-					// Past the deadline no fresh corridor may be opened. The
-					// timers below already stop then, but under adversaries
-					// nacks are born in inbox handlers (a misrouted payload
-					// strands wherever it lands), so without this gate the
-					// nack -> resume -> wander -> nack cycle would outlive the
-					// deadline indefinitely instead of quiescing.
-					if verif && round >= deadline {
-						continue
-					}
-					if verif && msg.launch != src.launch {
-						// The strand belongs to an epoch a relaunch already
-						// replaced: its corridor was abandoned, so release the
-						// payload instead of resuming it. Resuming would graft
-						// the stale corridor — including whoever silently
-						// swallowed its payload — into the current launch's
-						// verification record, crediting nodes the verified
-						// payload never touched.
-						ctx.SendLong(env.From, resumeMsg{seq: msg.seq})
-						continue
-					}
-					if verif && src.resumeBudget <= 0 {
-						// This launch already spent its corridor budget:
-						// release the strand instead of opening yet another
-						// corridor, and force the end-to-end relaunch timer —
-						// the relaunch replans from the source with a refilled
-						// budget, diversified around this launch's corridors.
-						ctx.SendLong(env.From, resumeMsg{seq: msg.seq})
-						src.verFails++
-						src.launchedAt = round - launchBudget
-						continue
-					}
-					if verif {
-						src.resumeBudget--
-					}
-					// Under verification a nack's blame is unreliable — a
-					// forger whose own discarded forward never got acked
-					// nacks blaming its innocent next hop, including the
-					// query endpoints themselves. Letting s or t into the
-					// dead set would poison every later replan (no path
-					// reaches an avoided target), so endpoint blame is
-					// ignored there; without adversaries blame is
-					// trustworthy and an unresponsive target rightly ends
-					// the query.
-					if !src.dead[msg.dead] && (!verif || (msg.dead != s && msg.dead != t)) {
-						src.dead[msg.dead] = true
-						src.replans++
-					}
-					full, plan, ok := replanFrom(env.From)
-					if !ok || len(full) < 2 {
-						if verif && src.launch < retries {
-							// The stranded corridor is unrecoverable from the
-							// holder. Under verification this is not fatal:
-							// release the strand and force the end-to-end
-							// relaunch timer (which replans from the source
-							// around the abandoned corridor). A frame-shifting
-							// forger can exhaust a holder's whole neighborhood
-							// with bogus nacks without ever cutting s from t.
-							ctx.SendLong(env.From, resumeMsg{seq: msg.seq})
-							src.verFails++
-							src.launchedAt = round - launchBudget
-							continue
-						}
-						src.failure = fmt.Sprintf("no path from %d to %d around dead nodes %v", env.From, t, deadList(src.dead))
-						continue
-					}
-					if tr != nil {
-						tr.Emit(trace.Event{Kind: trace.KindReplan, Round: round, From: int(env.From), To: int(t), Plan: plan, Value: len(src.dead)})
-					}
-					// Record the resumed leg's nodes for verification credit.
-					// Deliberately NOT a relaunch-clock reset: a forger that
-					// keeps nacking (blaming its own neighbors) must not be
-					// able to postpone the end-to-end relaunch forever.
-					src.noteLaunchPath(full, s, t)
-					ctx.SendLong(env.From, resumeMsg{seq: msg.seq, path: full[1:], plan: plan})
-				case resumeMsg:
-					for i, sd := range me.strands {
-						if sd.seq != msg.seq {
-							continue
-						}
-						me.strands = append(me.strands[:i], me.strands[i+1:]...)
-						if len(msg.path) == 0 {
-							// An empty resume under verification releases the
-							// strand: the source abandoned this corridor for a
-							// fresh launch. Without verification it means the
-							// plan cannot continue from here.
-							if !verif {
-								me.misrouted = true
-							}
-						} else {
-							sendData(ctx, me, round, msg.path[0], msg.path[1:], sd.payload, msg.plan, sd.launch)
-						}
-						break
-					}
-				}
-			}
-			if round >= deadline {
-				return // deadline passed: all timers stop, the run quiesces
-			}
-			// Position handshake timer (source only).
-			if v == s && !src.havePos && src.failure == "" {
-				if round >= src.posSentAt+ackWait {
-					if src.posAttempts > retries {
-						src.failure = fmt.Sprintf("position query to %d unanswered after %d attempts", t, src.posAttempts)
-					} else {
-						src.posAttempts++
-						src.posSentAt = round
-						me.retrans++
-						ctx.SendLong(t, posQuery{})
-					}
-				}
-				if src.failure == "" {
-					ctx.KeepAlive()
-				}
-			}
-			// Verified delivery: the source polls the destination end to end
-			// until it confirms arrival, and relaunches the payload from
-			// scratch when a launch stays unverified past its budget with
-			// nothing left in flight at the source — the case a forged hop
-			// acknowledgement produces (every hop "succeeded", the payload
-			// is gone, and no nack will ever come).
-			if verif && v == s && src.havePos && !src.verified && !me.misrouted && src.failure == "" {
-				if src.verSentAt < 0 || round >= src.verSentAt+verifyWait {
-					src.verSentAt = round
-					ctx.SendLong(t, verifyQuery{n: src.launch})
-				}
-				if src.verFails > 0 && round >= src.launchedAt+launchBudget &&
-					len(me.pends) == 0 && len(me.strands) == 0 {
-					if tr != nil {
-						tr.Emit(trace.Event{Kind: trace.KindVerifyFail, Round: round, From: int(s), To: int(t), Attempt: src.launch + 1})
-					}
-					if src.launch >= retries {
-						src.failure = fmt.Sprintf("delivery to %d unverified after %d launches", t, src.launch+1)
-					} else {
-						// Diversify the relaunch: prefer a corridor disjoint
-						// from the one that just failed (replanFrom readmits
-						// these if nothing else clears them). A selective-drop
-						// adversary black-holes flows deterministically, so
-						// relaunching down the same corridor fails the same
-						// way.
-						src.extraAvoid = src.launchSeen
-						full, plan, okRelaunch := replanFrom(s)
-						src.extraAvoid = nil
-						if okRelaunch && len(full) >= 2 {
-							src.launch++
-							src.verFails = 0
-							src.verSentAt = round
-							src.launchedAt = round
-							src.resumeBudget = len(full) + 2*retries
-							src.resends++
-							src.resetLaunchPath()
-							src.noteLaunchPath(full, s, t)
-							if tr != nil {
-								tr.Emit(trace.Event{Kind: trace.KindE2EResend, Round: round, From: int(s), To: int(t), Plan: plan, Value: src.resends})
-							}
-							sendData(ctx, me, round, full[1], full[2:], opt.PayloadWords, plan, src.launch)
-						} else {
-							src.failure = fmt.Sprintf("no relaunch path from %d to %d around dead nodes %v", s, t, deadList(src.dead))
-						}
-					}
-				}
-				if src.failure == "" {
-					ctx.KeepAlive()
-				}
-			}
-			// Hop retransmission timers.
-			for i := 0; i < len(me.pends); {
-				p := me.pends[i]
-				if round < p.sentAt+ackWait {
-					i++
-					continue
-				}
-				if p.attempts <= retries {
-					p.attempts++
-					p.sentAt = round
-					me.retrans++
-					if tr != nil {
-						tr.Emit(trace.Event{Kind: trace.KindHopRetry, Round: round, From: int(v), To: int(p.to), Seq: p.msg.n, Attempt: p.attempts, Plan: p.msg.plan})
-					}
-					ctx.SendAdHoc(p.to, p.msg)
-					i++
-					continue
-				}
-				// Budget exhausted: the hop is dead. The source replans
-				// locally; any other holder strands the payload and raises
-				// a nack. Either way the next hop is marked suspected in the
-				// shared liveness table, so every later plan — this query's
-				// replans and other queries' initial plans — routes around it
-				// without burning another budget.
-				me.pends = append(me.pends[:i], me.pends[i+1:]...)
-				me.obs = append(me.obs, linkObs{to: p.to, attempts: p.attempts, acked: false})
-				if nw.Live.Suspect(p.to) {
-					me.suspects++
-					if tr != nil {
-						tr.Emit(trace.Event{Kind: trace.KindSuspect, Round: round, From: int(v), To: int(p.to), Attempt: p.attempts, Plan: p.msg.plan})
-					}
-				}
-				if v == s {
-					if !src.dead[p.to] {
-						src.dead[p.to] = true
-						src.replans++
-					}
-					full, plan, ok := replanFrom(s)
-					if !ok || len(full) < 2 {
-						if verif && src.launch < retries {
-							// Mirror the nack handler's escape: under
-							// verification an unplannable local replan is not
-							// fatal — force the end-to-end relaunch timer,
-							// which replans from scratch around this launch.
-							src.verFails++
-							src.launchedAt = round - launchBudget
-							continue
-						}
-						src.failure = fmt.Sprintf("no path from %d to %d around dead nodes %v", s, t, deadList(src.dead))
-						continue
-					}
-					if tr != nil {
-						tr.Emit(trace.Event{Kind: trace.KindReplan, Round: round, From: int(s), To: int(t), Plan: plan, Value: len(src.dead)})
-					}
-					src.launchedAt = round
-					src.noteLaunchPath(full, s, t)
-					sendData(ctx, me, round, full[1], full[2:], p.msg.payload, plan, src.launch)
-				} else {
-					// The first failure notice is a first send, not a
-					// retransmission — only the timer-driven nack resends
-					// below count, matching sendData's semantics.
-					me.nextN++
-					sd := &rstrand{seq: me.nextN, payload: p.msg.payload, sentAt: round, attempts: 1, dead: p.to, launch: p.msg.launch}
-					me.strands = append(me.strands, sd)
-					if tr != nil {
-						tr.Emit(trace.Event{Kind: trace.KindHopNack, Round: round, From: int(v), To: int(p.to), Seq: sd.seq, Attempt: 1, Plan: p.msg.plan})
-					}
-					ctx.SendLong(s, nackMsg{seq: sd.seq, dead: p.to, launch: sd.launch})
-				}
-			}
-			// Nack retransmission timers (waiting for a resume).
-			for i := 0; i < len(me.strands); {
-				sd := me.strands[i]
-				if round < sd.sentAt+ackWait {
-					i++
-					continue
-				}
-				if sd.attempts > retries {
-					// The source never answered: the payload is abandoned
-					// here. Record the strand so the query error names the
-					// holder and the dead hop instead of reporting a
-					// generic non-arrival.
-					me.abandoned = sd
-					me.strands = append(me.strands[:i], me.strands[i+1:]...)
-					continue
-				}
-				sd.attempts++
-				sd.sentAt = round
-				me.retrans++
-				if tr != nil {
-					tr.Emit(trace.Event{Kind: trace.KindHopNack, Round: round, From: int(v), To: int(sd.dead), Seq: sd.seq, Attempt: sd.attempts})
-				}
-				ctx.SendLong(s, nackMsg{seq: sd.seq, dead: sd.dead, launch: sd.launch})
-				i++
-			}
-			if len(me.pends) > 0 || len(me.strands) > 0 {
-				ctx.KeepAlive()
-			}
-		})
-	})
-	fillDiagnostics := func() {
-		pr.fill(nw, rep)
-		rep.DeliveredSim = st[t].delivered
-		rep.Replans = src.replans
-		rep.Detours += src.detours
-		rep.SuspectDetours += src.suspectDetours
-		rep.Verified = src.verified
-		rep.E2EResends = src.resends
-		for v := range st {
-			rep.Retransmits += st[v].retrans
-			rep.DataHops += st[v].hopsIn
-			rep.Suspected += st[v].suspects
-			rep.MisrouteDetected += st[v].misdetect
+// giveUp fails the query: the source's timers stop and finish reports why.
+func (q *rquery) giveUp(format string, args ...any) {
+	q.failure = fmt.Sprintf(format, args...)
+}
+
+// handshakeTimer resends the source's unanswered position query until the
+// retry budget is spent.
+func (q *rquery) handshakeTimer(ctx *sim.Context, me *rnode, round int) {
+	if q.havePos || q.failure != "" {
+		return
+	}
+	if round >= q.posSentAt+ackWait {
+		if q.posAttempts > q.retries {
+			q.giveUp("position query to %d unanswered after %d attempts", q.t, q.posAttempts)
+			return
 		}
+		q.posAttempts++
+		q.posSentAt = round
+		me.retrans++
+		ctx.SendLong(q.t, posQuery{})
 	}
-	if _, err := nw.Sim.Run(); err != nil {
-		// Run aborted (MaxRounds exhaustion or a strict-mode violation): the
-		// rounds, messages and retransmissions spent up to the abort are real
-		// cost — fill the report before returning so callers that tolerate
-		// partial failures (experiment sweeps) still account the work.
-		fillDiagnostics()
-		return rep, err
+	ctx.KeepAlive()
+}
+
+// verifyTimer runs verified delivery at the source: it polls the destination
+// end to end until it confirms arrival, and relaunches when a launch stays
+// unverified past its budget with nothing left in flight at the source.
+func (q *rquery) verifyTimer(ctx *sim.Context, me *rnode, round int) {
+	if !q.verif || !q.havePos || q.verified || me.misrouted || q.failure != "" {
+		return
 	}
-	fillDiagnostics()
-	// Feed the ack outcomes back into the link-quality estimates and the
-	// liveness table's probation counters, in node order so the fold is
-	// deterministic. Clean first-attempt successes are no-ops inside Observe
-	// and ObserveAck ignores unsuspected nodes, so lossless runs leave both
-	// untouched. Under adversaries two corrections apply: a telemetry-lying
-	// node's own observations are inverted (it frames whatever it touched as
-	// dead), and probation credit requires end-to-end verification of the
-	// path the node was actually on — a forged hop ack looks clean one hop
-	// upstream, so it must not readmit a suspect, not even when the query
-	// later delivered via a relaunch around the forger.
-	creditTo := func(to sim.NodeID) bool {
-		if !verif {
-			return true
-		}
-		return src.verified && (src.launchSeen[to] || to == t)
+	if q.verSentAt < 0 || round >= q.verSentAt+verifyWait {
+		q.verSentAt = round
+		ctx.SendLong(q.t, verifyQuery{n: q.epoch})
 	}
-	for v := range st {
-		liar := verif && nw.Sim.AdversaryBehaviorOf(sim.NodeID(v))&sim.AdvLieTelemetry != 0
-		for _, o := range st[v].obs {
-			attempts, acked := o.attempts, o.acked
-			if liar {
-				attempts, acked = retries+1, false
-			}
-			if nw.Link != nil {
-				nw.Link.Observe(sim.NodeID(v), o.to, attempts, acked)
-			}
-			nw.Live.ObserveAck(o.to, attempts, acked && creditTo(o.to))
-		}
+	if q.verFails > 0 && round >= q.launchedAt+q.launchBudget &&
+		len(me.pends) == 0 && len(me.strands) == 0 {
+		q.relaunch(ctx, me, round)
 	}
+	if q.failure == "" {
+		ctx.KeepAlive()
+	}
+}
+
+// relaunch resends the payload end to end after a launch failed
+// verification — what a forged hop ack produces: every hop "succeeded", the
+// payload is gone, and no nack will come. The new launch prefers a corridor
+// disjoint from the failed one, which a selective-drop adversary would
+// black-hole the same way again.
+func (q *rquery) relaunch(ctx *sim.Context, me *rnode, round int) {
+	if q.tr != nil {
+		q.tr.Emit(trace.Event{Kind: trace.KindVerifyFail, Round: round, From: int(q.s), To: int(q.t), Attempt: q.epoch + 1})
+	}
+	if q.epoch >= q.retries {
+		q.giveUp("delivery to %d unverified after %d launches", q.t, q.epoch+1)
+		return
+	}
+	q.extraAvoid = q.launchSeen
+	full, plan, ok := q.replanFrom(q.s)
+	q.extraAvoid = nil
+	if !ok || len(full) < 2 {
+		q.giveUp("no relaunch path from %d to %d around dead nodes %v", q.s, q.t, deadList(q.dead))
+		return
+	}
+	q.epoch++
+	q.verFails = 0
+	q.verSentAt = round
+	q.resends++
+	clear(q.launchSeen)
+	if q.tr != nil {
+		q.tr.Emit(trace.Event{Kind: trace.KindE2EResend, Round: round, From: int(q.s), To: int(q.t), Plan: plan, Value: q.resends})
+	}
+	q.launch(ctx, me, round, full, plan)
+}
+
+// finish turns the quiesced run into the report. An aborted run (MaxRounds
+// exhaustion or a strict-mode violation) still fills it — the work spent up
+// to the abort is real cost experiment sweeps account — but teaches the link
+// and liveness tables nothing.
+func (q *rquery) finish(runErr error) (*TransportReport, error) {
+	rep := q.rep
+	q.pr.fill(q.nw, rep)
+	rep.DeliveredSim = q.st[q.t].delivered
+	rep.Replans = q.replans
+	rep.Detours += q.detours
+	rep.SuspectDetours += q.suspectDetours
+	rep.Verified = q.verified
+	rep.E2EResends = q.resends
+	for v := range q.st {
+		rep.Retransmits += q.st[v].retrans
+		rep.DataHops += q.st[v].hopsIn
+		rep.Suspected += q.st[v].suspects
+		rep.MisrouteDetected += q.st[v].misdetect
+	}
+	if runErr != nil {
+		return rep, runErr
+	}
+	q.learn()
 	if rep.DeliveredSim {
 		return rep, nil
 	}
-	for v := range st {
-		if st[v].misrouted {
-			return rep, fmt.Errorf("core: misrouted plan: remaining path exhausted at node %d before reaching %d", v, t)
+	return rep, q.undelivered()
+}
+
+// learn feeds the ack outcomes back into the link-quality estimates and the
+// liveness table's probation counters, in node order so the fold is
+// deterministic; lossless runs leave both untouched. Under adversaries a
+// telemetry-lying node's own observations are inverted (it frames whatever
+// it touched as dead), and probation credit requires end-to-end verification
+// of the path the node was on: a forged hop ack looks clean one hop upstream,
+// so it must not readmit a suspect, not even when a relaunch around the
+// forger later delivered.
+func (q *rquery) learn() {
+	for v := range q.st {
+		liar := q.verif && q.nw.Sim.AdversaryBehaviorOf(sim.NodeID(v))&sim.AdvLieTelemetry != 0
+		for _, o := range q.st[v].obs {
+			attempts, acked := o.attempts, o.acked
+			if liar {
+				attempts, acked = q.retries+1, false
+			}
+			if q.nw.Link != nil {
+				q.nw.Link.Observe(sim.NodeID(v), o.to, attempts, acked)
+			}
+			credit := !q.verif || (q.verified && (q.launchSeen[o.to] || o.to == q.t))
+			q.nw.Live.ObserveAck(o.to, attempts, acked && credit)
 		}
 	}
-	if src.failure != "" {
-		return rep, fmt.Errorf("core: delivery %d->%d failed: %s", s, t, src.failure)
-	}
-	for v := range st {
-		if sd := st[v].abandoned; sd != nil {
-			return rep, fmt.Errorf("core: stranded payload at node %d: next hop %d dead and %d failure notices to source %d went unanswered", v, sd.dead, sd.attempts, s)
+}
+
+// undelivered names why the payload did not arrive, most specific cause
+// first.
+func (q *rquery) undelivered() error {
+	for v := range q.st {
+		if q.st[v].misrouted {
+			return fmt.Errorf("core: misrouted plan: remaining path exhausted at node %d before reaching %d", v, q.t)
 		}
 	}
-	return rep, fmt.Errorf("core: payload did not arrive at %d within %d rounds (retries %d)", t, timeout, retries)
+	if q.failure != "" {
+		return fmt.Errorf("core: delivery %d->%d failed: %s", q.s, q.t, q.failure)
+	}
+	for v := range q.st {
+		if sd := q.st[v].abandoned; sd != nil {
+			return fmt.Errorf("core: stranded payload at node %d: next hop %d dead and %d failure notices to source %d went unanswered", v, sd.dead, sd.attempts, q.s)
+		}
+	}
+	return fmt.Errorf("core: payload did not arrive at %d within %d rounds (retries %d)", q.t, q.timeout, q.retries)
 }
 
 // mergeAvoid unions two avoid sets, reusing either when the other is empty.
@@ -1153,13 +1161,8 @@ func mergeAvoid(a, b map[sim.NodeID]bool) map[sim.NodeID]bool {
 	if len(a) == 0 {
 		return b
 	}
-	out := make(map[sim.NodeID]bool, len(a)+len(b))
-	for v := range a {
-		out[v] = true
-	}
-	for v := range b {
-		out[v] = true
-	}
+	out := maps.Clone(a)
+	maps.Copy(out, b)
 	return out
 }
 
@@ -1179,10 +1182,6 @@ func deadList(set map[sim.NodeID]bool) []sim.NodeID {
 	for v := range set {
 		out = append(out, v)
 	}
-	for i := 1; i < len(out); i++ { // insertion sort, tiny sets
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -507,3 +508,66 @@ func benchPreprocess(b *testing.B, parallel bool) {
 
 func BenchmarkPreprocessSequential(b *testing.B) { benchPreprocess(b, false) }
 func BenchmarkPreprocessParallel(b *testing.B)   { benchPreprocess(b, true) }
+
+// TestReplanLadder drives the replan ladder alone: which rung answers, with
+// which planner label, for dead and suspected hops, including the suspects
+// readmitted when they cut the target off and the verification-only last
+// rung that readmits the dead set.
+func TestReplanLadder(t *testing.T) {
+	nw := prepScenario(t, 0.55, 8, 8, 1.8)
+	s, d := transportPair(t, nw)
+	plan := nw.Route(s, d)
+	mid, ok := interiorPathNode(plan.Path)
+	if !ok {
+		t.Fatal("plan too short")
+	}
+	hybrid := nw.label()
+	if plan.PlanFallback {
+		hybrid = planLDelFallback
+	}
+	ring := nw.LDel.Neighbors(d) // dead or suspected, they cut d off
+	for _, c := range []struct {
+		name              string
+		verif, lossAware  bool
+		dead, suspects    []sim.NodeID
+		want              string // planner label; "" when no path is left
+		avoided           []sim.NodeID
+		suspectDetourWant int
+	}{
+		{name: "clear plan", want: hybrid},
+		{name: "dead hop", dead: []sim.NodeID{mid}, want: planLDelAvoid, avoided: []sim.NodeID{mid}},
+		{name: "dead hop, loss-aware", lossAware: true, dead: []sim.NodeID{mid}, want: planLDelETX, avoided: []sim.NodeID{mid}},
+		{name: "suspect hop", suspects: []sim.NodeID{mid}, want: planSuspectAvoid, avoided: []sim.NodeID{mid}, suspectDetourWant: 1},
+		{name: "suspects cut d off", suspects: ring, want: planLDelAvoid},
+		{name: "dead cut d off", dead: ring},
+		{name: "dead cut d off, verified", verif: true, dead: ring, want: planLDelAvoid},
+	} {
+		nw.Live = NewLiveness(nw.G.N())
+		for _, v := range c.suspects {
+			nw.Live.Suspect(v)
+		}
+		q := &rquery{nw: nw, planner: nw, s: s, t: d, verif: c.verif, lossAware: c.lossAware, dead: map[sim.NodeID]bool{}}
+		for _, v := range c.dead {
+			q.dead[v] = true
+		}
+		path, label, ok := q.replanFrom(s)
+		if c.want == "" {
+			if ok {
+				t.Errorf("%s: got path %v (%s), want none", c.name, path, label)
+			}
+			continue
+		}
+		if !ok || label != c.want || path[0] != s || path[len(path)-1] != d {
+			t.Errorf("%s: got %v %q ok=%v, want an s->d path labelled %q", c.name, path, label, ok, c.want)
+			continue
+		}
+		for _, v := range c.avoided {
+			if slices.Contains(path, v) {
+				t.Errorf("%s: path %v crosses avoided node %d", c.name, path, v)
+			}
+		}
+		if q.suspectDetours != c.suspectDetourWant {
+			t.Errorf("%s: %d suspect detours, want %d", c.name, q.suspectDetours, c.suspectDetourWant)
+		}
+	}
+}

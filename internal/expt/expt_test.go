@@ -39,7 +39,11 @@ func TestE11(t *testing.T) { runExpt(t, E11, "E11") }
 func TestE12(t *testing.T) { runExpt(t, E12, "E12") }
 func TestE13(t *testing.T) { runExpt(t, E13, "E13") }
 func TestE14(t *testing.T) { runExpt(t, E14, "E14") }
+func TestE16(t *testing.T) { runExpt(t, E16, "E16") }
 func TestE17(t *testing.T) { runExpt(t, E17, "E17") }
+func TestE18(t *testing.T) { runExpt(t, E18, "E18") }
+func TestE20(t *testing.T) { runExpt(t, E20, "E20") }
+func TestE22(t *testing.T) { runExpt(t, E22, "E22") }
 
 func TestE19(t *testing.T) {
 	dir := t.TempDir()
