@@ -40,8 +40,10 @@ func newBBox(holes *delaunay.HoleSet) *BBox {
 		boxes[i] = h.BBox
 	}
 	for {
+		// Closed-box overlap includes containment, so nested holes always
+		// merge.
 		merged := groupHoles(len(groups), func(i, j int) bool {
-			return boxesOverlap(boxes[i], boxes[j])
+			return boxes[i].Overlaps(boxes[j])
 		})
 		if len(merged) == len(groups) {
 			break
@@ -64,7 +66,8 @@ func newBBox(holes *delaunay.HoleSet) *BBox {
 
 	var polys [][]geom.Point
 	for gi, members := range groups {
-		poly := boxPoly(boxes[gi])
+		corners := boxes[gi].Corners()
+		poly := corners[:]
 		a.regions = append(a.regions, Region{Holes: members, Poly: poly})
 		polys = append(polys, poly)
 	}
@@ -92,20 +95,6 @@ func newBBox(holes *delaunay.HoleSet) *BBox {
 		}
 	}
 	return a
-}
-
-// boxesOverlap reports whether two closed boxes share a point (containment
-// implies overlap, so nested holes always merge).
-func boxesOverlap(a, b geom.Box) bool {
-	return a.Min.X <= b.Max.X && b.Min.X <= a.Max.X &&
-		a.Min.Y <= b.Max.Y && b.Min.Y <= a.Max.Y
-}
-
-// boxPoly returns the CCW corner polygon of a box.
-func boxPoly(b geom.Box) []geom.Point {
-	return []geom.Point{
-		b.Min, geom.Pt(b.Max.X, b.Min.Y), b.Max, geom.Pt(b.Min.X, b.Max.Y),
-	}
 }
 
 func sortInts(xs []int) {

@@ -132,6 +132,19 @@ func (b Box) Contains(p Point) bool {
 	return p.X >= b.Min.X && p.X <= b.Max.X && p.Y >= b.Min.Y && p.Y <= b.Max.Y
 }
 
+// Overlaps reports whether the closed boxes b and c share a point; touching
+// sides and containment both count.
+func (b Box) Overlaps(c Box) bool {
+	return b.Min.X <= c.Max.X && c.Min.X <= b.Max.X &&
+		b.Min.Y <= c.Max.Y && c.Min.Y <= b.Max.Y
+}
+
+// Corners returns the four corners of the box in counterclockwise order,
+// starting at Min.
+func (b Box) Corners() [4]Point {
+	return [4]Point{b.Min, {b.Max.X, b.Min.Y}, b.Max, {b.Min.X, b.Max.Y}}
+}
+
 // Width returns the horizontal extent of the box.
 func (b Box) Width() float64 { return b.Max.X - b.Min.X }
 

@@ -96,6 +96,20 @@ func TestBoxUnion(t *testing.T) {
 	if !u.Min.Eq(Pt(0, -1)) || !u.Max.Eq(Pt(3, 1)) {
 		t.Errorf("union = %+v", u)
 	}
+	if a.Overlaps(b) || b.Overlaps(a) {
+		t.Error("disjoint boxes overlap")
+	}
+	touching := BoundingBox([]Point{Pt(1, 1), Pt(2, 2)})
+	if !a.Overlaps(touching) || !touching.Overlaps(a) {
+		t.Error("boxes sharing a corner must overlap")
+	}
+	if !u.Overlaps(a) || !a.Overlaps(u) {
+		t.Error("containment must overlap")
+	}
+	c := u.Corners()
+	if !c[0].Eq(u.Min) || !c[2].Eq(u.Max) || PolygonArea(c[:]) <= 0 {
+		t.Errorf("corners = %v, want counterclockwise from Min", c)
+	}
 }
 
 func TestPathLength(t *testing.T) {

@@ -11,28 +11,147 @@ package vis
 import (
 	"container/heap"
 	"math"
+	"slices"
 
 	"hybridroute/internal/delaunay"
 	"hybridroute/internal/geom"
 )
 
-// Domain is a set of disjoint polygonal obstacles supporting visibility
-// queries and shortest paths whose interior vertices are obstacle corners.
+// cullMargin widens each obstacle's bounding box for culling. A skipped
+// obstacle must be one SegmentIntersectsPolygon and PointStrictlyInSimple
+// report false for, so the margin must exceed the rounding of the sampled
+// probe points (geom.Lerp) and of the even-odd crossing abscissa. For
+// coordinates below 10⁶ in magnitude both stay under 10⁻⁹.
+const cullMargin = 1e-6
+
+// obstacleSet is a set of polygonal obstacles with the visibility and
+// containment predicates over them. Each obstacle keeps its bounding box
+// widened by cullMargin, so the predicates run the per-polygon test only on
+// obstacles the query can reach.
+type obstacleSet struct {
+	polys   [][]geom.Point
+	boxes   []geom.Box // widened bounding box of polys[i]
+	corners []geom.Point
+}
+
+func newObstacleSet(polys [][]geom.Point) obstacleSet {
+	o := obstacleSet{polys: polys, boxes: make([]geom.Box, len(polys))}
+	for i, poly := range polys {
+		b := geom.BoundingBox(poly)
+		o.boxes[i] = geom.Box{
+			Min: geom.Pt(b.Min.X-cullMargin, b.Min.Y-cullMargin),
+			Max: geom.Pt(b.Max.X+cullMargin, b.Max.Y+cullMargin),
+		}
+		o.corners = append(o.corners, poly...)
+	}
+	return o
+}
+
+// Obstacles returns the obstacle polygons; callers must not modify them.
+func (o *obstacleSet) Obstacles() [][]geom.Point { return o.polys }
+
+// Corners returns all obstacle corners in index order; callers must not
+// modify the slice.
+func (o *obstacleSet) Corners() []geom.Point { return o.corners }
+
+// Visible reports whether the open segment ab avoids every obstacle
+// interior: the segment may touch boundaries and run along obstacle edges,
+// but may not properly cross an edge or pass through an interior.
+//
+// An obstacle is skipped when the segment's box misses its widened box or
+// the segment's line leaves the widened box strictly on one side. Both
+// tests are exact (geom.Orient is), so a skipped polygon has no edge the
+// segment properly crosses, and the margin keeps every sampled probe
+// outside it: the answer equals the plain loop over all obstacles.
+func (o *obstacleSet) Visible(a, b geom.Point) bool {
+	s := geom.Seg(a, b)
+	sb := geom.EmptyBox().Extend(a).Extend(b)
+	for i, poly := range o.polys {
+		if !sb.Overlaps(o.boxes[i]) || lineMissesBox(a, b, o.boxes[i]) {
+			continue
+		}
+		if geom.SegmentIntersectsPolygon(s, poly) {
+			return false
+		}
+	}
+	return true
+}
+
+// lineMissesBox reports whether every corner of box lies strictly on the
+// same side of the line through a and b.
+func lineMissesBox(a, b geom.Point, box geom.Box) bool {
+	c := box.Corners()
+	side := geom.Orient(a, b, c[0])
+	if side == geom.Collinear {
+		return false
+	}
+	return geom.Orient(a, b, c[1]) == side && geom.Orient(a, b, c[2]) == side &&
+		geom.Orient(a, b, c[3]) == side
+}
+
+// PointInObstacle reports whether p lies strictly inside some obstacle. An
+// obstacle whose widened box misses p is skipped.
+func (o *obstacleSet) PointInObstacle(p geom.Point) bool {
+	for i, poly := range o.polys {
+		if o.boxes[i].Contains(p) && geom.PointStrictlyInSimple(p, poly) {
+			return true
+		}
+	}
+	return false
+}
+
+// shortestPath is the search Domain and Overlay share over their corner
+// graphs base: it returns the shortest path from s to t through base plus
+// the edges joining s and t to every corner they see, as a polyline
+// including both endpoints, and its length. ok is false when s or t is
+// strictly inside an obstacle or base leaves t unreachable.
+func (o *obstacleSet) shortestPath(base [][]int, s, t geom.Point) ([]geom.Point, float64, bool) {
+	if o.PointInObstacle(s) || o.PointInObstacle(t) {
+		return nil, 0, false
+	}
+	if o.Visible(s, t) {
+		return []geom.Point{s, t}, s.Dist(t), true
+	}
+	n := len(o.corners)
+	// Graph nodes: corners 0..n-1, s = n, t = n+1. The search stops when t
+	// pops, so t needs no out-edges.
+	adj := make([][]int, n+2)
+	copy(adj, base)
+	for i, c := range o.corners {
+		if o.Visible(s, c) {
+			adj[n] = append(adj[n], i)
+		}
+		if o.Visible(t, c) {
+			adj[i] = append(slices.Clip(adj[i]), n+1) // copies; base stays shared
+		}
+	}
+	pos := func(i int) geom.Point {
+		switch i {
+		case n:
+			return s
+		case n + 1:
+			return t
+		default:
+			return o.corners[i]
+		}
+	}
+	return dijkstraPoints(adj, pos, n, n+1)
+}
+
+// Domain is a set of disjoint polygonal obstacles with the full visibility
+// graph of their corners, for shortest paths whose interior vertices are
+// obstacle corners.
 type Domain struct {
-	obstacles [][]geom.Point
-	corners   []geom.Point
-	// cornerAdj[i] lists the visible corners j > i is not required; full
-	// symmetric adjacency with weights.
+	obstacleSet
+	// cornerAdj[i] lists the corners visible from corner i, ascending; the
+	// relation is symmetric.
 	cornerAdj [][]int
 }
 
 // NewDomain builds the visibility structure over the given obstacle
 // polygons (each a vertex cycle, any orientation).
 func NewDomain(obstacles [][]geom.Point) *Domain {
-	d := &Domain{obstacles: obstacles}
-	for _, poly := range obstacles {
-		d.corners = append(d.corners, poly...)
-	}
+	d := &Domain{obstacleSet: newObstacleSet(obstacles)}
 	n := len(d.corners)
 	d.cornerAdj = make([][]int, n)
 	for i := 0; i < n; i++ {
@@ -46,12 +165,6 @@ func NewDomain(obstacles [][]geom.Point) *Domain {
 	return d
 }
 
-// Obstacles returns the obstacle polygons; callers must not modify them.
-func (d *Domain) Obstacles() [][]geom.Point { return d.obstacles }
-
-// Corners returns all obstacle corners; callers must not modify the slice.
-func (d *Domain) Corners() []geom.Point { return d.corners }
-
 // CornerEdges returns the number of undirected visibility edges between
 // corners — the Θ(h²) storage cost the paper attributes to full visibility
 // graphs.
@@ -63,66 +176,12 @@ func (d *Domain) CornerEdges() int {
 	return total / 2
 }
 
-// Visible reports whether the open segment ab avoids every obstacle
-// interior: the segment may touch boundaries and run along obstacle edges,
-// but may not properly cross an edge or pass through an interior.
-func (d *Domain) Visible(a, b geom.Point) bool {
-	s := geom.Seg(a, b)
-	for _, poly := range d.obstacles {
-		if geom.SegmentIntersectsPolygon(s, poly) {
-			return false
-		}
-	}
-	return true
-}
-
-// PointInObstacle reports whether p lies strictly inside some obstacle.
-func (d *Domain) PointInObstacle(p geom.Point) bool {
-	for _, poly := range d.obstacles {
-		if geom.PointStrictlyInSimple(p, poly) {
-			return true
-		}
-	}
-	return false
-}
-
 // ShortestPath returns the Euclidean shortest obstacle-avoiding path from s
 // to t as a polyline including both endpoints, plus its length. ok is false
 // only when s or t is strictly inside an obstacle (the domain is otherwise
 // connected).
 func (d *Domain) ShortestPath(s, t geom.Point) ([]geom.Point, float64, bool) {
-	if d.PointInObstacle(s) || d.PointInObstacle(t) {
-		return nil, 0, false
-	}
-	if d.Visible(s, t) {
-		return []geom.Point{s, t}, s.Dist(t), true
-	}
-	n := len(d.corners)
-	// Graph nodes: corners 0..n-1, s = n, t = n+1.
-	adj := make([][]int, n+2)
-	for i := 0; i < n; i++ {
-		adj[i] = d.cornerAdj[i]
-	}
-	for i := 0; i < n; i++ {
-		if d.Visible(s, d.corners[i]) {
-			adj[n] = append(adj[n], i)
-		}
-		if d.Visible(t, d.corners[i]) {
-			adj[i] = append(append([]int(nil), adj[i]...), n+1) // copy-on-write
-			adj[n+1] = append(adj[n+1], i)
-		}
-	}
-	pos := func(i int) geom.Point {
-		switch i {
-		case n:
-			return s
-		case n + 1:
-			return t
-		default:
-			return d.corners[i]
-		}
-	}
-	return dijkstraPoints(adj, pos, n, n+1)
+	return d.shortestPath(d.cornerAdj, s, t)
 }
 
 // dijkstraPoints runs Euclidean Dijkstra over an index graph with a position
@@ -198,16 +257,14 @@ func (h *visHeap) Pop() interface{} {
 // (planarity), which is the paper's space reduction; paths lengthen by at
 // most the 1.998 Delaunay spanning ratio.
 type Overlay struct {
-	domain  *Domain
-	corners []geom.Point
-	adj     [][]int
+	obstacleSet
+	adj [][]int
 }
 
 // NewOverlay builds the overlay Delaunay graph over the given convex hulls
 // (each a CCW vertex cycle). The hulls are also the visibility obstacles.
 func NewOverlay(hulls [][]geom.Point) *Overlay {
-	o := &Overlay{domain: NewDomain(hulls)}
-	o.corners = o.domain.Corners()
+	o := &Overlay{obstacleSet: newObstacleSet(hulls)}
 	n := len(o.corners)
 	o.adj = make([][]int, n)
 
@@ -225,7 +282,7 @@ func NewOverlay(hulls [][]geom.Point) *Overlay {
 	if n >= 3 {
 		tr := delaunay.Triangulate(o.corners)
 		for _, e := range tr.Edges() {
-			if o.domain.Visible(o.corners[e[0]], o.corners[e[1]]) {
+			if o.Visible(o.corners[e[0]], o.corners[e[1]]) {
 				addEdge(e[0], e[1])
 			}
 		}
@@ -240,9 +297,6 @@ func NewOverlay(hulls [][]geom.Point) *Overlay {
 	}
 	return o
 }
-
-// Corners returns all hull corners in overlay index order.
-func (o *Overlay) Corners() []geom.Point { return o.corners }
 
 // EdgeCount returns the number of undirected overlay edges — O(h) by
 // planarity, versus Θ(h²) for the visibility graph.
@@ -267,45 +321,9 @@ func (o *Overlay) Edges() [][2]int {
 	return out
 }
 
-// Visible exposes the underlying visibility test.
-func (o *Overlay) Visible(a, b geom.Point) bool { return o.domain.Visible(a, b) }
-
-// PointInObstacle reports whether p is strictly inside some hull.
-func (o *Overlay) PointInObstacle(p geom.Point) bool { return o.domain.PointInObstacle(p) }
-
 // ShortestPath returns the shortest path from s to t through the overlay
 // Delaunay graph, entering and leaving at visible hull corners. This is the
 // path the convex hull nodes compute for the routing protocol of Section 4.3.
 func (o *Overlay) ShortestPath(s, t geom.Point) ([]geom.Point, float64, bool) {
-	if o.domain.PointInObstacle(s) || o.domain.PointInObstacle(t) {
-		return nil, 0, false
-	}
-	if o.domain.Visible(s, t) {
-		return []geom.Point{s, t}, s.Dist(t), true
-	}
-	n := len(o.corners)
-	adj := make([][]int, n+2)
-	for i := 0; i < n; i++ {
-		adj[i] = o.adj[i]
-	}
-	for i := 0; i < n; i++ {
-		if o.domain.Visible(s, o.corners[i]) {
-			adj[n] = append(adj[n], i)
-		}
-		if o.domain.Visible(t, o.corners[i]) {
-			adj[i] = append(append([]int(nil), adj[i]...), n+1)
-			adj[n+1] = append(adj[n+1], i)
-		}
-	}
-	pos := func(i int) geom.Point {
-		switch i {
-		case n:
-			return s
-		case n + 1:
-			return t
-		default:
-			return o.corners[i]
-		}
-	}
-	return dijkstraPoints(adj, pos, n, n+1)
+	return o.shortestPath(o.adj, s, t)
 }
