@@ -1,9 +1,6 @@
 package abstraction
 
 import (
-	"container/heap"
-	"math"
-
 	"hybridroute/internal/delaunay"
 	"hybridroute/internal/geom"
 	"hybridroute/internal/udg"
@@ -175,7 +172,7 @@ func (a *BBox) Waypoints(s, t geom.Point) ([]geom.Point, float64, bool) {
 			return a.corners[i]
 		}
 	}
-	return dijkstra(adj, pos, n, n+1)
+	return vis.DijkstraPoints(adj, pos, n, n+1)
 }
 
 // cornerRegion returns the region a corner index belongs to.
@@ -186,71 +183,4 @@ func (a *BBox) cornerRegion(ci int) int {
 		}
 	}
 	return -1
-}
-
-// dijkstra runs Euclidean Dijkstra over an index graph with a position
-// function (the same computation vis runs internally, repeated here for the
-// inside-region endpoint connections vis does not allow).
-func dijkstra(adj [][]int, pos func(int) geom.Point, src, dst int) ([]geom.Point, float64, bool) {
-	n := len(adj)
-	dist := make([]float64, n)
-	prev := make([]int, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	dist[src] = 0
-	pq := &boxHeap{{src, 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(boxItem)
-		if it.d > dist[it.v] {
-			continue
-		}
-		if it.v == dst {
-			break
-		}
-		pv := pos(it.v)
-		for _, w := range adj[it.v] {
-			nd := it.d + pv.Dist(pos(w))
-			if nd < dist[w] {
-				dist[w] = nd
-				prev[w] = it.v
-				heap.Push(pq, boxItem{w, nd})
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return nil, 0, false
-	}
-	var idx []int
-	for v := dst; v != -1; v = prev[v] {
-		idx = append(idx, v)
-		if v == src {
-			break
-		}
-	}
-	path := make([]geom.Point, len(idx))
-	for i, v := range idx {
-		path[len(idx)-1-i] = pos(v)
-	}
-	return path, dist[dst], true
-}
-
-type boxItem struct {
-	v int
-	d float64
-}
-
-type boxHeap []boxItem
-
-func (h boxHeap) Len() int            { return len(h) }
-func (h boxHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h boxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *boxHeap) Push(x interface{}) { *h = append(*h, x.(boxItem)) }
-func (h *boxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

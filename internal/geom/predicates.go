@@ -165,20 +165,31 @@ func InDiametralCircle(a, b, p Point) bool {
 // SegmentsProperlyIntersect reports whether segments s and t cross at a point
 // interior to both. Shared endpoints and touchings do not count.
 func SegmentsProperlyIntersect(s, t Segment) bool {
-	o1 := Orient(s.A, s.B, t.A)
-	o2 := Orient(s.A, s.B, t.B)
+	return ProperlyIntersectSides(s, t, Orient(s.A, s.B, t.A), Orient(s.A, s.B, t.B))
+}
+
+// ProperlyIntersectSides is SegmentsProperlyIntersect(s, t) for a caller that
+// already holds o1 = Orient(s.A, s.B, t.A) and o2 = Orient(s.A, s.B, t.B),
+// say from classifying every vertex of a polygon against s once. It tests
+// t's line only when t's ends lie strictly on opposite sides of s.
+func ProperlyIntersectSides(s, t Segment, o1, o2 Orientation) bool {
+	if o1 == o2 || o1 == Collinear || o2 == Collinear {
+		return false
+	}
 	o3 := Orient(t.A, t.B, s.A)
 	o4 := Orient(t.A, t.B, s.B)
-	return o1 != o2 && o3 != o4 && o1 != Collinear && o2 != Collinear &&
-		o3 != Collinear && o4 != Collinear
+	return o3 != o4 && o3 != Collinear && o4 != Collinear
 }
 
 // OnSegment reports whether p lies on the closed segment s (including
 // endpoints), using exact orientation for the collinearity test.
 func OnSegment(p Point, s Segment) bool {
-	if Orient(s.A, s.B, p) != Collinear {
-		return false
-	}
+	return Orient(s.A, s.B, p) == Collinear && InSegmentBox(p, s)
+}
+
+// InSegmentBox reports whether p lies in the closed bounding box of s: for a
+// point already known to be collinear with s, the rest of OnSegment.
+func InSegmentBox(p Point, s Segment) bool {
 	return math.Min(s.A.X, s.B.X) <= p.X && p.X <= math.Max(s.A.X, s.B.X) &&
 		math.Min(s.A.Y, s.B.Y) <= p.Y && p.Y <= math.Max(s.A.Y, s.B.Y)
 }

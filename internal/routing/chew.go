@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"sort"
 
 	"hybridroute/internal/geom"
@@ -20,10 +21,11 @@ func (r *Router) Chew(s, t NodeID) Result {
 	if r.g.HasEdge(s, t) {
 		return Result{Path: []NodeID{s, t}, Reached: true}
 	}
-	ps, pt := r.g.Point(s), r.g.Point(t)
-	L := geom.Seg(ps, pt)
+	L := geom.Seg(r.g.Point(s), r.g.Point(t))
+	sc := r.getScratch()
+	defer r.putScratch(sc)
 
-	corridor := r.corridor(L)
+	corridor := r.corridor(L, sc)
 	if len(corridor) == 0 {
 		// Degenerate: no face registered as crossed (collinear grazing).
 		return r.fallback(s, t)
@@ -40,30 +42,17 @@ func (r *Router) Chew(s, t NodeID) Result {
 		}
 	}
 
-	left, right := r.corridorChains(L, s, t, prefix, holeFace)
+	left, right := r.corridorChains(L, s, t, prefix, holeFace, sc)
 
 	if holeFace >= 0 {
 		// Stop at the boundary of the blocking face: the last chain vertex
 		// lying on that face.
-		res := r.holeHitResult(s, left, right, holeFace)
-		return res
+		return r.holeHitResult(s, left, right, holeFace, sc)
 	}
-
-	lv := r.validChain(left)
-	rv := r.validChain(right)
-	switch {
-	case lv && rv:
-		if chainLength(r, left) <= chainLength(r, right) {
-			return Result{Path: left, Reached: true}
-		}
-		return Result{Path: right, Reached: true}
-	case lv:
-		return Result{Path: left, Reached: true}
-	case rv:
-		return Result{Path: right, Reached: true}
-	default:
-		return r.fallback(s, t)
+	if path := r.shorterValid(left, right); path != nil {
+		return Result{Path: path, Reached: true}
 	}
+	return r.fallback(s, t)
 }
 
 // ChewVia routes along a waypoint sequence (s = w0, w1, …, wk = t), applying
@@ -93,43 +82,64 @@ func (r *Router) ChewVia(waypoints []NodeID) Result {
 	return out
 }
 
+// corridorEntry is one corridor face with the parameter along the segment at
+// which the segment enters its interior.
+type corridorEntry struct {
+	param float64
+	face  int
+}
+
 // corridor returns the indices of all faces whose interior the segment
-// passes through, ordered by entry parameter along the segment. The face
-// grid narrows the scan to faces near the segment; a candidate earns an
-// entry only through the same geometric tests the full scan used, so the
-// corridor is identical to scanning every face. (The outer face is never
-// registered in the grid: segments between nodes stay inside CH(V) and
-// cannot pass through the outer face of the hull-augmented embedding.)
-func (r *Router) corridor(L geom.Segment) []int {
-	entries := make(map[int]float64)
+// passes through, ordered by entry parameter along the segment, ties by face
+// index. The face grid narrows the scan to faces near the segment; a
+// candidate earns an entry only through the same geometric tests the full
+// scan used, so the corridor is identical to scanning every face. (The outer
+// face is never registered in the grid: segments between nodes stay inside
+// CH(V) and cannot pass through the outer face of the hull-augmented
+// embedding.) The returned slice lives in sc.
+func (r *Router) corridor(L geom.Segment, sc *corridorScratch) []int {
 	dir := L.B.Sub(L.A)
 	len2 := dir.Dot(dir)
 	paramOf := func(p geom.Point) float64 {
 		return p.Sub(L.A).Dot(dir) / len2
 	}
-	sc := r.getScratch()
-	defer r.putScratch(sc)
 	sc.cand = sc.cand[:0]
 	if r.grid != nil {
 		sc.cand = r.grid.candidates(L, sc, sc.cand)
 	}
+	entries := sc.entries[:0]
 	for _, fi32 := range sc.cand {
 		fi := int(fi32)
 		poly := r.faces[fi].AppendPolygon(r.gbar, sc.poly[:0])
+		// One side test per vertex, reused by both edge tests below. A face
+		// whose vertices all lie strictly on one side of L has no edge
+		// crossing L and no vertex on it, so it would collect no parameter.
+		sides := sc.sides[:0]
+		oneSide := true
+		for _, p := range poly {
+			o := geom.Orient(L.A, L.B, p)
+			sides = append(sides, o)
+			oneSide = oneSide && o != geom.Collinear && o == sides[0]
+		}
+		sc.poly, sc.sides = poly, sides
+		if oneSide {
+			continue
+		}
 		n := len(poly)
 		params := sc.params[:0]
 		for j := 0; j < n; j++ {
-			e := geom.Seg(poly[j], poly[(j+1)%n])
-			if geom.SegmentsProperlyIntersect(L, e) {
+			k := (j + 1) % n
+			e := geom.Seg(poly[j], poly[k])
+			if geom.ProperlyIntersectSides(L, e, sides[j], sides[k]) {
 				if x, ok := geom.SegmentIntersection(L, e); ok {
 					params = append(params, clamp01(paramOf(x)))
 				}
 			}
-			if geom.OnSegment(poly[j], L) {
+			if sides[j] == geom.Collinear && geom.InSegmentBox(poly[j], L) {
 				params = append(params, clamp01(paramOf(poly[j])))
 			}
 		}
-		sc.poly, sc.params = poly, params
+		sc.params = params
 		if len(params) < 2 {
 			continue
 		}
@@ -140,53 +150,68 @@ func (r *Router) corridor(L geom.Segment) []int {
 			}
 			mid := geom.Lerp(L.A, L.B, (params[j]+params[j+1])/2)
 			if geom.PointStrictlyInSimple(mid, poly) {
-				if _, ok := entries[fi]; !ok {
-					entries[fi] = params[j]
-				}
+				// The candidates hold each face once, so this is its only entry.
+				entries = append(entries, corridorEntry{params[j], fi})
 				break
 			}
 		}
 	}
-	return sortFacesByEntry(entries)
+	// Faces are distinct, so (param, face) is a strict total order and the
+	// sorted order does not depend on the sort algorithm.
+	slices.SortFunc(entries, func(a, b corridorEntry) int {
+		if a.param != b.param {
+			if a.param < b.param {
+				return -1
+			}
+			return 1
+		}
+		return a.face - b.face
+	})
+	faces := sc.faces[:0]
+	for _, e := range entries {
+		faces = append(faces, e.face)
+	}
+	sc.entries, sc.faces = entries, faces
+	return faces
 }
 
 // corridorChains builds the left and right boundary chains of the triangle
 // corridor. Each chain starts at s; when the corridor is complete (no
-// blocking face) it ends at t.
-func (r *Router) corridorChains(L geom.Segment, s, t NodeID, prefix []int, holeFace int) (left, right []NodeID) {
+// blocking face) it ends at t. A vertex's side of L is fixed, so it joins its
+// chain (both chains when it lies on L) the first time any corridor face
+// shows it, and one mark set over node IDs dedupes both chains. Both chains
+// live in sc.
+func (r *Router) corridorChains(L geom.Segment, s, t NodeID, prefix []int, holeFace int, sc *corridorScratch) (left, right []NodeID) {
 	dir := L.B.Sub(L.A)
 	len2 := dir.Dot(dir)
-	paramOf := func(p geom.Point) float64 { return p.Sub(L.A).Dot(dir) / len2 }
 
-	left = []NodeID{s}
-	right = []NodeID{s}
-	appendSide := func(chain []NodeID, v NodeID) []NodeID {
-		for _, u := range chain {
-			if u == v {
-				return chain
-			}
-		}
-		return append(chain, v)
-	}
+	left = append(sc.left[:0], s)
+	right = append(sc.right[:0], s)
+	seen := sc.nodeSeen
+	seen.Reset()
 	for _, fi := range prefix {
-		f := r.faces[fi]
 		// Order the face's vertices by their projection along the segment so
-		// chains grow front to back.
-		verts := append([]NodeID(nil), f.Cycle...)
-		sortByParam(verts, func(v NodeID) float64 { return paramOf(r.g.Point(v)) })
+		// chains grow front to back: a stable insertion sort on keys computed
+		// once per vertex.
+		verts, keys := sc.verts[:0], sc.keys[:0]
+		for _, v := range r.faces[fi].Cycle {
+			verts, keys = insertByKey(verts, keys, v, r.g.Point(v).Sub(L.A).Dot(dir)/len2)
+		}
+		sc.verts, sc.keys = verts, keys
 		for _, v := range verts {
-			if v == s || v == t {
+			if v == s || v == t || seen.Has(int(v)) {
 				continue
 			}
+			seen.Set(int(v))
 			switch geom.Orient(L.A, L.B, r.g.Point(v)) {
 			case geom.CounterClockwise:
-				left = appendSide(left, v)
+				left = append(left, v)
 			case geom.Clockwise:
-				right = appendSide(right, v)
+				right = append(right, v)
 			default:
 				// A vertex exactly on the segment belongs to both chains.
-				left = appendSide(left, v)
-				right = appendSide(right, v)
+				left = append(left, v)
+				right = append(right, v)
 			}
 		}
 	}
@@ -194,54 +219,78 @@ func (r *Router) corridorChains(L geom.Segment, s, t NodeID, prefix []int, holeF
 		left = append(left, t)
 		right = append(right, t)
 	}
+	sc.left, sc.right = left, right
 	return left, right
 }
 
+// insertByKey adds v with its key to verts and keys, parallel slices sorted
+// by key, after every element whose key is not greater: one step of a stable
+// insertion sort, so equal keys keep their insertion order.
+func insertByKey(verts []NodeID, keys []float64, v NodeID, key float64) ([]NodeID, []float64) {
+	i := len(verts)
+	verts, keys = append(verts, v), append(keys, key)
+	for ; i > 0 && key < keys[i-1]; i-- {
+		verts[i], keys[i] = verts[i-1], keys[i-1]
+	}
+	verts[i], keys[i] = v, key
+	return verts, keys
+}
+
 // holeHitResult routes to a boundary node of the blocking face along
-// whichever chain reaches one, preferring the shorter.
-func (r *Router) holeHitResult(s NodeID, left, right []NodeID, holeFace int) Result {
-	onFace := map[NodeID]bool{}
+// whichever chain reaches one, preferring the shorter. It reuses the chain
+// mark set for the face's vertices.
+func (r *Router) holeHitResult(s NodeID, left, right []NodeID, holeFace int, sc *corridorScratch) Result {
+	onFace := sc.nodeSeen
+	onFace.Reset()
 	for _, v := range r.faces[holeFace].Cycle {
-		onFace[v] = true
+		onFace.Set(int(v))
 	}
 	trim := func(chain []NodeID) []NodeID {
 		// Truncate the chain at its first vertex on the blocking face.
 		for i, v := range chain {
-			if onFace[v] {
+			if onFace.Has(int(v)) {
 				return chain[:i+1]
 			}
 		}
 		return nil
 	}
-	cands := [][]NodeID{}
-	if c := trim(left); c != nil && r.validChain(c) {
-		cands = append(cands, c)
+	if pick := r.shorterValid(trim(left), trim(right)); pick != nil {
+		return Result{Path: pick, HoleHit: true, HitNode: pick[len(pick)-1], HoleFace: holeFace}
 	}
-	if c := trim(right); c != nil && r.validChain(c) {
-		cands = append(cands, c)
+	// s itself may already be on the face.
+	if onFace.Has(int(s)) {
+		return Result{Path: []NodeID{s}, HoleHit: true, HitNode: s, HoleFace: holeFace}
 	}
-	if len(cands) == 0 {
-		// s itself may already be on the face.
-		if onFace[s] {
-			return Result{Path: []NodeID{s}, HoleHit: true, HitNode: s, HoleFace: holeFace}
+	// Degenerate configuration: walk via graph shortest path to the
+	// nearest face vertex.
+	best := Result{}
+	bestLen := -1.0
+	for _, v := range r.faces[holeFace].Cycle {
+		if path, l, ok := r.g.ShortestPath(s, v); ok && (bestLen < 0 || l < bestLen) {
+			best = Result{Path: path, HoleHit: true, HitNode: v, HoleFace: holeFace, Fallback: true}
+			bestLen = l
 		}
-		// Degenerate configuration: walk via graph shortest path to the
-		// nearest face vertex.
-		best := Result{}
-		bestLen := -1.0
-		for _, v := range r.faces[holeFace].Cycle {
-			if path, l, ok := r.g.ShortestPath(s, v); ok && (bestLen < 0 || l < bestLen) {
-				best = Result{Path: path, HoleHit: true, HitNode: v, HoleFace: holeFace, Fallback: true}
-				bestLen = l
-			}
-		}
-		return best
 	}
-	pick := cands[0]
-	if len(cands) == 2 && chainLength(r, cands[1]) < chainLength(r, cands[0]) {
-		pick = cands[1]
+	return best
+}
+
+// shorterValid returns the shorter of the two chains that are graph paths
+// (left on a tie), or nil when neither is. It returns a copy, since the
+// chains live in the pooled scratch.
+func (r *Router) shorterValid(left, right []NodeID) []NodeID {
+	lv, rv := r.validChain(left), r.validChain(right)
+	var pick []NodeID
+	switch {
+	case lv && rv && chainLength(r, right) < chainLength(r, left):
+		pick = right
+	case lv:
+		pick = left
+	case rv:
+		pick = right
+	default:
+		return nil
 	}
-	return Result{Path: pick, HoleHit: true, HitNode: pick[len(pick)-1], HoleFace: holeFace}
+	return slices.Clone(pick)
 }
 
 // validChain reports whether consecutive chain nodes are graph edges.
@@ -286,9 +335,3 @@ func clamp01(x float64) float64 {
 }
 
 func sortFloats(xs []float64) { sort.Float64s(xs) }
-
-// sortByParam orders vertices by key, keeping the input order of equal keys
-// (corridor chains depend on that stability for determinism).
-func sortByParam(vs []NodeID, key func(NodeID) float64) {
-	sort.SliceStable(vs, func(i, j int) bool { return key(vs[i]) < key(vs[j]) })
-}

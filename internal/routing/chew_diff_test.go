@@ -1,0 +1,313 @@
+package routing
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+
+	"hybridroute/internal/delaunay"
+	"hybridroute/internal/geom"
+	"hybridroute/internal/udg"
+	"hybridroute/internal/workload"
+)
+
+// routerOver builds the router over the LDel² graph of a point set.
+func routerOver(pts []geom.Point, radius float64) *Router {
+	return New(delaunay.LDel2Fast(udg.Build(pts, radius)))
+}
+
+// exactLinesGrid is a bordered grid of k×k cells of the given spacing
+// without the points in or near the obstacle (nil for none). Its border and
+// both diagonals are exact, so a segment between two nodes on one diagonal
+// passes through every node between them; the other points carry the
+// workload generators' jitter, which breaks the grid's cocircular quadruples.
+func exactLinesGrid(k int, spacing float64, obstacle []geom.Point) []geom.Point {
+	near := func(p geom.Point) bool {
+		if obstacle == nil {
+			return false
+		}
+		for i := range obstacle {
+			if geom.DistPointSegment(p, obstacle[i], obstacle[(i+1)%len(obstacle)]) < 0.05 {
+				return true
+			}
+		}
+		return geom.PointInPolygon(p, obstacle)
+	}
+	var pts []geom.Point
+	for i := 0; i <= k; i++ {
+		for j := 0; j <= k; j++ {
+			x, y := spacing*float64(i), spacing*float64(j)
+			p := geom.Pt(x, y)
+			if i != 0 && j != 0 && i != k && j != k && i != j && i+j != k {
+				p = geom.Pt(x+1e-4*math.Sin(13*x+7*y), y+1e-4*math.Cos(11*x-5*y))
+			}
+			if !near(p) {
+				pts = append(pts, p)
+			}
+		}
+	}
+	return pts
+}
+
+// latticeNodes returns the nodes sitting exactly on the lattice of the given
+// spacing (the unjittered border of a bordered grid, plus the diagonals of
+// an exact-lines grid). Segments between them run through vertices and
+// along edges.
+func latticeNodes(r *Router, spacing float64) []NodeID {
+	exact := func(c float64) bool {
+		q := c / spacing
+		return math.Abs(q-math.Round(q)) < 1e-9
+	}
+	var out []NodeID
+	for v := 0; v < r.g.N(); v++ {
+		if p := r.g.Point(NodeID(v)); exact(p.X) && exact(p.Y) {
+			out = append(out, NodeID(v))
+		}
+	}
+	return out
+}
+
+// nearestNode returns the node of r's graph closest to p.
+func nearestNode(r *Router, p geom.Point) NodeID {
+	best, bestD := NodeID(0), math.Inf(1)
+	for v := 0; v < r.g.N(); v++ {
+		if d := r.g.Point(NodeID(v)).Dist(p); d < bestD {
+			best, bestD = NodeID(v), d
+		}
+	}
+	return best
+}
+
+// compareWithReference checks the corridor, both chains and the whole Chew
+// result of s→t against the reference walk.
+func compareWithReference(r *Router, s, t NodeID) error {
+	if got, want := r.Chew(s, t), r.refChew(s, t); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("Chew(%d, %d) = %+v, reference %+v", s, t, got, want)
+	}
+	if s == t || r.g.HasEdge(s, t) {
+		return nil // answered before any corridor is built
+	}
+	L := geom.Seg(r.g.Point(s), r.g.Point(t))
+	sc := r.getScratch()
+	defer r.putScratch(sc)
+	faces := slices.Clone(r.corridor(L, sc))
+	if want := r.refCorridor(L); !slices.Equal(faces, want) {
+		return fmt.Errorf("corridor(%d, %d) = %v, reference %v", s, t, faces, want)
+	}
+	prefix, holeFace := r.refSplit(faces)
+	left, right := r.corridorChains(L, s, t, prefix, holeFace, sc)
+	wantL, wantR := r.refCorridorChains(L, s, t, prefix, holeFace)
+	if !slices.Equal(left, wantL) || !slices.Equal(right, wantR) {
+		return fmt.Errorf("chains(%d, %d) = %v | %v, reference %v | %v", s, t, left, right, wantL, wantR)
+	}
+	return nil
+}
+
+// TestCorridorMatchesReference holds the corridor walk to the reference walk
+// on random pairs over every deployment family: random points with and
+// without obstacles, city blocks, a maze, a jittered grid, and grids whose
+// exact lines put vertices on the segment and edges along it. On the grids
+// every fourth pair joins two lattice nodes. At spacing 0.5 two grid steps
+// equal the radio range.
+func TestCorridorMatchesReference(t *testing.T) {
+	hole := workload.RegularPolygon(geom.Pt(5, 5), 1.6, 6, 0.3)
+	scenario := func(sc *workload.Scenario, err error) func() ([]geom.Point, error) {
+		return func() ([]geom.Point, error) {
+			if err != nil {
+				return nil, err
+			}
+			return sc.Points, nil
+		}
+	}
+	deployments := []struct {
+		name    string
+		points  func() ([]geom.Point, error)
+		spacing float64 // lattice of the exact nodes; 0 for none
+	}{
+		{"uniform", scenario(workload.Uniform(3, 350, 8.5, 8.5, 1)), 0},
+		{"obstacles", scenario(workload.WithObstacles(4, 520, 11, 11, 1, workload.RandomConvexObstacles(4, 4, 11, 11, 0.8, 1.6, 2))), 0},
+		{"city", scenario(workload.CityGrid(7, 2, 2, 3.2, 3.2, 2.4, 1, 5.5)), 0},
+		{"maze", scenario(workload.Maze(2, 14, 10, 7, 8.4, 1.2, 1, 900)), 0},
+		{"jittered", scenario(workload.JitteredGrid(0.55, 10, 10, 1, [][]geom.Point{hole})), 0},
+		{"bordered-0.5", scenario(workload.BorderedGrid(0.5, 10, 10, 1, [][]geom.Point{hole})), 0.5},
+		{"bordered-0.55", scenario(workload.BorderedGrid(0.55, 10, 10, 1, [][]geom.Point{hole})), 0.55},
+		{"exact-lines", func() ([]geom.Point, error) { return exactLinesGrid(20, 0.5, hole), nil }, 0.5},
+	}
+	pairs := 3000
+	if testing.Short() {
+		pairs = 300
+	}
+	for i, d := range deployments {
+		d, seed := d, int64(i+1)
+		t.Run(d.name, func(t *testing.T) {
+			t.Parallel()
+			pts, err := d.points()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := routerOver(pts, 1)
+			var lattice []NodeID
+			if d.spacing > 0 {
+				lattice = latticeNodes(r, d.spacing)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			n := r.g.N()
+			for k := 0; k < pairs; k++ {
+				s, u := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+				if k%4 == 0 && len(lattice) > 0 {
+					s, u = lattice[rng.Intn(len(lattice))], lattice[rng.Intn(len(lattice))]
+				}
+				if err := compareWithReference(r, s, u); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestChewConcurrentMatchesReference runs the walk from several goroutines
+// over one router: each call takes its own pooled scratch, and no result may
+// alias a buffer another call reuses.
+func TestChewConcurrentMatchesReference(t *testing.T) {
+	r := fuzzChewGrid()
+	n := r.g.N()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for k := 0; k < 300; k++ {
+				if err := compareWithReference(r, NodeID(rng.Intn(n)), NodeID(rng.Intn(n))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+}
+
+// TestCorridorReferenceHandCases covers the configurations random pairs
+// reach only by luck: a segment along a grid line (empty corridor, so the
+// walk falls back), a segment through a run of vertices, a corridor whose
+// first face is a hole, and adjacent endpoints.
+func TestCorridorReferenceHandCases(t *testing.T) {
+	sc, err := workload.BorderedGrid(0.5, 10, 10, 1, [][]geom.Point{workload.Rect(4, 4, 2, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := routerOver(sc.Points, sc.Radius)
+	at := func(t *testing.T, r *Router, x, y float64) NodeID {
+		t.Helper()
+		v := nearestNode(r, geom.Pt(x, y))
+		if r.g.Point(v) != geom.Pt(x, y) {
+			t.Fatalf("no node at (%v, %v)", x, y)
+		}
+		return v
+	}
+	check := func(t *testing.T, r *Router, s, u NodeID) Result {
+		t.Helper()
+		if err := compareWithReference(r, s, u); err != nil {
+			t.Fatal(err)
+		}
+		return r.Chew(s, u)
+	}
+
+	t.Run("grid-line", func(t *testing.T) {
+		s, u := at(t, r, 0, 0), at(t, r, 0, 4)
+		sc := r.getScratch()
+		defer r.putScratch(sc)
+		if c := r.corridor(geom.Seg(r.g.Point(s), r.g.Point(u)), sc); len(c) != 0 {
+			t.Fatalf("segment along the border crosses faces %v", c)
+		}
+		if res := check(t, r, s, u); !res.Reached || !res.Fallback {
+			t.Fatalf("border segment: %+v, want a delivered fallback", res)
+		}
+	})
+
+	t.Run("through-vertices", func(t *testing.T) {
+		r := routerOver(exactLinesGrid(12, 0.5, nil), 1)
+		s, u := at(t, r, 0, 0), at(t, r, 6, 6)
+		if res := check(t, r, s, u); !res.Reached {
+			t.Fatalf("diagonal: %+v", res)
+		}
+		L := geom.Seg(r.g.Point(s), r.g.Point(u))
+		sc := r.getScratch()
+		defer r.putScratch(sc)
+		prefix, holeFace := r.refSplit(slices.Clone(r.corridor(L, sc)))
+		left, right := r.corridorChains(L, s, u, prefix, holeFace, sc)
+		onL := 0
+		for _, v := range left[1 : len(left)-1] {
+			if geom.Orient(L.A, L.B, r.g.Point(v)) == geom.Collinear {
+				onL++
+				if !slices.Contains(right, v) {
+					t.Fatalf("vertex %d on the segment is missing from the right chain", v)
+				}
+			}
+		}
+		if onL < 5 {
+			t.Fatalf("only %d chain vertices on the diagonal", onL)
+		}
+	})
+
+	t.Run("hole-first", func(t *testing.T) {
+		// s on the hole's west side, t due east across it: the first face the
+		// segment enters is the hole.
+		found := false
+		for y := 4.0; y <= 6 && !found; y += 0.5 {
+			s, u := nearestNode(r, geom.Pt(3.5, y)), nearestNode(r, geom.Pt(7, y))
+			sc := r.getScratch()
+			c := r.corridor(geom.Seg(r.g.Point(s), r.g.Point(u)), sc)
+			found = len(c) > 0 && !r.IsTriangleFace(c[0])
+			r.putScratch(sc)
+			if !found {
+				continue
+			}
+			if res := check(t, r, s, u); !res.HoleHit || res.HitNode != s {
+				t.Fatalf("hole-first corridor %d→%d: %+v, want a hole hit at s", s, u, res)
+			}
+		}
+		if !found {
+			t.Fatal("no pair whose corridor starts with the hole")
+		}
+	})
+
+	t.Run("adjacent", func(t *testing.T) {
+		s := at(t, r, 0, 0)
+		u := r.g.Neighbors(s)[0]
+		if res := check(t, r, s, u); !res.Reached || len(res.Path) != 2 {
+			t.Fatalf("adjacent pair: %+v", res)
+		}
+	})
+}
+
+// fuzzChewGrid is FuzzChew's deployment: a 16×16-cell exact-lines grid at
+// spacing 0.5 with one hole below both diagonals.
+var fuzzChewGrid = sync.OnceValue(func() *Router {
+	return routerOver(exactLinesGrid(16, 0.5, workload.Rect(3, 0.8, 2.2, 1.6)), 1)
+})
+
+// FuzzChew holds the corridor walk to the reference walk on fuzzed pairs of
+// a bordered grid with one hole whose diagonals are exact.
+func FuzzChew(f *testing.F) {
+	r := fuzzChewGrid()
+	n := r.g.N()
+	node := func(x, y float64) uint16 { return uint16(nearestNode(r, geom.Pt(x, y))) }
+	f.Add(node(0, 0), node(8, 8))     // along the main diagonal
+	f.Add(node(0, 8), node(8, 0))     // along the anti-diagonal
+	f.Add(node(0, 0), node(0, 6))     // along the border
+	f.Add(node(2, 1.2), node(7, 1.4)) // across the hole
+	f.Add(node(4, 4), node(4.5, 4.5)) // adjacent
+	f.Add(node(3, 5), node(3, 5))     // s = t
+	f.Fuzz(func(t *testing.T, a, b uint16) {
+		s, u := NodeID(int(a)%n), NodeID(int(b)%n)
+		if err := compareWithReference(r, s, u); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

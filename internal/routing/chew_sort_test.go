@@ -6,25 +6,33 @@ import (
 	"testing"
 )
 
-// TestSortByParamStable pins the determinism contract of the corridor-chain
-// sort: equal keys keep their input order (the insertion sort it replaced was
-// stable, and chain construction depends on it).
-func TestSortByParamStable(t *testing.T) {
+// TestInsertByKeyStable pins the per-face vertex order of the corridor
+// chains: inserting vertices one by one through insertByKey yields exactly
+// the permutation sort.SliceStable gives on the same keys, many of them equal
+// (chain construction depends on equal keys keeping their input order).
+func TestInsertByKeyStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	vs := make([]NodeID, 200)
-	keys := map[NodeID]float64{}
-	for i := range vs {
-		vs[i] = NodeID(i)
-		keys[vs[i]] = float64(rng.Intn(10)) // many equal keys
-	}
-	sorted := append([]NodeID(nil), vs...)
-	sortByParam(sorted, func(v NodeID) float64 { return keys[v] })
-	if !sort.SliceIsSorted(sorted, func(i, j int) bool { return keys[sorted[i]] < keys[sorted[j]] }) {
-		t.Fatal("sortByParam must sort by key")
-	}
-	for i := 1; i < len(sorted); i++ {
-		if keys[sorted[i-1]] == keys[sorted[i]] && sorted[i-1] > sorted[i] {
-			t.Fatalf("equal keys reordered: %d before %d", sorted[i-1], sorted[i])
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(200)
+		vs := make([]NodeID, n)
+		keys := map[NodeID]float64{}
+		for i, v := range rng.Perm(n) {
+			vs[i] = NodeID(v)
+			keys[vs[i]] = float64(rng.Intn(10)) // many equal keys
+		}
+		want := append([]NodeID(nil), vs...)
+		sort.SliceStable(want, func(i, j int) bool { return keys[want[i]] < keys[want[j]] })
+
+		var got []NodeID
+		var gotKeys []float64
+		for _, v := range vs {
+			got, gotKeys = insertByKey(got, gotKeys, v, keys[v])
+		}
+		for i := range want {
+			if got[i] != want[i] || gotKeys[i] != keys[want[i]] {
+				t.Fatalf("trial %d: position %d holds %d (key %v), sort.SliceStable gives %d",
+					trial, i, got[i], gotKeys[i], want[i])
+			}
 		}
 	}
 }

@@ -155,14 +155,24 @@ func clampInt(x, lo, hi int) int {
 	return x
 }
 
-// corridorScratch is the per-call working memory of the corridor walk,
-// pooled on the Router because engine workers run corridors concurrently.
+// corridorScratch is the working memory of one Chew call, pooled on the
+// Router because engine workers run corridors concurrently. The n-sized
+// nodeSeen and every buffer live here rather than on the Router, so a built
+// Router carries no per-query state.
 type corridorScratch struct {
 	cellSeen *mem.Marks
 	faceSeen *mem.Marks
+	nodeSeen *mem.Marks // chain membership, then the blocking face's vertices
 	cand     []int32
 	poly     []geom.Point
+	sides    []geom.Orientation
 	params   []float64
+	entries  []corridorEntry
+	faces    []int
+	verts    []NodeID
+	keys     []float64
+	left     []NodeID
+	right    []NodeID
 }
 
 func (r *Router) getScratch() *corridorScratch {
@@ -172,11 +182,12 @@ func (r *Router) getScratch() *corridorScratch {
 
 func (r *Router) putScratch(sc *corridorScratch) { r.scratch.Put(sc) }
 
-func newScratchPool(nCells, nFaces int) *sync.Pool {
+func newScratchPool(nCells, nFaces, nNodes int) *sync.Pool {
 	return &sync.Pool{New: func() interface{} {
 		return &corridorScratch{
 			cellSeen: mem.NewMarks(nCells),
 			faceSeen: mem.NewMarks(nFaces),
+			nodeSeen: mem.NewMarks(nNodes),
 		}
 	}}
 }

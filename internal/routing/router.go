@@ -18,7 +18,6 @@ package routing
 
 import (
 	"math"
-	"sort"
 	"sync"
 
 	"hybridroute/internal/delaunay"
@@ -127,7 +126,7 @@ func New(g *delaunay.PlanarGraph) *Router {
 	if r.grid != nil {
 		nCells = r.grid.nx * r.grid.ny
 	}
-	r.scratch = newScratchPool(nCells, len(r.faces))
+	r.scratch = newScratchPool(nCells, len(r.faces), g.N())
 	return r
 }
 
@@ -227,20 +226,4 @@ func angleBetween(a, b geom.Point) float64 {
 		d -= 2 * math.Pi
 	}
 	return d
-}
-
-// sortFacesByEntry orders face indices by the parameter at which the segment
-// first meets each face.
-func sortFacesByEntry(entries map[int]float64) []int {
-	idx := make([]int, 0, len(entries))
-	for f := range entries {
-		idx = append(idx, f)
-	}
-	sort.Slice(idx, func(i, j int) bool {
-		if entries[idx[i]] != entries[idx[j]] {
-			return entries[idx[i]] < entries[idx[j]]
-		}
-		return idx[i] < idx[j]
-	})
-	return idx
 }

@@ -135,7 +135,7 @@ func (o *obstacleSet) shortestPath(base [][]int, s, t geom.Point) ([]geom.Point,
 			return o.corners[i]
 		}
 	}
-	return dijkstraPoints(adj, pos, n, n+1)
+	return DijkstraPoints(adj, pos, n, n+1)
 }
 
 // Domain is a set of disjoint polygonal obstacles with the full visibility
@@ -184,9 +184,12 @@ func (d *Domain) ShortestPath(s, t geom.Point) ([]geom.Point, float64, bool) {
 	return d.shortestPath(d.cornerAdj, s, t)
 }
 
-// dijkstraPoints runs Euclidean Dijkstra over an index graph with a position
-// function, from src to dst.
-func dijkstraPoints(adj [][]int, pos func(int) geom.Point, src, dst int) ([]geom.Point, float64, bool) {
+// DijkstraPoints runs Euclidean Dijkstra over an index graph with a position
+// function, from src to dst, and returns the path's points, including both
+// ends, and its length; ok is false when dst is unreachable. Besides the
+// overlay searches here, abstraction's bounding-box backend runs it over
+// corner graphs whose endpoint links vis does not build.
+func DijkstraPoints(adj [][]int, pos func(int) geom.Point, src, dst int) ([]geom.Point, float64, bool) {
 	n := len(adj)
 	dist := make([]float64, n)
 	prev := make([]int, n)
