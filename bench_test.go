@@ -389,32 +389,45 @@ func BenchmarkEngineBatchTraced(b *testing.B) {
 }
 
 // BenchmarkChewCorridor prices Chew's corridor walk alone: one op is one
-// Router.Chew over the next of 512 fixed random pairs on a 41×41-point
-// bordered grid (spacing 0.55) with the scale series' two central obstacles,
-// so the mix holds delivered walks, hole hits and border fallbacks.
+// Router.Chew over the next of 512 fixed random pairs on a bordered grid
+// (spacing 0.55) with the scale series' two central obstacles, so the mix
+// holds delivered walks, hole hits and border fallbacks. The 41×41-point leg
+// fits in cache; the 316×316-point leg is the field-cold deployment, whose
+// face table and face grid do not, so it also prices the walk's memory
+// layout.
 func BenchmarkChewCorridor(b *testing.B) {
-	const side = 22.0
-	c := side / 2
-	obstacles := [][]geom.Point{
-		workload.StarPolygon(geom.Pt(c, c+0.2), 1.6, 0.7, 5, 0.3),
-		workload.RegularPolygon(geom.Pt(c+4.4, c+3.6), 1.3, 6, 0.2),
-	}
-	sc, err := workload.BorderedGrid(0.55, side, side, 1, obstacles)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := routing.New(delaunay.LDel2Fast(sc.Build()))
-	rng := rand.New(rand.NewSource(7))
-	n := r.Graph().N()
-	pairs := make([][2]routing.NodeID, 512)
-	for i := range pairs {
-		pairs[i] = [2]routing.NodeID{routing.NodeID(rng.Intn(n)), routing.NodeID(rng.Intn(n))}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		chewSink = r.Chew(p[0], p[1])
+	for _, leg := range []struct {
+		name string
+		side float64
+	}{{"grid=41x41", 22}, {"grid=316x316", 173.25}} {
+		var r *routing.Router
+		var pairs [][2]routing.NodeID
+		b.Run(leg.name, func(b *testing.B) {
+			if r == nil { // built once, not on every calibration round
+				c := leg.side / 2
+				obstacles := [][]geom.Point{
+					workload.StarPolygon(geom.Pt(c, c+0.2), 1.6, 0.7, 5, 0.3),
+					workload.RegularPolygon(geom.Pt(c+4.4, c+3.6), 1.3, 6, 0.2),
+				}
+				sc, err := workload.BorderedGrid(0.55, leg.side, leg.side, 1, obstacles)
+				if err != nil {
+					b.Fatal(err)
+				}
+				r = routing.New(delaunay.LDel2Fast(sc.Build()))
+				rng := rand.New(rand.NewSource(7))
+				n := r.Graph().N()
+				pairs = make([][2]routing.NodeID, 512)
+				for i := range pairs {
+					pairs[i] = [2]routing.NodeID{routing.NodeID(rng.Intn(n)), routing.NodeID(rng.Intn(n))}
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := pairs[i%len(pairs)]
+				chewSink = r.Chew(p[0], p[1])
+			}
+		})
 	}
 }
 

@@ -1,28 +1,21 @@
 package delaunay
 
 import (
-	"hybridroute/internal/geom"
+	"hybridroute/internal/mem"
 	"hybridroute/internal/udg"
 )
 
-// Face is a face of the planar embedding, given by its directed boundary
-// cycle. Bounded faces are traced counterclockwise (positive area); the
-// single unbounded outer face is traced clockwise (negative area).
-type Face struct {
-	Cycle []udg.NodeID // boundary walk; may repeat nodes at cut vertices
-}
-
-// DistinctNodes returns the number of distinct nodes on the face boundary.
-func (f Face) DistinctNodes() int {
-	c := f.Cycle
+// DistinctNodes returns the number of distinct nodes on a face boundary
+// cycle.
+func DistinctNodes(cycle []int32) int {
 	// Faces are overwhelmingly triangles and quads; a quadratic scan beats a
 	// map allocation until cycles get long (hole rings).
-	if len(c) <= 12 {
+	if len(cycle) <= 12 {
 		n := 0
-		for i, v := range c {
+		for i, v := range cycle {
 			dup := false
 			for j := 0; j < i; j++ {
-				if c[j] == v {
+				if cycle[j] == v {
 					dup = true
 					break
 				}
@@ -33,85 +26,67 @@ func (f Face) DistinctNodes() int {
 		}
 		return n
 	}
-	set := make(map[udg.NodeID]bool, len(c))
-	for _, v := range c {
+	set := make(map[int32]bool, len(cycle))
+	for _, v := range cycle {
 		set[v] = true
 	}
 	return len(set)
 }
 
-// area returns the signed area of the face's boundary walk. The shoelace sum
-// replicates geom.PolygonArea's operation order exactly (same additions in
-// the same sequence) so the result is bit-identical without materializing the
-// polygon.
-func (f Face) area(g *PlanarGraph) float64 {
-	n := len(f.Cycle)
+// cycleArea returns the signed area of a face's boundary walk. The shoelace
+// sum replicates geom.PolygonArea's operation order exactly (same additions
+// in the same sequence) so the result is bit-identical without materializing
+// the polygon.
+func (g *PlanarGraph) cycleArea(cycle []int32) float64 {
+	n := len(cycle)
 	sum := 0.0
 	for i := 0; i < n; i++ {
 		j := (i + 1) % n
-		sum += g.pts[f.Cycle[i]].Cross(g.pts[f.Cycle[j]])
+		sum += g.pts[cycle[i]].Cross(g.pts[cycle[j]])
 	}
 	return sum / 2
 }
 
-// Polygon returns the face boundary as points.
-func (f Face) Polygon(g *PlanarGraph) []geom.Point {
-	poly := make([]geom.Point, len(f.Cycle))
-	for i, v := range f.Cycle {
-		poly[i] = g.Point(v)
+// nodeIDs returns a private copy of a face boundary cycle as node IDs, so
+// whatever keeps it does not pin the whole face table.
+func nodeIDs(cycle []int32) []udg.NodeID {
+	out := make([]udg.NodeID, len(cycle))
+	for i, v := range cycle {
+		out[i] = udg.NodeID(v)
 	}
-	return poly
-}
-
-// AppendPolygon appends the face boundary points to dst and returns it,
-// letting hot paths reuse a scratch buffer instead of allocating per face.
-func (f Face) AppendPolygon(g *PlanarGraph, dst []geom.Point) []geom.Point {
-	for _, v := range f.Cycle {
-		dst = append(dst, g.Point(v))
-	}
-	return dst
-}
-
-// HasEdge reports whether the undirected edge (a, b) appears on the face
-// boundary.
-func (f Face) HasEdge(a, b udg.NodeID) bool {
-	n := len(f.Cycle)
-	for i := 0; i < n; i++ {
-		u, v := f.Cycle[i], f.Cycle[(i+1)%n]
-		if (u == a && v == b) || (u == b && v == a) {
-			return true
-		}
-	}
-	return false
+	return out
 }
 
 // Faces enumerates all faces of the planar embedding using the rotation
 // system: from the directed edge (u, v), the next boundary edge is (v, w)
 // where w precedes u in the counterclockwise rotation of v. With this rule
-// every bounded face is traced counterclockwise (interior to the left) and
-// the outer face clockwise. Every directed edge lies on exactly one face.
+// every bounded face is traced counterclockwise (interior to the left, so
+// positive area) and the outer face clockwise. Every directed edge lies on
+// exactly one face.
 //
-// Directed edges are identified by their dense position in the CSR layout of
-// the rotations, so the visited set is a flat []bool rather than a hash map,
-// and finding the predecessor of u in v's rotation also yields the next
-// directed-edge index for free. Enumeration order (node ascending, rotation
-// order within each node) matches the historical map-based implementation
-// exactly.
-func (g *PlanarGraph) Faces() []Face {
+// The result is one flat table: row i is face i's boundary walk as node IDs,
+// which may repeat nodes at cut vertices. The walks partition the directed
+// edges, so the table is two allocations of known size rather than one
+// growing slice per face. Directed edges are identified by their dense
+// position in the CSR layout of the rotations, so the visited set is a flat
+// []bool, and finding the predecessor of u in v's rotation also yields the
+// next directed-edge index for free. Enumeration order (node ascending,
+// rotation order within each node) matches the historical map-based
+// implementation exactly.
+func (g *PlanarGraph) Faces() mem.CSR[int32] {
 	off, dat := g.flatRows()
 	visited := make([]bool, len(dat))
-	var faces []Face
+	faces := mem.CSR[int32]{Off: []int32{0}, Dat: make([]int32, 0, len(dat))}
 
 	for u := 0; u < g.N(); u++ {
 		for k := int(off[u]); k < int(off[u+1]); k++ {
 			if visited[k] {
 				continue
 			}
-			var cycle []udg.NodeID
 			cu, ck := udg.NodeID(u), k
 			for !visited[ck] {
 				visited[ck] = true
-				cycle = append(cycle, cu)
+				faces.Dat = append(faces.Dat, int32(cu))
 				cv := dat[ck]
 				row := dat[off[cv]:off[cv+1]]
 				pi := -1
@@ -127,7 +102,7 @@ func (g *PlanarGraph) Faces() []Face {
 				ni := (pi - 1 + len(row)) % len(row)
 				cu, ck = cv, int(off[cv])+ni
 			}
-			faces = append(faces, Face{Cycle: cycle})
+			faces.Off = append(faces.Off, int32(len(faces.Dat)))
 		}
 	}
 	return faces
@@ -135,10 +110,10 @@ func (g *PlanarGraph) Faces() []Face {
 
 // OuterFaceIndex returns the index of the unbounded face in faces: the one
 // with the most negative signed area. Returns -1 for an empty graph.
-func (g *PlanarGraph) OuterFaceIndex(faces []Face) int {
+func (g *PlanarGraph) OuterFaceIndex(faces *mem.CSR[int32]) int {
 	best, idx := 0.0, -1
-	for i, f := range faces {
-		if a := f.area(g); a < best {
+	for i := 0; i < faces.Rows(); i++ {
+		if a := g.cycleArea(faces.Row(i)); a < best {
 			best, idx = a, i
 		}
 	}

@@ -139,10 +139,12 @@ func hullEdges(h []geom.Point) []geom.Segment {
 // DetectHoles lives in patch.go alongside DetectHolesLive (the two share one
 // implementation differing only in dead-node exclusion and hole reuse).
 
-func (hs *HoleSet) addHole(g *PlanarGraph, cycle []udg.NodeID, outer bool) {
+// addHole appends the hole bounded by ring, which it keeps: callers pass a
+// private copy.
+func (hs *HoleSet) addHole(g *PlanarGraph, ring []udg.NodeID, outer bool) {
 	h := &Hole{
 		ID:    len(hs.Holes),
-		Ring:  append([]udg.NodeID(nil), cycle...),
+		Ring:  ring,
 		Outer: outer,
 	}
 	h.Polygon = make([]geom.Point, len(h.Ring))

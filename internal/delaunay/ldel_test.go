@@ -164,7 +164,7 @@ func TestFacesEulerFormula(t *testing.T) {
 		t.Skip("LDel disconnected")
 	}
 	faces := ld.Faces()
-	v, e, f := ld.N(), ld.EdgeCount(), len(faces)
+	v, e, f := ld.N(), ld.EdgeCount(), faces.Rows()
 	if v-e+f != 2 {
 		t.Fatalf("Euler: V=%d E=%d F=%d gives %d, want 2", v, e, f, v-e+f)
 	}
@@ -174,8 +174,9 @@ func TestFacesPartitionDirectedEdges(t *testing.T) {
 	g := gridWithHole(0.6, 4, 4, 0)
 	ld := LDelK(g, 2)
 	total := 0
-	for _, f := range ld.Faces() {
-		total += len(f.Cycle)
+	faces := ld.Faces()
+	for i := 0; i < faces.Rows(); i++ {
+		total += len(faces.Row(i))
 	}
 	if total != 2*ld.EdgeCount() {
 		t.Fatalf("faces cover %d directed edges, want %d", total, 2*ld.EdgeCount())

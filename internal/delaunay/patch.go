@@ -95,33 +95,35 @@ func detectHoles(ldel *PlanarGraph, r float64, excluded map[udg.NodeID]bool, pre
 		}
 	}
 	reused := 0
-	add := func(cycle []udg.NodeID, outer bool) {
-		if old, ok := prevByRing[ringKey(cycle, outer)]; ok {
+	add := func(cycle []int32, outer bool) {
+		ring := nodeIDs(cycle)
+		if old, ok := prevByRing[ringKey(ring, outer)]; ok {
 			h := *old // geometry slices are immutable once built: share them
 			h.ID = len(hs.Holes)
 			hs.Holes = append(hs.Holes, &h)
 			reused++
 			return
 		}
-		hs.addHole(ldel, cycle, outer)
+		hs.addHole(ldel, ring, outer)
 	}
 
 	faces := ldel.Faces()
-	outer := ldel.OuterFaceIndex(faces)
-	for i, f := range faces {
+	outer := ldel.OuterFaceIndex(&faces)
+	for i := 0; i < faces.Rows(); i++ {
+		cycle := faces.Row(i)
 		if i == outer {
-			hs.OuterBoundary = append([]udg.NodeID(nil), f.Cycle...)
+			hs.OuterBoundary = nodeIDs(cycle)
 			continue
 		}
-		if excluded != nil && f.area(ldel) < 0 {
+		if excluded != nil && ldel.cycleArea(cycle) < 0 {
 			// Removing a cut node can disconnect the embedding, giving each
 			// component its own clockwise unbounded face; only one is the
 			// global outer face, so skip the rest rather than report them as
 			// (spurious) inner holes.
 			continue
 		}
-		if f.DistinctNodes() >= 4 {
-			add(f.Cycle, false)
+		if DistinctNodes(cycle) >= 4 {
+			add(cycle, false)
 		}
 	}
 
@@ -172,23 +174,24 @@ func detectHoles(ldel *PlanarGraph, r float64, excluded map[udg.NodeID]bool, pre
 		}
 		if len(longHull) > 0 {
 			bfaces := gbar.Faces()
-			bouter := gbar.OuterFaceIndex(bfaces)
-			for i, f := range bfaces {
-				if i == bouter || f.DistinctNodes() < 3 {
+			bouter := gbar.OuterFaceIndex(&bfaces)
+			for i := 0; i < bfaces.Rows(); i++ {
+				cycle := bfaces.Row(i)
+				if i == bouter || DistinctNodes(cycle) < 3 {
 					continue
 				}
-				if excluded != nil && f.area(gbar) < 0 {
+				if excluded != nil && gbar.cycleArea(cycle) < 0 {
 					continue
 				}
 				has := false
-				n := len(f.Cycle)
+				n := len(cycle)
 				for j := 0; j < n && !has; j++ {
-					if longHull[hedge{f.Cycle[j], f.Cycle[(j+1)%n]}] {
+					if longHull[hedge{udg.NodeID(cycle[j]), udg.NodeID(cycle[(j+1)%n])}] {
 						has = true
 					}
 				}
 				if has {
-					add(f.Cycle, true)
+					add(cycle, true)
 				}
 			}
 		}

@@ -32,8 +32,8 @@ func TestRemoveNodeEdges(t *testing.T) {
 	}
 	faces := live.Faces()
 	half := 0
-	for _, f := range faces {
-		half += len(f.Cycle)
+	for i := 0; i < faces.Rows(); i++ {
+		half += len(faces.Row(i))
 	}
 	if half != 2*live.EdgeCount() {
 		t.Errorf("face walk covers %d half-edges, want %d", half, 2*live.EdgeCount())

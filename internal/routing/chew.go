@@ -105,20 +105,21 @@ func (r *Router) corridor(L geom.Segment, sc *corridorScratch) []int {
 	}
 	sc.cand = sc.cand[:0]
 	if r.grid != nil {
-		sc.cand = r.grid.candidates(L, sc, sc.cand)
+		sc.cand = r.grid.candidates(L, sc.faceSeen, sc.cand)
 	}
 	entries := sc.entries[:0]
 	for _, fi32 := range sc.cand {
 		fi := int(fi32)
-		poly := r.faces[fi].AppendPolygon(r.gbar, sc.poly[:0])
-		// One side test per vertex, reused by both edge tests below. A face
-		// whose vertices all lie strictly on one side of L has no edge
-		// crossing L and no vertex on it, so it would collect no parameter.
-		sides := sc.sides[:0]
+		// The face's points, read straight from its row of the table, and one
+		// side test per vertex, reused by both edge tests below. A face whose
+		// vertices all lie strictly on one side of L has no edge crossing L
+		// and no vertex on it, so it would collect no parameter.
+		poly, sides := sc.poly[:0], sc.sides[:0]
 		oneSide := true
-		for _, p := range poly {
+		for _, v := range r.faces.Row(fi) {
+			p := r.g.Point(NodeID(v))
 			o := geom.Orient(L.A, L.B, p)
-			sides = append(sides, o)
+			poly, sides = append(poly, p), append(sides, o)
 			oneSide = oneSide && o != geom.Collinear && o == sides[0]
 		}
 		sc.poly, sc.sides = poly, sides
@@ -194,7 +195,8 @@ func (r *Router) corridorChains(L geom.Segment, s, t NodeID, prefix []int, holeF
 		// chains grow front to back: a stable insertion sort on keys computed
 		// once per vertex.
 		verts, keys := sc.verts[:0], sc.keys[:0]
-		for _, v := range r.faces[fi].Cycle {
+		for _, v32 := range r.faces.Row(fi) {
+			v := NodeID(v32)
 			verts, keys = insertByKey(verts, keys, v, r.g.Point(v).Sub(L.A).Dot(dir)/len2)
 		}
 		sc.verts, sc.keys = verts, keys
@@ -242,7 +244,7 @@ func insertByKey(verts []NodeID, keys []float64, v NodeID, key float64) ([]NodeI
 func (r *Router) holeHitResult(s NodeID, left, right []NodeID, holeFace int, sc *corridorScratch) Result {
 	onFace := sc.nodeSeen
 	onFace.Reset()
-	for _, v := range r.faces[holeFace].Cycle {
+	for _, v := range r.faces.Row(holeFace) {
 		onFace.Set(int(v))
 	}
 	trim := func(chain []NodeID) []NodeID {
@@ -265,7 +267,8 @@ func (r *Router) holeHitResult(s NodeID, left, right []NodeID, holeFace int, sc 
 	// nearest face vertex.
 	best := Result{}
 	bestLen := -1.0
-	for _, v := range r.faces[holeFace].Cycle {
+	for _, v32 := range r.faces.Row(holeFace) {
+		v := NodeID(v32)
 		if path, l, ok := r.g.ShortestPath(s, v); ok && (bestLen < 0 || l < bestLen) {
 			best = Result{Path: path, HoleHit: true, HitNode: v, HoleFace: holeFace, Fallback: true}
 			bestLen = l

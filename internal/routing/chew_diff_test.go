@@ -107,13 +107,18 @@ func compareWithReference(r *Router, s, t NodeID) error {
 	return nil
 }
 
-// TestCorridorMatchesReference holds the corridor walk to the reference walk
-// on random pairs over every deployment family: random points with and
-// without obstacles, city blocks, a maze, a jittered grid, and grids whose
-// exact lines put vertices on the segment and edges along it. On the grids
-// every fourth pair joins two lattice nodes. At spacing 0.5 two grid steps
-// equal the radio range.
-func TestCorridorMatchesReference(t *testing.T) {
+// deployment is one network of the differential tests.
+type deployment struct {
+	name    string
+	points  func() ([]geom.Point, error)
+	spacing float64 // lattice of the exact nodes; 0 for none
+}
+
+// referenceDeployments covers every deployment family: random points with
+// and without obstacles, city blocks, a maze, a jittered grid, and grids
+// whose exact lines put vertices on the segment and edges along it. At
+// spacing 0.5 two grid steps equal the radio range.
+func referenceDeployments() []deployment {
 	hole := workload.RegularPolygon(geom.Pt(5, 5), 1.6, 6, 0.3)
 	scenario := func(sc *workload.Scenario, err error) func() ([]geom.Point, error) {
 		return func() ([]geom.Point, error) {
@@ -123,11 +128,7 @@ func TestCorridorMatchesReference(t *testing.T) {
 			return sc.Points, nil
 		}
 	}
-	deployments := []struct {
-		name    string
-		points  func() ([]geom.Point, error)
-		spacing float64 // lattice of the exact nodes; 0 for none
-	}{
+	return []deployment{
 		{"uniform", scenario(workload.Uniform(3, 350, 8.5, 8.5, 1)), 0},
 		{"obstacles", scenario(workload.WithObstacles(4, 520, 11, 11, 1, workload.RandomConvexObstacles(4, 4, 11, 11, 0.8, 1.6, 2))), 0},
 		{"city", scenario(workload.CityGrid(7, 2, 2, 3.2, 3.2, 2.4, 1, 5.5)), 0},
@@ -137,11 +138,17 @@ func TestCorridorMatchesReference(t *testing.T) {
 		{"bordered-0.55", scenario(workload.BorderedGrid(0.55, 10, 10, 1, [][]geom.Point{hole})), 0.55},
 		{"exact-lines", func() ([]geom.Point, error) { return exactLinesGrid(20, 0.5, hole), nil }, 0.5},
 	}
+}
+
+// TestCorridorMatchesReference holds the corridor walk to the reference walk
+// on random pairs over every deployment family. On the grids every fourth
+// pair joins two lattice nodes.
+func TestCorridorMatchesReference(t *testing.T) {
 	pairs := 3000
 	if testing.Short() {
 		pairs = 300
 	}
-	for i, d := range deployments {
+	for i, d := range referenceDeployments() {
 		d, seed := d, int64(i+1)
 		t.Run(d.name, func(t *testing.T) {
 			t.Parallel()

@@ -7,11 +7,12 @@ import (
 )
 
 // The reference corridor walk, the oracle the differential tests hold
-// chew.go's walk to. It computes the same answers the plain way: corridor
-// entries in a map sorted through a closure, chain vertices deduped by
+// chew.go's walk to. It computes the same answers the plain way: the
+// corridor from a scan of every non-outer face, with no face grid involved,
+// its entries in a map sorted through a closure, chain vertices deduped by
 // scanning the chain, each face's vertices ordered by sort.SliceStable with
 // keys recomputed per comparison, and the full segment predicates on every
-// candidate edge.
+// face edge.
 
 // refChew is Chew over the reference corridor walk.
 func (r *Router) refChew(s, t NodeID) Result {
@@ -60,8 +61,20 @@ func (r *Router) refSplit(corridor []int) (prefix []int, holeFace int) {
 	return corridor, -1
 }
 
+// refCycle returns a copy of face fi's boundary cycle.
+func (r *Router) refCycle(fi int) []NodeID {
+	var cycle []NodeID
+	for _, v := range r.faces.Row(fi) {
+		cycle = append(cycle, NodeID(v))
+	}
+	return cycle
+}
+
 // refCorridor returns the faces whose interior the segment passes through,
-// ordered by entry parameter, from a map of entries.
+// ordered by entry parameter, from a map of entries: the corridor's
+// definition, tested on every face but the outer one. A face whose bounding
+// box misses L's holds no point of L, so it is skipped before the
+// predicates.
 func (r *Router) refCorridor(L geom.Segment) []int {
 	entries := make(map[int]float64)
 	dir := L.B.Sub(L.A)
@@ -69,15 +82,22 @@ func (r *Router) refCorridor(L geom.Segment) []int {
 	paramOf := func(p geom.Point) float64 {
 		return p.Sub(L.A).Dot(dir) / len2
 	}
-	sc := r.getScratch()
-	defer r.putScratch(sc)
-	var cand []int32
-	if r.grid != nil {
-		cand = r.grid.candidates(L, sc, nil)
-	}
-	for _, fi32 := range cand {
-		fi := int(fi32)
-		poly := r.faces[fi].Polygon(r.gbar)
+	box := geom.BoundingBox([]geom.Point{L.A, L.B})
+	for fi := 0; fi < r.faces.Rows(); fi++ {
+		if fi == r.outer {
+			continue
+		}
+		fbox := geom.EmptyBox()
+		for _, v := range r.faces.Row(fi) {
+			fbox = fbox.Extend(r.g.Point(NodeID(v)))
+		}
+		if !box.Overlaps(fbox) {
+			continue
+		}
+		var poly []geom.Point
+		for _, v := range r.refCycle(fi) {
+			poly = append(poly, r.g.Point(v))
+		}
 		n := len(poly)
 		var params []float64
 		for j := 0; j < n; j++ {
@@ -137,7 +157,7 @@ func (r *Router) refCorridorChains(L geom.Segment, s, t NodeID, prefix []int, ho
 	left = []NodeID{s}
 	right = []NodeID{s}
 	for _, fi := range prefix {
-		verts := append([]NodeID(nil), r.faces[fi].Cycle...)
+		verts := r.refCycle(fi)
 		sortByParam(verts, func(v NodeID) float64 { return paramOf(r.g.Point(v)) })
 		for _, v := range verts {
 			if v == s || v == t {
@@ -181,7 +201,7 @@ func sortByParam(vs []NodeID, key func(NodeID) float64) {
 // face's vertices.
 func (r *Router) refHoleHitResult(s NodeID, left, right []NodeID, holeFace int) Result {
 	onFace := map[NodeID]bool{}
-	for _, v := range r.faces[holeFace].Cycle {
+	for _, v := range r.refCycle(holeFace) {
 		onFace[v] = true
 	}
 	trim := func(chain []NodeID) []NodeID {
@@ -205,7 +225,7 @@ func (r *Router) refHoleHitResult(s NodeID, left, right []NodeID, holeFace int) 
 		}
 		best := Result{}
 		bestLen := -1.0
-		for _, v := range r.faces[holeFace].Cycle {
+		for _, v := range r.refCycle(holeFace) {
 			if path, l, ok := r.g.ShortestPath(s, v); ok && (bestLen < 0 || l < bestLen) {
 				best = Result{Path: path, HoleHit: true, HitNode: v, HoleFace: holeFace, Fallback: true}
 				bestLen = l

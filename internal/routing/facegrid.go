@@ -1,13 +1,14 @@
 // Spatial index over the faces of the hull-augmented embedding. The corridor
 // walk used to test the query segment against every face — O(#faces) per
 // query, the dominant cost at n=10⁶ where the triangulation has ~2n faces.
-// The grid registers each face in every cell its bounding box overlaps;
-// querying walks the cells along the segment (sampled at half the cell pitch,
-// dilated 3×3, which provably covers every cell the segment touches) and
-// yields a conservative superset of the faces whose boundary meets the
-// segment. Candidates that never touch the segment contribute no entry
-// parameters, so the corridor that comes out is identical to the full scan's
-// — only cheaper.
+// The grid registers each face in every cell its bounding box overlaps.
+// Querying walks the supercover of the segment: column by column, the rows
+// the segment crosses within that column, so each cell the segment touches is
+// visited exactly once. Every cell boundary the walk computes is widened by a
+// slack far above its rounding error, so the walk yields a superset of the
+// faces whose boundary meets the segment. Candidates that never touch the
+// segment contribute no entry parameters, so the corridor that comes out is
+// identical to the full scan's — only cheaper.
 
 package routing
 
@@ -28,21 +29,26 @@ type faceGrid struct {
 	x0, y0 float64
 	cw, ch float64 // cell width/height
 	nx, ny int
-	cells  mem.CSR[int32] // face indices per cell, row = iy*nx + ix
+	// slack widens every boundary the walk computes: 10⁻⁹ of the grid's
+	// coordinate magnitude, far above the rounding of a cell boundary or of
+	// a point on the segment.
+	slack float64
+	cells mem.CSR[int32] // face indices per cell, row = iy*nx + ix
 }
 
-// newFaceGrid indexes every non-outer face of gbar.
-func newFaceGrid(gbar *delaunay.PlanarGraph, faces []delaunay.Face, outer int) *faceGrid {
+// newFaceGrid indexes every non-outer face of the table; cycles name nodes
+// of g.
+func newFaceGrid(g *delaunay.PlanarGraph, faces *mem.CSR[int32], outer int) *faceGrid {
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	nFaces := 0
-	for fi, f := range faces {
+	for fi := 0; fi < faces.Rows(); fi++ {
 		if fi == outer {
 			continue
 		}
 		nFaces++
-		for _, v := range f.Cycle {
-			p := gbar.Point(v)
+		for _, v := range faces.Row(fi) {
+			p := g.Point(NodeID(v))
 			minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
 			maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
 		}
@@ -57,87 +63,90 @@ func newFaceGrid(gbar *delaunay.PlanarGraph, faces []delaunay.Face, outer int) *
 	}
 	nx := clampInt(int(w/cell)+1, 1, faceGridMaxSide)
 	ny := clampInt(int(h/cell)+1, 1, faceGridMaxSide)
-	g := &faceGrid{x0: minX, y0: minY, nx: nx, ny: ny}
-	g.cw = w / float64(nx)
-	g.ch = h / float64(ny)
-	if !(g.cw > 0) {
-		g.cw = 1
+	gr := &faceGrid{x0: minX, y0: minY, nx: nx, ny: ny}
+	gr.cw = w / float64(nx)
+	gr.ch = h / float64(ny)
+	if !(gr.cw > 0) {
+		gr.cw = 1
 	}
-	if !(g.ch > 0) {
-		g.ch = 1
+	if !(gr.ch > 0) {
+		gr.ch = 1
 	}
+	gr.slack = 1e-9 * (1 + math.Abs(gr.x0) + math.Abs(gr.y0) + float64(nx)*gr.cw + float64(ny)*gr.ch)
 
 	b := mem.NewCSRBuilder[int32](nx * ny)
-	forBBoxCells := func(f delaunay.Face, emit func(cell int)) {
+	forBBoxCells := func(cycle []int32, emit func(cell int)) {
 		bx0, by0 := math.Inf(1), math.Inf(1)
 		bx1, by1 := math.Inf(-1), math.Inf(-1)
-		for _, v := range f.Cycle {
-			p := gbar.Point(v)
+		for _, v := range cycle {
+			p := g.Point(NodeID(v))
 			bx0, by0 = math.Min(bx0, p.X), math.Min(by0, p.Y)
 			bx1, by1 = math.Max(bx1, p.X), math.Max(by1, p.Y)
 		}
-		ix0, iy0 := g.cellOf(bx0, by0)
-		ix1, iy1 := g.cellOf(bx1, by1)
-		for iy := iy0; iy <= iy1; iy++ {
-			for ix := ix0; ix <= ix1; ix++ {
+		for iy := gr.row(by0); iy <= gr.row(by1); iy++ {
+			for ix := gr.col(bx0); ix <= gr.col(bx1); ix++ {
 				emit(iy*nx + ix)
 			}
 		}
 	}
-	for fi, f := range faces {
-		if fi == outer {
-			continue
+	for fi := 0; fi < faces.Rows(); fi++ {
+		if fi != outer {
+			forBBoxCells(faces.Row(fi), func(c int) { b.Count(c) })
 		}
-		forBBoxCells(f, func(c int) { b.Count(c) })
 	}
 	b.Seal()
-	for fi, f := range faces {
-		if fi == outer {
-			continue
+	for fi := 0; fi < faces.Rows(); fi++ {
+		if fi != outer {
+			fi32 := int32(fi)
+			forBBoxCells(faces.Row(fi), func(c int) { b.Put(c, fi32) })
 		}
-		fi32 := int32(fi)
-		forBBoxCells(f, func(c int) { b.Put(c, fi32) })
 	}
-	g.cells = b.Done()
-	return g
+	gr.cells = b.Done()
+	return gr
 }
 
-func (g *faceGrid) cellOf(x, y float64) (int, int) {
-	ix := clampInt(int((x-g.x0)/g.cw), 0, g.nx-1)
-	iy := clampInt(int((y-g.y0)/g.ch), 0, g.ny-1)
-	return ix, iy
-}
+// col and row map a coordinate to its cell column and row, clamped to the
+// grid; both are monotone, so a face registered from the cell of its bounding
+// box's minimum to that of its maximum sits in the cell of every point of
+// that box.
+func (g *faceGrid) col(x float64) int { return clampInt(int((x-g.x0)/g.cw), 0, g.nx-1) }
+func (g *faceGrid) row(y float64) int { return clampInt(int((y-g.y0)/g.ch), 0, g.ny-1) }
 
-// candidates appends to dst every face index whose cell neighbourhood the
-// segment passes through: samples along L at half the cell pitch, each
-// dilated to its 3×3 cell block, deduplicated through the scratch mark sets.
-// The result is a superset of all faces whose boundary intersects L.
-func (g *faceGrid) candidates(L geom.Segment, sc *corridorScratch, dst []int32) []int32 {
-	sc.cellSeen.Reset()
-	sc.faceSeen.Reset()
-	step := math.Min(g.cw, g.ch) / 2
-	length := L.A.Dist(L.B)
-	samples := int(length/step) + 1
-	for k := 0; k <= samples; k++ {
-		t := float64(k) / float64(samples)
-		p := geom.Lerp(L.A, L.B, t)
-		ix, iy := g.cellOf(p.X, p.Y)
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				cx, cy := ix+dx, iy+dy
-				if cx < 0 || cy < 0 || cx >= g.nx || cy >= g.ny {
-					continue
-				}
-				c := cy*g.nx + cx
-				if sc.cellSeen.Has(c) {
-					continue
-				}
-				sc.cellSeen.Set(c)
-				for _, fi := range g.cells.Row(c) {
-					if !sc.faceSeen.Has(int(fi)) {
-						sc.faceSeen.Set(int(fi))
-						dst = append(dst, fi)
-					}
+// candidates appends to dst, once each, every face registered in a cell that
+// the segment touches. It walks the columns from that of L's minimum x to
+// that of its maximum; in each it visits the rows spanned by L's y-range over
+// the column's x-interval, clipped to L. Both ranges are widened by the
+// slack, so rounding at a cell boundary cannot drop a cell, and since the
+// columns are disjoint no cell is visited twice. The result is a superset of
+// all faces whose boundary meets L.
+func (g *faceGrid) candidates(L geom.Segment, faceSeen *mem.Marks, dst []int32) []int32 {
+	faceSeen.Reset()
+	a, b := L.A, L.B
+	if a.X > b.X {
+		a, b = b, a
+	}
+	s := g.slack
+	dx, dy := b.X-a.X, b.Y-a.Y
+	for ix, last := g.col(a.X-s), g.col(b.X+s); ix <= last; ix++ {
+		lo, hi := a.X, b.X
+		if ix > 0 {
+			lo = math.Max(lo, g.x0+float64(ix)*g.cw-s)
+		}
+		if ix < g.nx-1 {
+			hi = math.Min(hi, g.x0+float64(ix+1)*g.cw+s)
+		}
+		y0, y1 := a.Y, b.Y // a vertical L spans its whole y-range
+		if dx > 0 {
+			y0, y1 = a.Y+clamp01((lo-a.X)/dx)*dy, a.Y+clamp01((hi-a.X)/dx)*dy
+		}
+		if y0 > y1 {
+			y0, y1 = y1, y0
+		}
+		for iy, top := g.row(y0-s), g.row(y1+s); iy <= top; iy++ {
+			for _, fi := range g.cells.Row(iy*g.nx + ix) {
+				if !faceSeen.Has(int(fi)) {
+					faceSeen.Set(int(fi))
+					dst = append(dst, fi)
 				}
 			}
 		}
@@ -160,7 +169,6 @@ func clampInt(x, lo, hi int) int {
 // nodeSeen and every buffer live here rather than on the Router, so a built
 // Router carries no per-query state.
 type corridorScratch struct {
-	cellSeen *mem.Marks
 	faceSeen *mem.Marks
 	nodeSeen *mem.Marks // chain membership, then the blocking face's vertices
 	cand     []int32
@@ -182,10 +190,9 @@ func (r *Router) getScratch() *corridorScratch {
 
 func (r *Router) putScratch(sc *corridorScratch) { r.scratch.Put(sc) }
 
-func newScratchPool(nCells, nFaces, nNodes int) *sync.Pool {
+func newScratchPool(nFaces, nNodes int) *sync.Pool {
 	return &sync.Pool{New: func() interface{} {
 		return &corridorScratch{
-			cellSeen: mem.NewMarks(nCells),
 			faceSeen: mem.NewMarks(nFaces),
 			nodeSeen: mem.NewMarks(nNodes),
 		}

@@ -22,6 +22,7 @@ import (
 
 	"hybridroute/internal/delaunay"
 	"hybridroute/internal/geom"
+	"hybridroute/internal/mem"
 	"hybridroute/internal/udg"
 )
 
@@ -75,9 +76,10 @@ func (r Result) Hops() int {
 // faces. Hull edges are classification artifacts only — path construction
 // and all forwarding decisions use the real communication graph.
 type Router struct {
-	g     *delaunay.PlanarGraph // real communication graph
-	gbar  *delaunay.PlanarGraph // g plus CH(V) edges, for face enumeration
-	faces []delaunay.Face
+	g *delaunay.PlanarGraph // real communication graph
+	// faces is the face table of g plus the CH(V) edges: row i is face i's
+	// boundary cycle, as nodes of g.
+	faces mem.CSR[int32]
 	outer int
 	// grid narrows corridor queries to faces near the segment; scratch pools
 	// the per-query working memory (corridors run concurrently under the
@@ -94,7 +96,7 @@ func New(g *delaunay.PlanarGraph) *Router {
 		g:       g,
 		maxHops: 4*g.N() + 16,
 	}
-	r.gbar = g.Clone()
+	gbar := g.Clone() // g plus the CH(V) edges, for face enumeration only
 	if g.N() >= 3 {
 		hull := geom.ConvexHull(g.Points())
 		// Index only the hull points: probing every node against a
@@ -115,26 +117,19 @@ func New(g *delaunay.PlanarGraph) *Router {
 			a, okA := idx[hull[i]]
 			b, okB := idx[hull[(i+1)%len(hull)]]
 			if okA && okB && a >= 0 && b >= 0 {
-				r.gbar.AddEdge(a, b)
+				gbar.AddEdge(a, b)
 			}
 		}
 	}
-	r.faces = r.gbar.Faces()
-	r.outer = r.gbar.OuterFaceIndex(r.faces)
-	r.grid = newFaceGrid(r.gbar, r.faces, r.outer)
-	nCells := 0
-	if r.grid != nil {
-		nCells = r.grid.nx * r.grid.ny
-	}
-	r.scratch = newScratchPool(nCells, len(r.faces), g.N())
+	r.faces = gbar.Faces()
+	r.outer = gbar.OuterFaceIndex(&r.faces)
+	r.grid = newFaceGrid(g, &r.faces, r.outer)
+	r.scratch = newScratchPool(r.faces.Rows(), g.N())
 	return r
 }
 
 // Graph returns the underlying planar graph.
 func (r *Router) Graph() *delaunay.PlanarGraph { return r.g }
-
-// Faces returns the face list; callers must not modify it.
-func (r *Router) Faces() []delaunay.Face { return r.faces }
 
 // OuterFace returns the index of the unbounded face.
 func (r *Router) OuterFace() int { return r.outer }
@@ -142,7 +137,7 @@ func (r *Router) OuterFace() int { return r.outer }
 // IsTriangleFace reports whether face i is a triangle (not a hole, not the
 // outer face).
 func (r *Router) IsTriangleFace(i int) bool {
-	return i != r.outer && r.faces[i].DistinctNodes() == 3
+	return i != r.outer && delaunay.DistinctNodes(r.faces.Row(i)) == 3
 }
 
 // Greedy routes by always forwarding to the neighbour strictly closest to
