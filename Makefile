@@ -1,8 +1,13 @@
-# Tier-1 verification (referenced from ROADMAP.md): vet + build + full test
-# suite + a race-detector pass over the packages with concurrent query paths.
-.PHONY: tier1 vet build test race bench bench-scale bench-serve ci loc
+# Tier-1 verification (referenced from ROADMAP.md): gofmt + vet + build +
+# full test suite + a race-detector pass over the packages with concurrent
+# query paths.
+.PHONY: tier1 fmt vet build test race bench bench-scale bench-serve ci loc
 
-tier1: vet build test race
+tier1: fmt vet build test race
+
+# Fails, listing them, when any tracked Go file is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go') </dev/null); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	go vet ./...
@@ -20,11 +25,12 @@ test:
 # batches, the hole abstraction backends are read concurrently by every
 # routing worker, the mem arenas/mark sets back the router's pooled
 # corridor scratch, the serve layer mixes live churn repair with
-# in-flight queries and concurrent scrapes, and the cluster gateway
-# races hedged attempts against breaker state while chaos kills
-# backends under it; keep all nine packages race-clean.
+# in-flight queries and concurrent scrapes, the cluster gateway races
+# hedged attempts against breaker state while chaos kills backends under
+# it, and every engine worker searches one shared vis.Overlay; keep all
+# ten packages race-clean.
 race:
-	go test -race ./internal/abstraction/... ./internal/cluster/... ./internal/core/... ./internal/delaunay/... ./internal/mem/... ./internal/routing/... ./internal/serve/... ./internal/sim/... ./internal/trace/...
+	go test -race ./internal/abstraction/... ./internal/cluster/... ./internal/core/... ./internal/delaunay/... ./internal/mem/... ./internal/routing/... ./internal/serve/... ./internal/sim/... ./internal/trace/... ./internal/vis/...
 
 # Benchmarks stream through cmd/benchjson, which passes the benchstat-friendly
 # text through unchanged and archives a JSON summary for CI artifacts. -merge

@@ -41,9 +41,9 @@ var scaleSizes = []struct {
 	side  float64
 	gated bool // needs HYBRIDROUTE_SCALE=1
 }{
-	{"n=1e4", 54.45, false},  // 100×100
-	{"n=1e5", 173.25, true},  // 316×316
-	{"n=1e6", 549.45, true},  // 1000×1000
+	{"n=1e4", 54.45, false}, // 100×100
+	{"n=1e5", 173.25, true}, // 316×316
+	{"n=1e6", 549.45, true}, // 1000×1000
 }
 
 var benchScaleState struct {

@@ -17,6 +17,7 @@ import (
 	"hybridroute/internal/routing"
 	"hybridroute/internal/sim"
 	"hybridroute/internal/trace"
+	"hybridroute/internal/udg"
 	"hybridroute/internal/workload"
 )
 
@@ -432,3 +433,65 @@ func BenchmarkChewCorridor(b *testing.B) {
 }
 
 var chewSink routing.Result
+
+// BenchmarkOverlayWaypoints prices the overlay search of Section 4.3 alone:
+// one op is one hull-backend Waypoints call over the next of 512 fixed
+// searches from the node where Chew's walk hit a hole to the query's
+// target. The deployment is the holes-cold benchmark's: a 151×151-point
+// bordered grid of spacing 0.55 with 24 disjoint convex holes. Searches
+// are taken where Network.Route takes them: both endpoints and the hit node
+// outside every hull group.
+func BenchmarkOverlayWaypoints(b *testing.B) {
+	nw, searches := benchOverlaySetup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := searches[i%len(searches)]
+		waypointSink, _, _ = nw.Abs.Waypoints(q[0], q[1])
+	}
+}
+
+var waypointSink []geom.Point
+
+// benchOverlayState is built once, not on every calibration round.
+var benchOverlayState struct {
+	once     sync.Once
+	nw       *core.Network
+	searches [][2]geom.Point
+	err      error
+}
+
+func benchOverlaySetup(b *testing.B) (*core.Network, [][2]geom.Point) {
+	b.Helper()
+	s := &benchOverlayState
+	s.once.Do(func() {
+		const side = 82.5
+		obstacles := workload.RandomConvexObstacles(2, 24, side, side, 0.8, 1.6, 2)
+		sc, err := workload.BorderedGrid(0.55, side, side, 1, obstacles)
+		if err != nil {
+			s.err = err
+			return
+		}
+		nw, err := core.PreprocessStatic(udg.Build(sc.Points, sc.Radius), core.Config{})
+		if err != nil {
+			s.err = err
+			return
+		}
+		outside := func(v sim.NodeID) bool { return nw.Abs.RegionAt(nw.G.Point(v)) < 0 }
+		rng := rand.New(rand.NewSource(7))
+		for len(s.searches) < 512 {
+			src, dst := sim.NodeID(rng.Intn(nw.G.N())), sim.NodeID(rng.Intn(nw.G.N()))
+			if !outside(src) || !outside(dst) {
+				continue
+			}
+			if res := nw.Router.Chew(src, dst); res.HoleHit && outside(res.HitNode) {
+				s.searches = append(s.searches, [2]geom.Point{nw.G.Point(res.HitNode), nw.G.Point(dst)})
+			}
+		}
+		s.nw = nw
+	})
+	if s.err != nil {
+		b.Fatal(s.err)
+	}
+	return s.nw, s.searches
+}

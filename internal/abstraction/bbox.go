@@ -143,36 +143,16 @@ func (a *BBox) Waypoints(s, t geom.Point) ([]geom.Point, float64, bool) {
 		// Same region: the overlay cannot improve on the direct leg.
 		return []geom.Point{s, t}, s.Dist(t), true
 	}
-	n := len(a.corners)
-	adj := make([][]int, n+2)
-	copy(adj, a.adj)
-	connect := func(endpoint int, p geom.Point, region int) {
-		for i := 0; i < n; i++ {
-			reachable := false
-			if region >= 0 {
-				reachable = a.cornerRegion(i) == region
-			} else {
-				reachable = a.overlay.Visible(p, a.corners[i])
-			}
-			if reachable {
-				adj[endpoint] = append(adj[endpoint], i)
-				adj[i] = append(append([]int(nil), adj[i]...), endpoint) // copy-on-write
-			}
-		}
+	return vis.Search(a.corners, a.adj, s, t, a.links(s, rs), a.links(t, rt))
+}
+
+// links returns which corners endpoint p joins: its own region's corners
+// when it lies in region, else the corners it sees.
+func (a *BBox) links(p geom.Point, region int) func(int) bool {
+	if region >= 0 {
+		return func(i int) bool { return a.cornerRegion(i) == region }
 	}
-	connect(n, s, rs)
-	connect(n+1, t, rt)
-	pos := func(i int) geom.Point {
-		switch i {
-		case n:
-			return s
-		case n + 1:
-			return t
-		default:
-			return a.corners[i]
-		}
-	}
-	return vis.DijkstraPoints(adj, pos, n, n+1)
+	return func(i int) bool { return a.overlay.Visible(p, a.corners[i]) }
 }
 
 // cornerRegion returns the region a corner index belongs to.

@@ -100,16 +100,13 @@ func PointStrictlyInConvex(p Point, poly []Point) bool {
 
 // PointInPolygon reports whether p is inside the simple polygon poly
 // (arbitrary orientation) by the even-odd crossing rule. Boundary points
-// count as inside.
+// count as inside. The answer is "crossed an odd number of times, or on an
+// edge", so the cheap crossing count runs first and the exact on-edge test
+// only for points it leaves outside.
 func PointInPolygon(p Point, poly []Point) bool {
 	n := len(poly)
 	if n < 3 {
 		return false
-	}
-	for i := 0; i < n; i++ {
-		if OnSegment(p, Seg(poly[i], poly[(i+1)%n])) {
-			return true
-		}
 	}
 	inside := false
 	j := n - 1
@@ -123,20 +120,37 @@ func PointInPolygon(p Point, poly []Point) bool {
 		}
 		j = i
 	}
-	return inside
+	if inside {
+		return true
+	}
+	for i := 0; i < n; i++ {
+		if OnSegment(p, Seg(poly[i], poly[(i+1)%n])) {
+			return true
+		}
+	}
+	return false
 }
 
 // SegmentIntersectsPolygon reports whether segment s properly crosses any
 // edge of the polygon, or has an interior point strictly inside the polygon.
 // Segments that merely touch the boundary (e.g. share a vertex) do not count.
 // This is the visibility test: two points are visible when the segment
-// between them does not intersect the polygon in this sense.
+// between them does not intersect the polygon in this sense. Each vertex's
+// side of s is computed once and shared by the two edges that meet there.
 func SegmentIntersectsPolygon(s Segment, poly []Point) bool {
 	n := len(poly)
-	for i := 0; i < n; i++ {
-		e := Seg(poly[i], poly[(i+1)%n])
-		if SegmentsProperlyIntersect(s, e) {
-			return true
+	if n > 0 {
+		first := Orient(s.A, s.B, poly[0])
+		oi := first
+		for i := 0; i < n; i++ {
+			oj := first
+			if i+1 < n {
+				oj = Orient(s.A, s.B, poly[i+1])
+			}
+			if ProperlyIntersectSides(s, Seg(poly[i], poly[(i+1)%n]), oi, oj) {
+				return true
+			}
+			oi = oj
 		}
 	}
 	// No proper crossing: the segment is either entirely outside (possibly
@@ -160,17 +174,20 @@ const boundaryTol = 1e-9
 // PointStrictlyInSimple reports whether p is strictly inside the simple
 // polygon poly; points on (or within boundaryTol of) the boundary are not
 // strictly inside.
+//
+// The even-odd test runs first: most probes are outside, and it is cheaper
+// than measuring the distance to every edge.
 func PointStrictlyInSimple(p Point, poly []Point) bool {
-	n := len(poly)
-	if n < 3 {
+	if !PointInPolygon(p, poly) {
 		return false
 	}
+	n := len(poly)
 	for i := 0; i < n; i++ {
 		if DistPointSegment(p, poly[i], poly[(i+1)%n]) <= boundaryTol {
 			return false
 		}
 	}
-	return PointInPolygon(p, poly)
+	return true
 }
 
 // DistPointSegment returns the Euclidean distance from p to the closed

@@ -182,16 +182,26 @@ func ProperlyIntersectSides(s, t Segment, o1, o2 Orientation) bool {
 }
 
 // OnSegment reports whether p lies on the closed segment s (including
-// endpoints), using exact orientation for the collinearity test.
+// endpoints), using exact orientation for the collinearity test. The box
+// test runs first: it is a few comparisons, and most points fail it.
 func OnSegment(p Point, s Segment) bool {
-	return Orient(s.A, s.B, p) == Collinear && InSegmentBox(p, s)
+	return InSegmentBox(p, s) && Orient(s.A, s.B, p) == Collinear
 }
 
 // InSegmentBox reports whether p lies in the closed bounding box of s: for a
 // point already known to be collinear with s, the rest of OnSegment.
 func InSegmentBox(p Point, s Segment) bool {
-	return math.Min(s.A.X, s.B.X) <= p.X && p.X <= math.Max(s.A.X, s.B.X) &&
-		math.Min(s.A.Y, s.B.Y) <= p.Y && p.Y <= math.Max(s.A.Y, s.B.Y)
+	return between(p.X, s.A.X, s.B.X) && between(p.Y, s.A.Y, s.B.Y)
+}
+
+// between reports whether x lies in the closed interval spanned by a and b.
+// It answers as math.Min(a, b) <= x && x <= math.Max(a, b) does on every
+// input: a NaN fails a comparison either way, and -0 compares equal to +0.
+func between(x, a, b float64) bool {
+	if a > b {
+		a, b = b, a
+	}
+	return a <= x && x <= b
 }
 
 // SegmentsIntersect reports whether the closed segments share any point,

@@ -127,7 +127,7 @@ func TestVisibleMatchesUnculled(t *testing.T) {
 
 	// The unculled loop costs ~50 µs a segment on this layout, so corners
 	// and nodes are sampled at a stride: ~40 000 segments in all.
-	nodes, holes := holesColdLayout(t)
+	nodes, _, holes := holesColdLayout(t)
 	var sample []geom.Point
 	for i := 0; i < len(nodes); i += 373 {
 		sample = append(sample, nodes[i])
@@ -174,7 +174,7 @@ func TestVisibleMatchesUnculled(t *testing.T) {
 // holesColdLayout builds the holes-cold benchmark deployment: 24 disjoint
 // convex obstacles on a bordered grid of spacing 0.55, its LDel² graph and
 // the holes detected in it.
-func holesColdLayout(t testing.TB) ([]geom.Point, *delaunay.HoleSet) {
+func holesColdLayout(t testing.TB) ([]geom.Point, *delaunay.PlanarGraph, *delaunay.HoleSet) {
 	const side = 82.5
 	obstacles := workload.RandomConvexObstacles(2, 24, side, side, 0.8, 1.6, 2)
 	sc, err := workload.BorderedGrid(0.55, side, side, 1, obstacles)
@@ -182,11 +182,12 @@ func holesColdLayout(t testing.TB) ([]geom.Point, *delaunay.HoleSet) {
 		t.Fatal(err)
 	}
 	g := udg.Build(sc.Points, sc.Radius)
-	holes := delaunay.DetectHoles(delaunay.LDel2Fast(g), g.Radius())
+	ldel := delaunay.LDel2Fast(g)
+	holes := delaunay.DetectHoles(ldel, g.Radius())
 	if len(holes.Holes) < 24 {
 		t.Fatalf("holes-cold layout has %d holes, want at least 24", len(holes.Holes))
 	}
-	return sc.Points, holes
+	return sc.Points, ldel, holes
 }
 
 // FuzzVisible checks the culled predicates against the reference loop on

@@ -9,9 +9,7 @@
 package vis
 
 import (
-	"container/heap"
 	"math"
-	"slices"
 
 	"hybridroute/internal/delaunay"
 	"hybridroute/internal/geom"
@@ -102,7 +100,7 @@ func (o *obstacleSet) PointInObstacle(p geom.Point) bool {
 
 // shortestPath is the search Domain and Overlay share over their corner
 // graphs base: it returns the shortest path from s to t through base plus
-// the edges joining s and t to every corner they see, as a polyline
+// the links joining s and t to every corner they see, as a polyline
 // including both endpoints, and its length. ok is false when s or t is
 // strictly inside an obstacle or base leaves t unreachable.
 func (o *obstacleSet) shortestPath(base [][]int, s, t geom.Point) ([]geom.Point, float64, bool) {
@@ -112,30 +110,138 @@ func (o *obstacleSet) shortestPath(base [][]int, s, t geom.Point) ([]geom.Point,
 	if o.Visible(s, t) {
 		return []geom.Point{s, t}, s.Dist(t), true
 	}
-	n := len(o.corners)
-	// Graph nodes: corners 0..n-1, s = n, t = n+1. The search stops when t
-	// pops, so t needs no out-edges.
-	adj := make([][]int, n+2)
-	copy(adj, base)
-	for i, c := range o.corners {
-		if o.Visible(s, c) {
-			adj[n] = append(adj[n], i)
-		}
-		if o.Visible(t, c) {
-			adj[i] = append(slices.Clip(adj[i]), n+1) // copies; base stays shared
-		}
-	}
+	return Search(o.corners, base, s, t,
+		func(i int) bool { return o.Visible(s, o.corners[i]) },
+		func(i int) bool { return o.Visible(t, o.corners[i]) })
+}
+
+// Search runs Euclidean Dijkstra from s to t over the corner graph base
+// (corner i at corners[i], base[i] its neighbours) plus a link from s to
+// every corner fromS accepts and a link from every corner toT accepts to t.
+// It returns the path's points, including both ends, and its length; ok is
+// false when t is unreachable. Domain and Overlay link the corners an
+// endpoint sees; abstraction's bounding-box backend links an endpoint
+// inside a box to that box's corners.
+//
+// The links are never materialised, yet the answer is the one Dijkstra
+// gives on the graph with s's row and each accepted corner's t appended to
+// its row, bit for bit and tie for tie: when s pops, the first pop, every
+// corner fromS accepts is relaxed in index order, and toT is asked about a
+// corner only when the corner is settled, right after its base neighbours,
+// so the heap sees that graph's pushes in that graph's order. t has no
+// out-edges, and corners that never pop before t are never asked.
+func Search(corners []geom.Point, base [][]int, s, t geom.Point, fromS, toT func(i int) bool) ([]geom.Point, float64, bool) {
+	n := len(corners)
+	src, dst := n, n+1
 	pos := func(i int) geom.Point {
 		switch i {
-		case n:
+		case src:
 			return s
-		case n + 1:
+		case dst:
 			return t
 		default:
-			return o.corners[i]
+			return corners[i]
 		}
 	}
-	return DijkstraPoints(adj, pos, n, n+1)
+	dist := make([]float64, n+2)
+	prev := make([]int, n+2)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		prev[i] = -1
+	}
+	dist[src] = 0
+	pq := append(make(distHeap, 0, n+2), distItem{src, 0})
+	relax := func(v int, pv geom.Point, d float64, w int) {
+		if nd := d + pv.Dist(pos(w)); nd < dist[w] {
+			dist[w] = nd
+			prev[w] = v
+			pq.push(distItem{w, nd})
+		}
+	}
+	for len(pq) > 0 {
+		it := pq.pop()
+		if it.d > dist[it.v] {
+			continue
+		}
+		if it.v == dst {
+			break
+		}
+		pv := pos(it.v)
+		if it.v == src {
+			for i := 0; i < n; i++ {
+				if fromS(i) {
+					relax(src, pv, it.d, i)
+				}
+			}
+			continue
+		}
+		for _, w := range base[it.v] {
+			relax(it.v, pv, it.d, w)
+		}
+		if toT(it.v) {
+			relax(it.v, pv, it.d, dst)
+		}
+	}
+	if math.IsInf(dist[dst], 1) {
+		return nil, 0, false
+	}
+	k := 1
+	for v := dst; v != src; v = prev[v] {
+		k++
+	}
+	path := make([]geom.Point, k)
+	for v := dst; k > 0; v = prev[v] {
+		k--
+		path[k] = pos(v)
+	}
+	return path, dist[dst], true
+}
+
+// distItem is a heap entry: vertex v reached at distance d.
+type distItem struct {
+	v int
+	d float64
+}
+
+// distHeap is a binary min-heap on d. Its push and pop are container/heap's
+// Push and Pop with their up and down sifts, step for step, so entries with
+// equal keys leave in the order they would from container/heap; unlike it,
+// a push boxes nothing.
+type distHeap []distItem
+
+func (h *distHeap) push(it distItem) {
+	q := append(*h, it)
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
+}
+
+func (h *distHeap) pop() distItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n || j < 0 {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].d < q[j].d {
+			j = j2 // right child
+		}
+		if !(q[j].d < q[i].d) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // Domain is a set of disjoint polygonal obstacles with the full visibility
@@ -182,75 +288,6 @@ func (d *Domain) CornerEdges() int {
 // connected).
 func (d *Domain) ShortestPath(s, t geom.Point) ([]geom.Point, float64, bool) {
 	return d.shortestPath(d.cornerAdj, s, t)
-}
-
-// DijkstraPoints runs Euclidean Dijkstra over an index graph with a position
-// function, from src to dst, and returns the path's points, including both
-// ends, and its length; ok is false when dst is unreachable. Besides the
-// overlay searches here, abstraction's bounding-box backend runs it over
-// corner graphs whose endpoint links vis does not build.
-func DijkstraPoints(adj [][]int, pos func(int) geom.Point, src, dst int) ([]geom.Point, float64, bool) {
-	n := len(adj)
-	dist := make([]float64, n)
-	prev := make([]int, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	dist[src] = 0
-	pq := &visHeap{{src, 0}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(visItem)
-		if it.d > dist[it.v] {
-			continue
-		}
-		if it.v == dst {
-			break
-		}
-		pv := pos(it.v)
-		for _, w := range adj[it.v] {
-			nd := it.d + pv.Dist(pos(w))
-			if nd < dist[w] {
-				dist[w] = nd
-				prev[w] = it.v
-				heap.Push(pq, visItem{w, nd})
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return nil, 0, false
-	}
-	var idxPath []int
-	for v := dst; v != -1; v = prev[v] {
-		idxPath = append(idxPath, v)
-		if v == src {
-			break
-		}
-	}
-	path := make([]geom.Point, len(idxPath))
-	for i, v := range idxPath {
-		path[len(idxPath)-1-i] = pos(v)
-	}
-	return path, dist[dst], true
-}
-
-type visItem struct {
-	v int
-	d float64
-}
-
-type visHeap []visItem
-
-func (h visHeap) Len() int            { return len(h) }
-func (h visHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h visHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *visHeap) Push(x interface{}) { *h = append(*h, x.(visItem)) }
-func (h *visHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // Overlay is the Overlay Delaunay Graph of Section 4: the Delaunay graph of
