@@ -41,7 +41,7 @@ bench:
 
 # Scale benchmark series (n = 10^4, 10^5, 10^6): static build time, bytes per
 # node and warm/cold query throughput. -benchtime=1x — one build per size is
-# the measurement. The 10^6 leg needs ~8 GB RSS and several minutes.
+# the measurement. The 10^6 leg peaks near 0.5 GB of resident memory.
 bench-scale:
 	HYBRIDROUTE_SCALE=1 go test -bench='BenchmarkScale' -benchmem -benchtime=1x -timeout 60m -run '^$$' | go run ./cmd/benchjson -merge -o BENCH_results.json
 

@@ -9,9 +9,9 @@
 //
 // The obstacle geometry is FIXED-size (two polygons near the center), so hole
 // boundaries stay O(1) as n grows and the sweep isolates how the flat-arena
-// structures scale with node count. The n=10⁵/10⁶ legs take minutes to build
-// and are gated behind HYBRIDROUTE_SCALE=1 (`make bench-scale`); the 10⁴ leg
-// always runs so every `make bench` keeps at least one scale row fresh.
+// structures scale with node count. The n=10⁵/10⁶ legs are gated behind
+// HYBRIDROUTE_SCALE=1 (`make bench-scale`); the 10⁴ leg always runs so every
+// `make bench` keeps at least one scale row fresh.
 // Run with -benchtime=1x: one build per leg is the intended measurement.
 package hybridroute_test
 

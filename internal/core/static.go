@@ -6,8 +6,9 @@
 //
 //   - LDel² via the grid-accelerated LDel2Fast (provably equal to the
 //     distributed construction's output, both pinned by tests),
-//   - hole detection, the hole abstraction, visibility domains, bays and
-//     storage accounting exactly as Preprocess does,
+//   - the router and hole detection, run concurrently over the frozen LDel²,
+//   - the hole abstraction, visibility domains, bays and storage
+//     accounting exactly as Preprocess does,
 //   - a synthetic balanced overlay tree in place of phase J (the query path
 //     never reads the tree; only storage accounting does),
 //
@@ -21,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"hybridroute/internal/delaunay"
 	"hybridroute/internal/overlaytree"
@@ -51,9 +53,17 @@ func PreprocessStatic(g *udg.Graph, cfg Config) (*Network, error) {
 	nw.Link = NewLinkStats(0)
 
 	nw.LDel = delaunay.LDel2Fast(g)
-	nw.Router = routing.New(nw.LDel)
-
+	// The router and hole detection only read the frozen LDel² (routing.New
+	// adds its hull edges to a Clone's copy-on-write rows), so they run side
+	// by side.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		nw.Router = routing.New(nw.LDel)
+	}()
 	nw.Holes = delaunay.DetectHoles(nw.LDel, g.Radius())
+	wg.Wait()
 	nw.Report.NumHoles = len(nw.Holes.Holes)
 	nw.Report.HullsIntersect = nw.Holes.HullsIntersect()
 

@@ -5,24 +5,31 @@
 // predicates, same exact-arithmetic InCircle tests) from purely local
 // geometry:
 //
-//   - a node x can only reject a triangle with minimum vertex u if it lies
-//     within 2 UDG hops of u, v, or w, hence within Euclidean distance 3r of
-//     u — so candidate rejectors are enumerated from the UDG's spatial grid
-//     in a fixed 3r box instead of from precomputed hop sets;
+//   - a node x can only reject a triangle (u, v, w) if InCircle puts it
+//     strictly inside the triangle's circumcircle and it lies within 2 UDG
+//     hops of u, v, or w, hence within Euclidean distance 3r of u. A triangle
+//     that survives the test against u's neighbours scans the UDG grid cells
+//     of the circumcircle's bounding box, widened by a margin that covers the
+//     rounding of the computed centre and radius, when that box is smaller
+//     than the 3r box around u; a thin triangle or a large circle scans the
+//     3r box, enumerated once per u;
 //   - "within 2 hops of base" is decided with two epoch-stamped membership
 //     sets: x is within 2 hops of base iff x is base/a neighbour of base, or
 //     some UDG neighbour of x is — no BFS, no hashing;
-//   - the per-node work shards cleanly, so construction runs on all cores
-//     and the edge list is canonicalized (sort + dedupe) afterwards, making
-//     the result independent of scheduling.
+//   - the per-node work shards cleanly, so construction runs on all cores.
+//     Each worker sorts and dedupes its own edges and the sorted runs are
+//     merged, so the edge list is the same whatever the scheduling.
 //
-// The equivalence LDel2Fast(g) == LDelK(g, 2) is pinned by test.
+// The equivalence LDel2Fast(g) == LDelK(g, 2) is pinned by test, and the
+// historical construction (3r box only, one serial sort) is kept as a test
+// oracle.
 
 package delaunay
 
 import (
+	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"hybridroute/internal/geom"
@@ -56,24 +63,88 @@ func LDel2Fast(g *udg.Graph) *PlanarGraph {
 		wg.Add(1)
 		go func(wk, lo, hi int) {
 			defer wg.Done()
-			parts[wk] = ldel2Range(g, lo, hi)
+			run := ldel2Range(g, lo, hi)
+			slices.Sort(run)
+			parts[wk] = slices.Compact(run)
 		}(wk, lo, hi)
 	}
 	wg.Wait()
+	return NewPlanarGraph(g.Points(), mergeEdges(parts))
+}
 
-	var packed []uint64
-	for _, p := range parts {
-		packed = append(packed, p...)
-	}
-	sort.Slice(packed, func(i, j int) bool { return packed[i] < packed[j] })
-	edges := make([][2]int, 0, len(packed))
-	for i, e := range packed {
-		if i > 0 && e == packed[i-1] {
-			continue
+// mergeEdges merges sorted, duplicate-free runs of packed edges pairwise
+// into one sorted, duplicate-free edge list: the list that sorting and
+// deduping their concatenation gives.
+func mergeEdges(runs [][]uint64) [][2]int {
+	for len(runs) > 1 {
+		next := runs[:0]
+		for i := 0; i < len(runs); i += 2 {
+			if i+1 == len(runs) {
+				next = append(next, runs[i])
+				break
+			}
+			next = append(next, mergeUnique(runs[i], runs[i+1]))
 		}
-		edges = append(edges, [2]int{int(e >> 32), int(uint32(e))})
+		runs = next
 	}
-	return NewPlanarGraph(g.Points(), edges)
+	edges := make([][2]int, len(runs[0]))
+	for i, e := range runs[0] {
+		edges[i] = [2]int{int(e >> 32), int(uint32(e))}
+	}
+	return edges
+}
+
+// mergeUnique merges two sorted, duplicate-free slices into one.
+func mergeUnique(a, b []uint64) []uint64 {
+	out := make([]uint64, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out = append(out, a[0])
+			a = a[1:]
+		case b[0] < a[0]:
+			out = append(out, b[0])
+			b = b[1:]
+		default:
+			out = append(out, a[0])
+			a, b = a[1:], b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
+}
+
+// Margins of circleBox: the circle's radius grows by circleRelSlack of
+// itself plus circleAbsSlack of 1 + |u.X| + |u.Y|, far above the rounding
+// error of the computed centre (DESIGN, "Flat-arena memory layout").
+// Triangles with |2(b×c)| < circleMinFat·L² are too thin for that bound and
+// keep the 3r box.
+const (
+	circleRelSlack = 1e-6
+	circleAbsSlack = 1e-9
+	circleMinFat   = 1e-3
+)
+
+// circleBox returns a box holding every point strictly inside the circle
+// through pu, pv and pw, in the exact-arithmetic sense of geom.InCircle,
+// and false when the triangle is too thin for the rounded centre to be
+// trusted or when the box is not smaller than the 3r box around pu.
+func circleBox(pu, pv, pw geom.Point, r float64) (lo, hi geom.Point, ok bool) {
+	bx, by := pv.X-pu.X, pv.Y-pu.Y
+	cx, cy := pw.X-pu.X, pw.Y-pu.Y
+	b2, c2 := bx*bx+by*by, cx*cx+cy*cy
+	d := 2 * (bx*cy - by*cx)
+	if math.Abs(d) < circleMinFat*max(b2, c2, pv.Dist2(pw)) {
+		return lo, hi, false
+	}
+	ox := (cy*b2 - by*c2) / d
+	oy := (bx*c2 - cx*b2) / d
+	rho := math.Sqrt(ox*ox+oy*oy)*(1+circleRelSlack) + circleAbsSlack*(1+math.Abs(pu.X)+math.Abs(pu.Y))
+	if !(rho < 3*r) {
+		return lo, hi, false
+	}
+	ox, oy = pu.X+ox, pu.Y+oy
+	return geom.Point{X: ox - rho, Y: oy - rho}, geom.Point{X: ox + rho, Y: oy + rho}, true
 }
 
 // ldel2Range emits the LDel² edges whose minimum vertex (for triangles) or
@@ -116,7 +187,7 @@ func ldel2Range(g *udg.Graph, lo, hi int) []uint64 {
 		return false
 	}
 
-	var cand []udg.NodeID
+	var box3, circ []udg.NodeID
 	for u := lo; u < hi; u++ {
 		pu := g.Point(udg.NodeID(u))
 		nbrs := g.Neighbors(udg.NodeID(u))
@@ -142,11 +213,13 @@ func ldel2Range(g *udg.Graph, lo, hi int) []uint64 {
 			}
 		}
 
-		// 2-localized triangles from their minimum vertex u. Any rejector is
-		// within 2 hops of u, v, or w, hence within Euclidean 3r of u; the
-		// grid box below is a superset of that disk, enumerated once per u.
-		cand = cand[:0]
-		haveCand := false
+		// 2-localized triangles from their minimum vertex u. Any rejector
+		// lies inside the circumcircle and within 2 hops of u, v, or w, hence
+		// within Euclidean 3r of u: the candidates come from the grid cells of
+		// the circle's box or, failing that, of the 3r box, enumerated once
+		// per u.
+		box3 = box3[:0]
+		haveBox3 := false
 		stampedU := false
 		for i := 0; i < len(nbrs); i++ {
 			v := nbrs[i]
@@ -182,13 +255,19 @@ func ldel2Range(g *udg.Graph, lo, hi int) []uint64 {
 				if rejected {
 					continue
 				}
-				if !haveCand {
-					lo3 := geom.Point{X: pu.X - 3*r, Y: pu.Y - 3*r}
-					hi3 := geom.Point{X: pu.X + 3*r, Y: pu.Y + 3*r}
-					g.ForNodesInBox(lo3, hi3, func(x udg.NodeID) {
-						cand = append(cand, x)
-					})
-					haveCand = true
+				var cand []udg.NodeID
+				if clo, chi, ok := circleBox(pu, pv, pw, r); ok {
+					circ = circ[:0]
+					g.ForNodesInBox(clo, chi, func(x udg.NodeID) { circ = append(circ, x) })
+					cand = circ
+				} else {
+					if !haveBox3 {
+						lo3 := geom.Point{X: pu.X - 3*r, Y: pu.Y - 3*r}
+						hi3 := geom.Point{X: pu.X + 3*r, Y: pu.Y + 3*r}
+						g.ForNodesInBox(lo3, hi3, func(x udg.NodeID) { box3 = append(box3, x) })
+						haveBox3 = true
+					}
+					cand = box3
 				}
 				if !stampedU {
 					stamp(mkU, udg.NodeID(u))

@@ -49,10 +49,7 @@ func TestHTTPAPI(t *testing.T) {
 	// Backpressure first, while the worker is parked: 1 in flight + 2 queued
 	// saturates the server, the next POST is 429 with a Retry-After hint.
 	// Distinct sources so only the queue bound binds (sourceCap is 2 here).
-	for _, src := range []string{"a", "b", "c"} {
-		src := src
-		go func() { _, _ = postRoute(t, ts, `{"s":0,"t":5,"source":"`+src+`"}`) }()
-	}
+	saturate(t, ts, g)
 	waitFor := func(cond func() bool, what string) {
 		t.Helper()
 		for start := time.Now(); !cond(); {
@@ -72,6 +69,9 @@ func TestHTTPAPI(t *testing.T) {
 	}
 	released = true
 	close(g.release)
+	// Until the worker drains them the two queued requests still fill the
+	// queue, and the next POST would be shed.
+	waitFor(func() bool { return srv.ServerStats().Completed == 3 }, "the parked requests to complete")
 
 	// A served request answers with the route.
 	resp, body := postRoute(t, ts, `{"s":0,"t":`+itoa(nw.G.N()-1)+`}`)
@@ -276,18 +276,17 @@ func TestRetryAfterDerivedFromDrainRate(t *testing.T) {
 	g := newGate()
 	srv.workerGate = g.hook()
 	srv.Start()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	// Deferred after ts.Close, so it runs first: ts.Close waits for the
+	// handlers parked behind the gate.
 	released := false
 	defer func() {
 		if !released {
 			close(g.release)
 		}
 	}()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	for _, src := range []string{"a", "b", "c"} {
-		src := src
-		go func() { _, _ = postRoute(t, ts, `{"s":0,"t":5,"source":"`+src+`"}`) }()
-	}
+	saturate(t, ts, g)
 	for start := time.Now(); srv.ServerStats().Accepted != 3; {
 		if time.Since(start) > 5*time.Second {
 			t.Fatal("timed out waiting for saturation")
@@ -310,4 +309,30 @@ func TestRetryAfterDerivedFromDrainRate(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// saturate fills a one-worker, two-slot server parked on g: it posts "a",
+// waits until the worker holds it, then posts "b" and "c" into the queue.
+// Posting all three at once could queue two before the worker dequeues
+// one and shed the third.
+func saturate(t *testing.T, ts *httptest.Server, g *gate) {
+	t.Helper()
+	// The answers are not checked: a post that fails never reaches
+	// Accepted, which the callers wait for.
+	post := func(src string) {
+		go func() {
+			resp, err := http.Post(ts.URL+"/route", "application/json", strings.NewReader(`{"s":0,"t":5,"source":"`+src+`"}`))
+			if err == nil {
+				resp.Body.Close()
+			}
+		}()
+	}
+	post("a")
+	select {
+	case <-g.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the worker to take the first request")
+	}
+	post("b")
+	post("c")
 }

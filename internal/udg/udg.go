@@ -10,6 +10,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 
 	"hybridroute/internal/geom"
 )
@@ -42,31 +43,45 @@ func Build(pts []geom.Point, r float64) *Graph {
 		radius: r,
 		off:    make([]int32, n+1),
 	}
-	g.idx = newGridIndex(g.pts, r)
+	idx := newGridIndex(g.pts, r)
+	g.idx = idx
 	r2 := r * r
-	// Two passes over the same deterministic grid enumeration: count degrees,
-	// then fill rows. Row order matches the historical append-based build
-	// (3x3 cell scan, insertion order within cells).
-	for i, p := range g.pts {
-		g.idx.forNeighbors(p, func(j int) {
-			if j != i && p.Dist2(g.pts[j]) <= r2 {
-				g.off[i+1]++
+	// Two passes over the same deterministic enumeration: count degrees,
+	// then fill rows. Each row lists the 3x3 cell neighbourhood dx-major,
+	// then dy, then insertion order within a cell, the order of the
+	// historical append-based build. Points are visited cell by cell, so
+	// each pass looks up the nine neighbour runs once per occupied cell.
+	var runs [9][]int32
+	for c := range idx.keys {
+		idx.neighborRuns(c, &runs)
+		for _, i := range idx.members[idx.start[c]:idx.start[c+1]] {
+			p := g.pts[i]
+			for _, run := range runs {
+				for _, j := range run {
+					if j != i && p.Dist2(g.pts[j]) <= r2 {
+						g.off[i+1]++
+					}
+				}
 			}
-		})
+		}
 	}
 	for i := 1; i <= n; i++ {
 		g.off[i] += g.off[i-1]
 	}
 	g.dat = make([]NodeID, g.off[n])
-	cur := make([]int32, n)
-	copy(cur, g.off[:n])
-	for i, p := range g.pts {
-		g.idx.forNeighbors(p, func(j int) {
-			if j != i && p.Dist2(g.pts[j]) <= r2 {
-				g.dat[cur[i]] = NodeID(j)
-				cur[i]++
+	for c := range idx.keys {
+		idx.neighborRuns(c, &runs)
+		for _, i := range idx.members[idx.start[c]:idx.start[c+1]] {
+			p, k := g.pts[i], g.off[i]
+			for _, run := range runs {
+				for _, j := range run {
+					if j != i && p.Dist2(g.pts[j]) <= r2 {
+						g.dat[k] = NodeID(j)
+						k++
+					}
+				}
 			}
-		})
+		}
 	}
 	return g
 }
@@ -123,7 +138,7 @@ func (g *Graph) ForNodesInBox(lo, hi geom.Point, fn func(NodeID)) {
 	ky1 := int(math.Floor(hi.Y / g.idx.cell))
 	for kx := kx0; kx <= kx1; kx++ {
 		for ky := ky0; ky <= ky1; ky++ {
-			for _, j := range g.idx.cells[[2]int{kx, ky}] {
+			for _, j := range g.idx.run(kx, ky) {
 				fn(NodeID(j))
 			}
 		}
@@ -303,33 +318,105 @@ func (h *nodeHeap) Pop() interface{} {
 	return x
 }
 
-// gridIndex buckets points into cells of side r so that all unit-disk
-// neighbours of a point lie in its 3x3 cell neighbourhood.
+// gridIndex buckets points into square cells of side r, so all unit-disk
+// neighbours of a point lie in its 3x3 cell neighbourhood. Only occupied
+// cells exist: cell c (numbered in order of first occurrence) has key
+// keys[c] and holds the point indices members[start[c]:start[c+1]] in
+// insertion order, and an open-addressing table with linear probing maps a
+// key to its cell. Every array is sized by the point or cell count, never
+// by the bounding box, so the index holds O(n) words for any input.
 type gridIndex struct {
-	cell  float64
-	cells map[[2]int][]int
+	cell    float64
+	keys    [][2]int
+	start   []int32
+	members []int32
+	slots   []int32 // cell+1 per slot, 0 when empty; len is a power of two
+	shift   uint    // 64 - log2(len(slots))
 }
 
 func newGridIndex(pts []geom.Point, r float64) *gridIndex {
-	idx := &gridIndex{cell: r, cells: make(map[[2]int][]int, len(pts))}
+	idx := &gridIndex{cell: r}
+	idx.alloc(len(pts))
+	cellOf := make([]int32, len(pts))
+	var count []int32
 	for i, p := range pts {
-		k := idx.key(p)
-		idx.cells[k] = append(idx.cells[k], i)
+		kx, ky := idx.key(p)
+		s := idx.probe(kx, ky)
+		if idx.slots[s] == 0 {
+			idx.keys = append(idx.keys, [2]int{kx, ky})
+			idx.slots[s] = int32(len(idx.keys))
+			count = append(count, 0)
+		}
+		c := idx.slots[s] - 1
+		cellOf[i] = c
+		count[c]++
+	}
+	// Drop append's spare capacity, and re-size the table by the occupied
+	// cells, which bounded-density inputs have several times fewer of than
+	// points.
+	idx.keys = slices.Clone(idx.keys)
+	idx.alloc(len(idx.keys))
+	for c, k := range idx.keys {
+		idx.slots[idx.probe(k[0], k[1])] = int32(c) + 1
+	}
+	idx.start = make([]int32, len(idx.keys)+1)
+	for c, k := range count {
+		idx.start[c+1] = idx.start[c] + k
+	}
+	copy(count, idx.start) // each cell's write cursor
+	idx.members = make([]int32, len(pts))
+	for i, c := range cellOf {
+		idx.members[count[c]] = int32(i)
+		count[c]++
 	}
 	return idx
 }
 
-func (idx *gridIndex) key(p geom.Point) [2]int {
-	return [2]int{int(math.Floor(p.X / idx.cell)), int(math.Floor(p.Y / idx.cell))}
+// alloc gives the table at least twice as many slots as entries, empty.
+func (idx *gridIndex) alloc(entries int) {
+	bits := uint(1)
+	for 1<<bits < 2*entries {
+		bits++
+	}
+	idx.slots = make([]int32, 1<<bits)
+	idx.shift = 64 - bits
 }
 
-func (idx *gridIndex) forNeighbors(p geom.Point, fn func(j int)) {
-	k := idx.key(p)
+func (idx *gridIndex) key(p geom.Point) (int, int) {
+	return int(math.Floor(p.X / idx.cell)), int(math.Floor(p.Y / idx.cell))
+}
+
+// probe returns the slot holding key (kx, ky), or the empty slot where it
+// would go.
+func (idx *gridIndex) probe(kx, ky int) uint64 {
+	mask := uint64(len(idx.slots) - 1)
+	s := ((uint64(kx)*0x9e3779b97f4a7c15 ^ uint64(ky)) * 0xbf58476d1ce4e5b9) >> idx.shift
+	for ; ; s = (s + 1) & mask {
+		c := idx.slots[s]
+		if c == 0 {
+			return s
+		}
+		if k := idx.keys[c-1]; k[0] == kx && k[1] == ky {
+			return s
+		}
+	}
+}
+
+// run returns the point indices in cell (kx, ky), in insertion order.
+func (idx *gridIndex) run(kx, ky int) []int32 {
+	c := idx.slots[idx.probe(kx, ky)] - 1
+	if c < 0 {
+		return nil
+	}
+	return idx.members[idx.start[c]:idx.start[c+1]]
+}
+
+// neighborRuns loads the runs of cell c's 3x3 neighbourhood, dx-major.
+func (idx *gridIndex) neighborRuns(c int, runs *[9][]int32) {
+	k := idx.keys[c]
 	for dx := -1; dx <= 1; dx++ {
 		for dy := -1; dy <= 1; dy++ {
-			for _, j := range idx.cells[[2]int{k[0] + dx, k[1] + dy}] {
-				fn(j)
-			}
+			runs[3*(dx+1)+dy+1] = idx.run(k[0]+dx, k[1]+dy)
 		}
 	}
 }
