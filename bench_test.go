@@ -394,8 +394,8 @@ func BenchmarkEngineBatchTraced(b *testing.B) {
 // (spacing 0.55) with the scale series' two central obstacles, so the mix
 // holds delivered walks, hole hits and border fallbacks. The 41×41-point leg
 // fits in cache; the 316×316-point leg is the field-cold deployment, whose
-// face table and face grid do not, so it also prices the walk's memory
-// layout.
+// face table and its adjacency do not, so it also prices the memory reads of
+// the walk from face to face.
 func BenchmarkChewCorridor(b *testing.B) {
 	for _, leg := range []struct {
 		name string

@@ -74,23 +74,74 @@ func nodeIDs(cycle []int32) []udg.NodeID {
 // rotation order within each node) matches the historical map-based
 // implementation exactly.
 func (g *PlanarGraph) Faces() mem.CSR[int32] {
+	return g.faces(nil)
+}
+
+// FaceAdjacency is a face table with the adjacency a walk through it needs.
+// A slot is a position of the table: slot p of row f is the directed edge
+// from Faces.Dat[p] to the next node of the row, and row f lies to its left.
+type FaceAdjacency struct {
+	Faces mem.CSR[int32]
+	// Across is aligned with Faces.Dat: the row on the other side of each
+	// slot's edge, the one that holds the reversed edge.
+	Across []int32
+	// Anchor holds, per node, one row through the node, a three-slot row
+	// when the node has one; -1 for a node without edges.
+	Anchor []int32
+}
+
+// FacesWithAdjacency is Faces plus, for every slot, the row across its edge
+// and, for every node, one row through it. The enumeration already finds
+// u's position in v's rotation for every directed edge u→v it walks; that
+// position is the reversed edge, so the adjacency costs one int32 per slot
+// and per node.
+func (g *PlanarGraph) FacesWithAdjacency() FaceAdjacency {
+	var fa FaceAdjacency
+	fa.Faces = g.faces(&fa.Across)
+	fa.Anchor = make([]int32, g.N())
+	for v := range fa.Anchor {
+		fa.Anchor[v] = -1
+	}
+	for f := 0; f < fa.Faces.Rows(); f++ {
+		tri := fa.Faces.Off[f+1]-fa.Faces.Off[f] == 3
+		for _, v := range fa.Faces.Row(f) {
+			if a := fa.Anchor[v]; a < 0 || tri && fa.Faces.Off[a+1]-fa.Faces.Off[a] != 3 {
+				fa.Anchor[v] = int32(f)
+			}
+		}
+	}
+	return fa
+}
+
+// faces enumerates the face table; when across is non-nil it also fills
+// *across with the row across every slot.
+func (g *PlanarGraph) faces(across *[]int32) mem.CSR[int32] {
 	off, dat := g.flatRows()
 	visited := make([]bool, len(dat))
 	faces := mem.CSR[int32]{Off: []int32{0}, Dat: make([]int32, 0, len(dat))}
+	// rowOf maps a directed edge's CSR index to its row; twin maps a slot to
+	// the CSR index of its reversed edge. Both are filled only when the
+	// adjacency is asked for.
+	var rowOf, twin []int32
+	if across != nil {
+		rowOf = make([]int32, len(dat))
+		twin = make([]int32, 0, len(dat))
+	}
 
 	for u := 0; u < g.N(); u++ {
 		for k := int(off[u]); k < int(off[u+1]); k++ {
 			if visited[k] {
 				continue
 			}
+			row := int32(faces.Rows())
 			cu, ck := udg.NodeID(u), k
 			for !visited[ck] {
 				visited[ck] = true
 				faces.Dat = append(faces.Dat, int32(cu))
 				cv := dat[ck]
-				row := dat[off[cv]:off[cv+1]]
+				nbrs := dat[off[cv]:off[cv+1]]
 				pi := -1
-				for i, w := range row {
+				for i, w := range nbrs {
 					if w == cu {
 						pi = i
 						break
@@ -99,11 +150,21 @@ func (g *PlanarGraph) Faces() mem.CSR[int32] {
 				if pi < 0 {
 					panic("delaunay: rotation lookup for absent edge")
 				}
-				ni := (pi - 1 + len(row)) % len(row)
+				if across != nil {
+					rowOf[ck] = row
+					twin = append(twin, off[cv]+int32(pi))
+				}
+				ni := (pi - 1 + len(nbrs)) % len(nbrs)
 				cu, ck = cv, int(off[cv])+ni
 			}
 			faces.Off = append(faces.Off, int32(len(faces.Dat)))
 		}
+	}
+	if across != nil {
+		for p, k := range twin {
+			twin[p] = rowOf[k]
+		}
+		*across = twin
 	}
 	return faces
 }

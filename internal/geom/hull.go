@@ -1,6 +1,9 @@
 package geom
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // ConvexHull returns the convex hull of pts in counterclockwise order using
 // Andrew's monotone chain. Collinear points on the hull boundary are
@@ -176,14 +179,23 @@ const boundaryTol = 1e-9
 // strictly inside.
 //
 // The even-odd test runs first: most probes are outside, and it is cheaper
-// than measuring the distance to every edge.
+// than measuring the distance to every edge. Each distance is measured only
+// when no coordinate of the offset already exceeds the tolerance: the
+// distance is math.Hypot of that offset, and Hypot returns
+// max·√(1+(min/max)²), never less than the larger coordinate (a NaN offset
+// fails the cheap test and reaches Hypot), so the answer is unchanged.
 func PointStrictlyInSimple(p Point, poly []Point) bool {
 	if !PointInPolygon(p, poly) {
 		return false
 	}
 	n := len(poly)
 	for i := 0; i < n; i++ {
-		if DistPointSegment(p, poly[i], poly[(i+1)%n]) <= boundaryTol {
+		q := closestOnSegment(p, poly[i], poly[(i+1)%n])
+		dx, dy := p.X-q.X, p.Y-q.Y
+		if math.Abs(dx) > boundaryTol || math.Abs(dy) > boundaryTol {
+			continue
+		}
+		if math.Hypot(dx, dy) <= boundaryTol {
 			return false
 		}
 	}
@@ -193,10 +205,16 @@ func PointStrictlyInSimple(p Point, poly []Point) bool {
 // DistPointSegment returns the Euclidean distance from p to the closed
 // segment ab.
 func DistPointSegment(p, a, b Point) float64 {
+	return p.Dist(closestOnSegment(p, a, b))
+}
+
+// closestOnSegment returns the point of the closed segment ab nearest p (a
+// when the segment is a point).
+func closestOnSegment(p, a, b Point) Point {
 	ab := b.Sub(a)
 	den := ab.Dot(ab)
 	if den == 0 {
-		return p.Dist(a)
+		return a
 	}
 	t := p.Sub(a).Dot(ab) / den
 	if t < 0 {
@@ -205,7 +223,7 @@ func DistPointSegment(p, a, b Point) float64 {
 	if t > 1 {
 		t = 1
 	}
-	return p.Dist(a.Add(ab.Scale(t)))
+	return a.Add(ab.Scale(t))
 }
 
 // PolygonArea returns the signed area of the polygon: positive when the

@@ -114,8 +114,9 @@ var latticePolygons = [][]Point{
 // TestPolygonPredicatesMatchReference checks the reordered predicates
 // against their earlier bodies: every point and every segment between points
 // of a quarter-integer lattice around the lattice polygons, random star
-// polygons with random points and segments, and InSegmentBox on signed
-// zeros, infinities and NaN.
+// polygons with random points and segments, points a few ulps either side of
+// boundaryTol from an edge, and InSegmentBox on signed zeros, infinities and
+// NaN.
 func TestPolygonPredicatesMatchReference(t *testing.T) {
 	var lattice []Point
 	for x := -1.0; x <= 7; x += 0.25 {
@@ -141,6 +142,26 @@ func TestPolygonPredicatesMatchReference(t *testing.T) {
 				a = poly[rng.Intn(len(poly))]
 			}
 			checkPolygonPredicates(t, Seg(a, b), Lerp(a, b, rng.Float64()), poly)
+		}
+	}
+
+	// Points within a few ulps of boundaryTol from an axis-aligned edge and
+	// from a diagonal one, inside and outside the triangle: where the
+	// cheap-first distance test in PointStrictlyInSimple meets math.Hypot.
+	tri := []Point{Pt(0, 0), Pt(1, 0), Pt(0, 1)}
+	near := []float64{boundaryTol}
+	for k, up, down := 0, boundaryTol, boundaryTol; k < 4; k++ {
+		up, down = math.Nextafter(up, 1), math.Nextafter(down, 0)
+		near = append(near, up, down)
+	}
+	for _, d := range near {
+		e := d / math.Sqrt2
+		for _, p := range []Point{
+			Pt(0.25, d), Pt(0.25, -d), Pt(d, 0.75), Pt(-d, 0.75), // axis-aligned edges
+			Pt(0.5-e, 0.5-e), Pt(0.5+e, 0.5+e), Pt(0.3-e, 0.7-d), Pt(0.7-d, 0.3-e), // the diagonal
+			Pt(d, d), Pt(1-d, d), // next to corners
+		} {
+			checkPolygonPredicates(t, Seg(p, Pt(0.1, 0.1)), p, tri)
 		}
 	}
 

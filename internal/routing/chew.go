@@ -25,7 +25,7 @@ func (r *Router) Chew(s, t NodeID) Result {
 	sc := r.getScratch()
 	defer r.putScratch(sc)
 
-	corridor := r.corridor(L, sc)
+	corridor := r.corridor(L, s, t, sc)
 	if len(corridor) == 0 {
 		// Degenerate: no face registered as crossed (collinear grazing).
 		return r.fallback(s, t)
@@ -80,100 +80,6 @@ func (r *Router) ChewVia(waypoints []NodeID) Result {
 		out.Path = append(out.Path, leg.Path[1:]...)
 	}
 	return out
-}
-
-// corridorEntry is one corridor face with the parameter along the segment at
-// which the segment enters its interior.
-type corridorEntry struct {
-	param float64
-	face  int
-}
-
-// corridor returns the indices of all faces whose interior the segment
-// passes through, ordered by entry parameter along the segment, ties by face
-// index. The face grid narrows the scan to faces near the segment; a
-// candidate earns an entry only through the same geometric tests the full
-// scan used, so the corridor is identical to scanning every face. (The outer
-// face is never registered in the grid: segments between nodes stay inside
-// CH(V) and cannot pass through the outer face of the hull-augmented
-// embedding.) The returned slice lives in sc.
-func (r *Router) corridor(L geom.Segment, sc *corridorScratch) []int {
-	dir := L.B.Sub(L.A)
-	len2 := dir.Dot(dir)
-	paramOf := func(p geom.Point) float64 {
-		return p.Sub(L.A).Dot(dir) / len2
-	}
-	sc.cand = sc.cand[:0]
-	if r.grid != nil {
-		sc.cand = r.grid.candidates(L, sc.faceSeen, sc.cand)
-	}
-	entries := sc.entries[:0]
-	for _, fi32 := range sc.cand {
-		fi := int(fi32)
-		// The face's points, read straight from its row of the table, and one
-		// side test per vertex, reused by both edge tests below. A face whose
-		// vertices all lie strictly on one side of L has no edge crossing L
-		// and no vertex on it, so it would collect no parameter.
-		poly, sides := sc.poly[:0], sc.sides[:0]
-		oneSide := true
-		for _, v := range r.faces.Row(fi) {
-			p := r.g.Point(NodeID(v))
-			o := geom.Orient(L.A, L.B, p)
-			poly, sides = append(poly, p), append(sides, o)
-			oneSide = oneSide && o != geom.Collinear && o == sides[0]
-		}
-		sc.poly, sc.sides = poly, sides
-		if oneSide {
-			continue
-		}
-		n := len(poly)
-		params := sc.params[:0]
-		for j := 0; j < n; j++ {
-			k := (j + 1) % n
-			e := geom.Seg(poly[j], poly[k])
-			if geom.ProperlyIntersectSides(L, e, sides[j], sides[k]) {
-				if x, ok := geom.SegmentIntersection(L, e); ok {
-					params = append(params, clamp01(paramOf(x)))
-				}
-			}
-			if sides[j] == geom.Collinear && geom.InSegmentBox(poly[j], L) {
-				params = append(params, clamp01(paramOf(poly[j])))
-			}
-		}
-		sc.params = params
-		if len(params) < 2 {
-			continue
-		}
-		sortFloats(params)
-		for j := 0; j+1 < len(params); j++ {
-			if params[j+1]-params[j] < 1e-12 {
-				continue
-			}
-			mid := geom.Lerp(L.A, L.B, (params[j]+params[j+1])/2)
-			if geom.PointStrictlyInSimple(mid, poly) {
-				// The candidates hold each face once, so this is its only entry.
-				entries = append(entries, corridorEntry{params[j], fi})
-				break
-			}
-		}
-	}
-	// Faces are distinct, so (param, face) is a strict total order and the
-	// sorted order does not depend on the sort algorithm.
-	slices.SortFunc(entries, func(a, b corridorEntry) int {
-		if a.param != b.param {
-			if a.param < b.param {
-				return -1
-			}
-			return 1
-		}
-		return a.face - b.face
-	})
-	faces := sc.faces[:0]
-	for _, e := range entries {
-		faces = append(faces, e.face)
-	}
-	sc.entries, sc.faces = entries, faces
-	return faces
 }
 
 // corridorChains builds the left and right boundary chains of the triangle

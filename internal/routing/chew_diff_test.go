@@ -94,7 +94,7 @@ func compareWithReference(r *Router, s, t NodeID) error {
 	L := geom.Seg(r.g.Point(s), r.g.Point(t))
 	sc := r.getScratch()
 	defer r.putScratch(sc)
-	faces := slices.Clone(r.corridor(L, sc))
+	faces := slices.Clone(r.corridor(L, s, t, sc))
 	if want := r.refCorridor(L); !slices.Equal(faces, want) {
 		return fmt.Errorf("corridor(%d, %d) = %v, reference %v", s, t, faces, want)
 	}
@@ -112,12 +112,40 @@ type deployment struct {
 	name    string
 	points  func() ([]geom.Point, error)
 	spacing float64 // lattice of the exact nodes; 0 for none
+	// churn picks the nodes that crash after the LDel² build, whose edges
+	// churn repair removes, and the nodes the pairs favour; nil for none.
+	churn func(pts []geom.Point) (crashed, favoured []NodeID)
+}
+
+// build returns the deployment's router, its lattice nodes and the nodes its
+// pairs favour.
+func (d deployment) build() (r *Router, lattice, favoured []NodeID, err error) {
+	pts, err := d.points()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ld := delaunay.LDel2Fast(udg.Build(pts, 1))
+	if d.churn != nil {
+		var crashed []NodeID
+		crashed, favoured = d.churn(pts)
+		for _, v := range crashed {
+			ld.RemoveNodeEdges(v)
+		}
+	}
+	r = New(ld)
+	if d.spacing > 0 {
+		lattice = latticeNodes(r, d.spacing)
+	}
+	return r, lattice, favoured, nil
 }
 
 // referenceDeployments covers every deployment family: random points with
 // and without obstacles, city blocks, a maze, a jittered grid, and grids
 // whose exact lines put vertices on the segment and edges along it. At
-// spacing 0.5 two grid steps equal the radio range.
+// spacing 0.5 two grid steps equal the radio range. Two more hold the walk
+// to the premise it rests on: a churned grid, whose crashed nodes have no
+// edges and whose island shares no edge with the face holding it, and a grid
+// translated by 10⁵.
 func referenceDeployments() []deployment {
 	hole := workload.RegularPolygon(geom.Pt(5, 5), 1.6, 6, 0.3)
 	scenario := func(sc *workload.Scenario, err error) func() ([]geom.Point, error) {
@@ -128,52 +156,99 @@ func referenceDeployments() []deployment {
 			return sc.Points, nil
 		}
 	}
+	translated := func() ([]geom.Point, error) {
+		sc, err := workload.BorderedGrid(0.5, 10, 10, 1, [][]geom.Point{hole})
+		if err != nil {
+			return nil, err
+		}
+		pts := make([]geom.Point, len(sc.Points))
+		for i, p := range sc.Points {
+			pts[i] = p.Add(geom.Pt(1e5, 1e5))
+		}
+		return pts, nil
+	}
+	churned := func() ([]geom.Point, error) {
+		return exactLinesGrid(24, 0.5, workload.RegularPolygon(geom.Pt(4, 4), 1.4, 6, 0.3)), nil
+	}
 	return []deployment{
-		{"uniform", scenario(workload.Uniform(3, 350, 8.5, 8.5, 1)), 0},
-		{"obstacles", scenario(workload.WithObstacles(4, 520, 11, 11, 1, workload.RandomConvexObstacles(4, 4, 11, 11, 0.8, 1.6, 2))), 0},
-		{"city", scenario(workload.CityGrid(7, 2, 2, 3.2, 3.2, 2.4, 1, 5.5)), 0},
-		{"maze", scenario(workload.Maze(2, 14, 10, 7, 8.4, 1.2, 1, 900)), 0},
-		{"jittered", scenario(workload.JitteredGrid(0.55, 10, 10, 1, [][]geom.Point{hole})), 0},
-		{"bordered-0.5", scenario(workload.BorderedGrid(0.5, 10, 10, 1, [][]geom.Point{hole})), 0.5},
-		{"bordered-0.55", scenario(workload.BorderedGrid(0.55, 10, 10, 1, [][]geom.Point{hole})), 0.55},
-		{"exact-lines", func() ([]geom.Point, error) { return exactLinesGrid(20, 0.5, hole), nil }, 0.5},
+		{"uniform", scenario(workload.Uniform(3, 350, 8.5, 8.5, 1)), 0, nil},
+		{"obstacles", scenario(workload.WithObstacles(4, 520, 11, 11, 1, workload.RandomConvexObstacles(4, 4, 11, 11, 0.8, 1.6, 2))), 0, nil},
+		{"city", scenario(workload.CityGrid(7, 2, 2, 3.2, 3.2, 2.4, 1, 5.5)), 0, nil},
+		{"maze", scenario(workload.Maze(2, 14, 10, 7, 8.4, 1.2, 1, 900)), 0, nil},
+		{"jittered", scenario(workload.JitteredGrid(0.55, 10, 10, 1, [][]geom.Point{hole})), 0, nil},
+		{"bordered-0.5", scenario(workload.BorderedGrid(0.5, 10, 10, 1, [][]geom.Point{hole})), 0.5, nil},
+		{"bordered-0.55", scenario(workload.BorderedGrid(0.55, 10, 10, 1, [][]geom.Point{hole})), 0.55, nil},
+		{"exact-lines", func() ([]geom.Point, error) { return exactLinesGrid(20, 0.5, hole), nil }, 0.5, nil},
+		{"churned", churned, 0.5, churnIsland},
+		{"translated", translated, 0.5, nil},
 	}
 }
 
-// TestCorridorMatchesReference holds the corridor walk to the reference walk
-// on random pairs over every deployment family. On the grids every fourth
-// pair joins two lattice nodes.
-func TestCorridorMatchesReference(t *testing.T) {
-	pairs := 3000
-	if testing.Short() {
-		pairs = 300
+// churnIsland crashes the nodes of a 12×12 exact-lines grid that cut off an
+// island around (8.5, 8.5) on its main diagonal: a ring wider than the radio
+// range. It also crashes one other node in 25, plus two border nodes that lie
+// on hull edges and a hull corner. Crashed nodes on the diagonals merge
+// triangles into non-triangle faces there, which a segment along a diagonal
+// can leave through a vertex. The pairs favour the crashed nodes and the
+// island.
+func churnIsland(pts []geom.Point) (crashed, favoured []NodeID) {
+	c := geom.Pt(8.5, 8.5)
+	rng := rand.New(rand.NewSource(11))
+	var island []NodeID
+	for v, p := range pts {
+		d := p.Dist(c)
+		switch {
+		case d < 1.2:
+			island = append(island, NodeID(v))
+		case d < 2.3:
+			crashed = append(crashed, NodeID(v))
+		case rng.Intn(25) == 0 || p == geom.Pt(3, 0) || p == geom.Pt(0, 6.5) || p == geom.Pt(12, 0):
+			crashed = append(crashed, NodeID(v))
+		}
 	}
+	return crashed, append(island, crashed...)
+}
+
+// forPairs calls check on random pairs of every deployment. On the grids
+// every fourth pair joins two lattice nodes; on the churned grid the next two
+// of every four start or end at a crashed or island node.
+func forPairs(t *testing.T, pairs int, check func(r *Router, s, u NodeID) error) {
 	for i, d := range referenceDeployments() {
 		d, seed := d, int64(i+1)
 		t.Run(d.name, func(t *testing.T) {
 			t.Parallel()
-			pts, err := d.points()
+			r, lattice, favoured, err := d.build()
 			if err != nil {
 				t.Fatal(err)
-			}
-			r := routerOver(pts, 1)
-			var lattice []NodeID
-			if d.spacing > 0 {
-				lattice = latticeNodes(r, d.spacing)
 			}
 			rng := rand.New(rand.NewSource(seed))
 			n := r.g.N()
 			for k := 0; k < pairs; k++ {
 				s, u := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-				if k%4 == 0 && len(lattice) > 0 {
+				switch {
+				case k%4 == 0 && len(lattice) > 0:
 					s, u = lattice[rng.Intn(len(lattice))], lattice[rng.Intn(len(lattice))]
+				case k%4 == 1 && len(favoured) > 0:
+					s = favoured[rng.Intn(len(favoured))]
+				case k%4 == 2 && len(favoured) > 0:
+					u = favoured[rng.Intn(len(favoured))]
 				}
-				if err := compareWithReference(r, s, u); err != nil {
+				if err := check(r, s, u); err != nil {
 					t.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// TestCorridorMatchesReference holds the corridor walk to the reference walk
+// on random pairs over every deployment family.
+func TestCorridorMatchesReference(t *testing.T) {
+	pairs := 3000
+	if testing.Short() {
+		pairs = 300
+	}
+	forPairs(t, pairs, compareWithReference)
 }
 
 // TestChewConcurrentMatchesReference runs the walk from several goroutines
@@ -229,7 +304,7 @@ func TestCorridorReferenceHandCases(t *testing.T) {
 		s, u := at(t, r, 0, 0), at(t, r, 0, 4)
 		sc := r.getScratch()
 		defer r.putScratch(sc)
-		if c := r.corridor(geom.Seg(r.g.Point(s), r.g.Point(u)), sc); len(c) != 0 {
+		if c := r.corridor(geom.Seg(r.g.Point(s), r.g.Point(u)), s, u, sc); len(c) != 0 {
 			t.Fatalf("segment along the border crosses faces %v", c)
 		}
 		if res := check(t, r, s, u); !res.Reached || !res.Fallback {
@@ -246,7 +321,7 @@ func TestCorridorReferenceHandCases(t *testing.T) {
 		L := geom.Seg(r.g.Point(s), r.g.Point(u))
 		sc := r.getScratch()
 		defer r.putScratch(sc)
-		prefix, holeFace := r.refSplit(slices.Clone(r.corridor(L, sc)))
+		prefix, holeFace := r.refSplit(slices.Clone(r.corridor(L, s, u, sc)))
 		left, right := r.corridorChains(L, s, u, prefix, holeFace, sc)
 		onL := 0
 		for _, v := range left[1 : len(left)-1] {
@@ -269,7 +344,7 @@ func TestCorridorReferenceHandCases(t *testing.T) {
 		for y := 4.0; y <= 6 && !found; y += 0.5 {
 			s, u := nearestNode(r, geom.Pt(3.5, y)), nearestNode(r, geom.Pt(7, y))
 			sc := r.getScratch()
-			c := r.corridor(geom.Seg(r.g.Point(s), r.g.Point(u)), sc)
+			c := r.corridor(geom.Seg(r.g.Point(s), r.g.Point(u)), s, u, sc)
 			found = len(c) > 0 && !r.IsTriangleFace(c[0])
 			r.putScratch(sc)
 			if !found {
@@ -299,21 +374,69 @@ var fuzzChewGrid = sync.OnceValue(func() *Router {
 	return routerOver(exactLinesGrid(16, 0.5, workload.Rect(3, 0.8, 2.2, 1.6)), 1)
 })
 
+// fuzzChurnedGrid is the churned deployment of the differential tests, for
+// the fuzz targets.
+var fuzzChurnedGrid = sync.OnceValue(func() *Router {
+	for _, d := range referenceDeployments() {
+		if d.name == "churned" {
+			r, _, _, err := d.build()
+			if err != nil {
+				panic(err)
+			}
+			return r
+		}
+	}
+	panic("no churned deployment")
+})
+
+// fuzzRouter picks a fuzz target's deployment and the node nearest (x, y) on
+// it.
+func fuzzRouter(churned bool) *Router {
+	if churned {
+		return fuzzChurnedGrid()
+	}
+	return fuzzChewGrid()
+}
+
+// addFuzzSeeds seeds a fuzz target over both deployments: on the exact-lines
+// grid, pairs along the main diagonal, the anti-diagonal and the border,
+// across the hole, adjacent and equal; on the churned grid, pairs from and to
+// crashed nodes (one on a hull edge, one next to a corner, one inside), into
+// and out of the island, and from the island across the ring.
+func addFuzzSeeds(f *testing.F) {
+	node := func(churned bool, x, y float64) uint16 {
+		return uint16(nearestNode(fuzzRouter(churned), geom.Pt(x, y)))
+	}
+	for _, c := range []struct {
+		churned        bool
+		sx, sy, tx, ty float64
+	}{
+		{false, 0, 0, 8, 8},
+		{false, 0, 8, 8, 0},
+		{false, 0, 0, 0, 6},
+		{false, 2, 1.2, 7, 1.4},
+		{false, 4, 4, 4.5, 4.5},
+		{false, 3, 5, 3, 5},
+		{true, 3, 0, 3, 6},
+		{true, 11.5, 0.5, 11.5, 3.5},
+		{true, 8.5, 6.5, 8.5, 10.5},
+		{true, 8.5, 8.5, 1, 11},
+		{true, 1, 11, 9, 8.5},
+		{true, 3, 0, 9, 0},
+	} {
+		f.Add(node(c.churned, c.sx, c.sy), node(c.churned, c.tx, c.ty), c.churned)
+	}
+}
+
 // FuzzChew holds the corridor walk to the reference walk on fuzzed pairs of
-// a bordered grid with one hole whose diagonals are exact.
+// a bordered grid with one hole whose diagonals are exact, and of the
+// churned grid.
 func FuzzChew(f *testing.F) {
-	r := fuzzChewGrid()
-	n := r.g.N()
-	node := func(x, y float64) uint16 { return uint16(nearestNode(r, geom.Pt(x, y))) }
-	f.Add(node(0, 0), node(8, 8))     // along the main diagonal
-	f.Add(node(0, 8), node(8, 0))     // along the anti-diagonal
-	f.Add(node(0, 0), node(0, 6))     // along the border
-	f.Add(node(2, 1.2), node(7, 1.4)) // across the hole
-	f.Add(node(4, 4), node(4.5, 4.5)) // adjacent
-	f.Add(node(3, 5), node(3, 5))     // s = t
-	f.Fuzz(func(t *testing.T, a, b uint16) {
-		s, u := NodeID(int(a)%n), NodeID(int(b)%n)
-		if err := compareWithReference(r, s, u); err != nil {
+	addFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, a, b uint16, churned bool) {
+		r := fuzzRouter(churned)
+		n := r.g.N()
+		if err := compareWithReference(r, NodeID(int(a)%n), NodeID(int(b)%n)); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -7,8 +7,8 @@ import (
 )
 
 // The reference corridor walk, the oracle the differential tests hold
-// chew.go's walk to. It computes the same answers the plain way: the
-// corridor from a scan of every non-outer face, with no face grid involved,
+// Chew's walk to. It computes the same answers the plain way: the
+// corridor from a scan of every non-outer face, with no walk involved,
 // its entries in a map sorted through a closure, chain vertices deduped by
 // scanning the chain, each face's vertices ordered by sort.SliceStable with
 // keys recomputed per comparison, and the full segment predicates on every

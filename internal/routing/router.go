@@ -78,13 +78,19 @@ func (r Result) Hops() int {
 type Router struct {
 	g *delaunay.PlanarGraph // real communication graph
 	// faces is the face table of g plus the CH(V) edges: row i is face i's
-	// boundary cycle, as nodes of g.
-	faces mem.CSR[int32]
-	outer int
-	// grid narrows corridor queries to faces near the segment; scratch pools
-	// the per-query working memory (corridors run concurrently under the
-	// engine's batch workers).
-	grid    *faceGrid
+	// boundary cycle, as nodes of g. across (per slot, aligned with
+	// faces.Dat) and anchor (per node) are its adjacency, which the corridor
+	// walk steps through; tri marks the rows the walk crosses as triangles.
+	faces  mem.CSR[int32]
+	across []int32
+	anchor []int32
+	tri    []uint64
+	outer  int
+	// inner ties islands and nodes without edges to the faces holding them;
+	// empty when the augmented graph is connected.
+	inner *innerBounds
+	// scratch pools the per-query working memory (corridors run
+	// concurrently under the engine's batch workers).
 	scratch *sync.Pool
 	// maxHops bounds every walk; defaults to 4n.
 	maxHops int
@@ -121,10 +127,12 @@ func New(g *delaunay.PlanarGraph) *Router {
 			}
 		}
 	}
-	r.faces = gbar.Faces()
+	fa := gbar.FacesWithAdjacency()
+	r.faces, r.across, r.anchor = fa.Faces, fa.Across, fa.Anchor
 	r.outer = gbar.OuterFaceIndex(&r.faces)
-	r.grid = newFaceGrid(g, &r.faces, r.outer)
-	r.scratch = newScratchPool(r.faces.Rows(), g.N())
+	r.inner = r.newInnerBounds()
+	r.tri = r.triangleRows()
+	r.scratch = newScratchPool(g.N())
 	return r
 }
 
@@ -135,9 +143,14 @@ func (r *Router) Graph() *delaunay.PlanarGraph { return r.g }
 func (r *Router) OuterFace() int { return r.outer }
 
 // IsTriangleFace reports whether face i is a triangle (not a hole, not the
-// outer face).
+// outer face). A three-slot row needs no count: with no self-loops its three
+// nodes are distinct.
 func (r *Router) IsTriangleFace(i int) bool {
-	return i != r.outer && delaunay.DistinctNodes(r.faces.Row(i)) == 3
+	if i == r.outer {
+		return false
+	}
+	row := r.faces.Row(i)
+	return len(row) == 3 || delaunay.DistinctNodes(row) == 3
 }
 
 // Greedy routes by always forwarding to the neighbour strictly closest to
