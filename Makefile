@@ -40,10 +40,16 @@ bench:
 	go test -bench=. -benchmem -run '^$$' | go run ./cmd/benchjson -merge -o BENCH_results.json
 
 # Scale benchmark series (n = 10^4, 10^5, 10^6): static build time, bytes per
-# node and warm/cold query throughput. -benchtime=1x — one build per size is
-# the measurement. The 10^6 leg peaks near 0.5 GB of resident memory.
+# node, warm/cold query throughput and the cold leg's us/hop. -benchtime=1x —
+# one build per size is the measurement. The 10^6 leg peaks near 0.5 GB of
+# resident memory. Each -cpu value runs as its own process: at -benchtime=1x
+# the testing package reports each benchmark's warm-up run, and in one
+# `-cpu 1,2` process the -cpu 1 leg's warm-up runs at GOMAXPROCS 2.
+# benchjson keys rows by name and procs, so both legs land side by side; the
+# procs-2 leg covers 10^4 and 10^5.
 bench-scale:
-	HYBRIDROUTE_SCALE=1 go test -bench='BenchmarkScale' -benchmem -benchtime=1x -timeout 60m -run '^$$' | go run ./cmd/benchjson -merge -o BENCH_results.json
+	HYBRIDROUTE_SCALE=1 go test -bench='BenchmarkScale' -benchmem -benchtime=1x -cpu 1 -timeout 60m -run '^$$' | go run ./cmd/benchjson -merge -o BENCH_results.json
+	HYBRIDROUTE_SCALE=1 go test -bench='BenchmarkScale/n=1e[45]' -benchmem -benchtime=1x -cpu 2 -timeout 60m -run '^$$' | go run ./cmd/benchjson -merge -o BENCH_results.json
 
 # Sustained serve-mode throughput: open-loop arrivals at three offered rates
 # against the long-running server, reporting p50/p99 serving latency, achieved

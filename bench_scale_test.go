@@ -4,7 +4,7 @@
 // independently mergeable:
 //
 //	BenchmarkScale/n=1e4/build   ns/op = one PreprocessStatic, bytes/node
-//	BenchmarkScale/n=1e4/cold    ns/op = one pass of 256 uncached Network.Route queries, queries/sec
+//	BenchmarkScale/n=1e4/cold    ns/op = one pass of 256 uncached Network.Route queries, queries/sec, us/hop
 //	BenchmarkScale/n=1e4/warm    ns/op = one pass of 256 warm-cache Engine queries, queries/sec
 //
 // The obstacle geometry is FIXED-size (two polygons near the center), so hole
@@ -14,7 +14,10 @@
 // `make bench` keeps at least one scale row fresh.
 // Run with -benchtime=1x: one build per size and one pass over the query set
 // per query leg are the intended measurement (a single query would time the
-// first route alone, with its cold caches and page faults).
+// first route alone, with its cold caches and page faults). The cold leg's
+// us/hop is the pass time over the hops of the pass's answers: a cold query
+// costs about its path's length, so a cache cliff as n grows shows as a
+// rising per-hop figure.
 package hybridroute_test
 
 import (
@@ -169,14 +172,18 @@ func BenchmarkScale(b *testing.B) {
 			}
 
 			b.Run("cold", func(b *testing.B) {
+				hops := 0
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for _, q := range queries {
-						nw.Route(q.S, q.T)
+						hops += nw.Route(q.S, q.T).Hops()
 					}
 				}
 				b.StopTimer()
 				perSec(b)
+				if hops > 0 {
+					b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(hops), "us/hop")
+				}
 			})
 
 			b.Run("warm", func(b *testing.B) {

@@ -192,9 +192,11 @@ func convert(r io.Reader, echo io.Writer, metricsJSON []byte) (benchFile, error)
 
 // mergePrior folds the benchmarks of a previous output document (typically
 // the -o target of an earlier run) under the current one: prior lines are
-// kept unless the current run re-measured the same benchmark, and the derived
-// ratios are recomputed over the merged set. A missing or empty prior file is
-// a first run and merges to nothing — it must never fail or taint the output.
+// kept unless the current run re-measured the same benchmark at the same
+// GOMAXPROCS, and the derived ratios are recomputed over the merged set. So a
+// -cpu 1 run leaves the procs-2 rows of the same benchmarks in place. A
+// missing or empty prior file is a first run and merges to nothing — it must
+// never fail or taint the output.
 func mergePrior(doc *benchFile, path string) error {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -210,13 +212,17 @@ func mergePrior(doc *benchFile, path string) error {
 	if err := json.Unmarshal(buf, &prior); err != nil {
 		return fmt.Errorf("prior results %s: %w", path, err)
 	}
-	fresh := make(map[string]bool, len(doc.Benchmarks))
+	type rowKey struct {
+		name  string
+		procs int
+	}
+	fresh := make(map[rowKey]bool, len(doc.Benchmarks))
 	for _, b := range doc.Benchmarks {
-		fresh[b.Name] = true
+		fresh[rowKey{b.Name, b.Procs}] = true
 	}
 	merged := make([]benchResult, 0, len(prior.Benchmarks)+len(doc.Benchmarks))
 	for _, b := range prior.Benchmarks {
-		if !fresh[b.Name] {
+		if !fresh[rowKey{b.Name, b.Procs}] {
 			merged = append(merged, b)
 		}
 	}

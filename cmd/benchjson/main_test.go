@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -253,6 +255,62 @@ func TestMergePriorKeepsAndOverrides(t *testing.T) {
 	}
 	if doc.GoOS != "linux" {
 		t.Errorf("environment must fall back to prior when unset, got %q", doc.GoOS)
+	}
+}
+
+// TestMergePriorKeysByProcs pins that a row is one benchmark at one
+// GOMAXPROCS: a fresh run replaces only the prior rows of its own procs
+// legs, so merging a -cpu 1 run keeps the procs-2 rows and vice versa.
+func TestMergePriorKeysByProcs(t *testing.T) {
+	type row struct {
+		procs int
+		ns    float64
+	}
+	prior := []benchResult{
+		{Name: "BenchmarkScale/n=1e4/build", Procs: 1, Iterations: 1, NsPerOp: 100},
+		{Name: "BenchmarkScale/n=1e4/build", Procs: 2, Iterations: 1, NsPerOp: 60},
+		{Name: "BenchmarkOther", Procs: 1, Iterations: 1, NsPerOp: 7},
+	}
+	for _, c := range []struct {
+		name  string
+		fresh string
+		want  []row // rows of BenchmarkScale/n=1e4/build, in document order
+	}{
+		{"cpu-1 run keeps procs 2", "BenchmarkScale/n=1e4/build 1 90 ns/op\n", []row{{2, 60}, {1, 90}}},
+		{"cpu-2 run keeps procs 1", "BenchmarkScale/n=1e4/build-2 1 50 ns/op\n", []row{{1, 100}, {2, 50}}},
+		{"both legs replace both", "BenchmarkScale/n=1e4/build 1 90 ns/op\nBenchmarkScale/n=1e4/build-2 1 50 ns/op\n", []row{{1, 90}, {2, 50}}},
+		{"new procs leg is added", "BenchmarkScale/n=1e4/build-4 1 40 ns/op\n", []row{{1, 100}, {2, 60}, {4, 40}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "prior.json")
+			buf, err := json.Marshal(benchFile{Benchmarks: prior})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			doc, err := convert(bytes.NewReader([]byte(c.fresh)), io.Discard, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mergePrior(&doc, path); err != nil {
+				t.Fatal(err)
+			}
+			var got []row
+			other := 0
+			for _, b := range doc.Benchmarks {
+				switch b.Name {
+				case "BenchmarkScale/n=1e4/build":
+					got = append(got, row{b.Procs, b.NsPerOp})
+				case "BenchmarkOther":
+					other++
+				}
+			}
+			if !reflect.DeepEqual(got, c.want) || other != 1 {
+				t.Fatalf("merged rows %v and %d other rows, want %v and 1", got, other, c.want)
+			}
+		})
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // TestParseChaosSpec pins the CLI grammar round trip.
 func TestParseChaosSpec(t *testing.T) {
-	sch, err := ParseChaosSpec("kill@5s:1, slow@10s:2:50ms ,pause@1s:0,resume@2s:0", 3)
+	sch, err := ParseChaosSpec(chaosSpecExample, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,23 +24,29 @@ func TestParseChaosSpec(t *testing.T) {
 	}
 }
 
+// chaosSpecExample is TestParseChaosSpec's schedule over 3 backends, with
+// spaces around events and out of time order.
+const chaosSpecExample = "kill@5s:1, slow@10s:2:50ms ,pause@1s:0,resume@2s:0"
+
+// chaosSpecErrors are TestParseChaosSpecErrors' cases over 3 backends.
+var chaosSpecErrors = []struct {
+	spec string
+	frag string
+}{
+	{"explode@5s:0", "unknown action"},
+	{"kill@5s", "want ACTION@AFTER:BACKEND"},
+	{"kill:0", "want ACTION@AFTER:BACKEND"},
+	{"kill@5s:7", "out of range"},
+	{"kill@5s:-1", "out of range"},
+	{"kill@nope:0", "bad time"},
+	{"slow@5s:0", "slow wants"},
+	{"slow@5s:0:fast", "bad latency"},
+}
+
 // TestParseChaosSpecErrors pins each diagnostic: unknown action, missing
 // backend, backend out of range, bad duration, slow without latency.
 func TestParseChaosSpecErrors(t *testing.T) {
-	cases := []struct {
-		spec string
-		frag string
-	}{
-		{"explode@5s:0", "unknown action"},
-		{"kill@5s", "want ACTION@AFTER:BACKEND"},
-		{"kill:0", "want ACTION@AFTER:BACKEND"},
-		{"kill@5s:7", "out of range"},
-		{"kill@5s:-1", "out of range"},
-		{"kill@nope:0", "bad time"},
-		{"slow@5s:0", "slow wants"},
-		{"slow@5s:0:fast", "bad latency"},
-	}
-	for _, c := range cases {
+	for _, c := range chaosSpecErrors {
 		if _, err := ParseChaosSpec(c.spec, 3); err == nil {
 			t.Errorf("spec %q: want error", c.spec)
 		} else if !strings.Contains(err.Error(), c.frag) {
@@ -50,6 +56,38 @@ func TestParseChaosSpecErrors(t *testing.T) {
 	if sch, err := ParseChaosSpec("", 3); err != nil || len(sch) != 0 {
 		t.Errorf("empty spec: got (%v, %v), want empty schedule", sch, err)
 	}
+}
+
+// FuzzParseChaosSpec feeds the -chaos grammar arbitrary specs and backend
+// counts, seeded from the parser tests' cases. No input may panic, and an
+// accepted schedule has every backend in range, a known action, no negative
+// time or latency, and its events sorted by time.
+func FuzzParseChaosSpec(f *testing.F) {
+	f.Add(chaosSpecExample, uint8(3))
+	f.Add("", uint8(3))
+	f.Add("kill@3s:1", uint8(3))
+	f.Add("slow@0s:0:0s,resume@1h:1", uint8(2))
+	for _, c := range chaosSpecErrors {
+		f.Add(c.spec, uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, spec string, backends uint8) {
+		sch, err := ParseChaosSpec(spec, int(backends))
+		if err != nil {
+			return
+		}
+		for i, ev := range sch {
+			switch {
+			case ev.Backend < 0 || ev.Backend >= int(backends):
+				t.Fatalf("spec %q: event %d targets backend %d of %d", spec, i, ev.Backend, backends)
+			case ev.Action >= numChaosActions:
+				t.Fatalf("spec %q: event %d has action %d", spec, i, ev.Action)
+			case ev.After < 0 || ev.Latency < 0:
+				t.Fatalf("spec %q: event %d at %v with latency %v", spec, i, ev.After, ev.Latency)
+			case i > 0 && ev.After < sch[i-1].After:
+				t.Fatalf("spec %q: event %d at %v follows one at %v", spec, i, ev.After, sch[i-1].After)
+			}
+		}
+	})
 }
 
 // TestGenerateChaosDeterministic pins the schedule contract: same seed same

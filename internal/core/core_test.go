@@ -130,15 +130,17 @@ func TestRouteVisibilityVariant(t *testing.T) {
 	}
 	_, opt, _ := nw.G.ShortestPath(s, d)
 	stretch := out.Length(nw.LDel) / opt
-	if stretch > 17.7+1 {
-		t.Fatalf("visibility stretch %.2f exceeds the paper bound", stretch)
+	if stretch > 17.7 {
+		t.Fatalf("visibility stretch %.2f exceeds the paper bound 17.7", stretch)
 	}
 }
 
+// TestRouteManyRandomPairs routes random pairs and holds every answer to
+// the paper: it is delivered, by the geometric plan (a plan fallback is a
+// failure), within 35.37 times the shortest path.
 func TestRouteManyRandomPairs(t *testing.T) {
 	nw := prepScenario(t, 0.55, 8, 8, 1.8)
 	rng := rand.New(rand.NewSource(9))
-	fallbacks := 0
 	worst := 0.0
 	for trial := 0; trial < 120; trial++ {
 		s := sim.NodeID(rng.Intn(nw.G.N()))
@@ -148,27 +150,23 @@ func TestRouteManyRandomPairs(t *testing.T) {
 			t.Fatalf("route %d->%d failed (case %d)", s, d, out.Case)
 		}
 		if out.PlanFallback {
-			fallbacks++
-			continue
+			t.Errorf("route %d->%d fell back to the LDel² shortest path (case %d)", s, d, out.Case)
 		}
 		if s == d {
-			continue
+			continue // a zero-length answer has no stretch
 		}
 		_, opt, ok := nw.G.ShortestPath(s, d)
 		if !ok || opt == 0 {
-			continue
+			t.Fatalf("route %d->%d delivered, but the UDG has no path of positive length", s, d)
 		}
 		if st := out.Length(nw.LDel) / opt; st > worst {
 			worst = st
 		}
 	}
-	if fallbacks > 12 {
-		t.Errorf("plan fallbacks: %d/120, too fragile", fallbacks)
-	}
 	if worst > 35.37 {
 		t.Errorf("worst stretch %.2f exceeds the paper's constant", worst)
 	}
-	t.Logf("worst stretch %.3f, fallbacks %d/120", worst, fallbacks)
+	t.Logf("worst stretch %.3f over 120 pairs", worst)
 }
 
 func TestRouteBayCases(t *testing.T) {

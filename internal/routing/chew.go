@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"hybridroute/internal/geom"
+	"hybridroute/internal/mem"
 )
 
 // Chew routes from s to t along the faces of the triangulation intersected
@@ -14,6 +15,9 @@ import (
 // the walk stops at a boundary node of that face and reports HoleHit — this
 // is exactly how the routing protocol of Section 3/4.3 discovers that the
 // target is not visible and switches to hull-node waypoint routing.
+//
+// The answer comes from the chains of one walk (chewFromWalk). Where that
+// walk cannot decide, Chew takes the corridor (chewFromCorridor).
 func (r *Router) Chew(s, t NodeID) Result {
 	if s == t {
 		return Result{Path: []NodeID{s}, Reached: true}
@@ -24,7 +28,57 @@ func (r *Router) Chew(s, t NodeID) Result {
 	L := geom.Seg(r.g.Point(s), r.g.Point(t))
 	sc := r.getScratch()
 	defer r.putScratch(sc)
+	if res, ok := r.chewFromWalk(L, s, t, sc); ok {
+		return res
+	}
+	return r.chewFromCorridor(L, s, t, sc)
+}
 
+// chewFromWalk answers from the chains of a walk from s that stops at t or
+// at the first row that is not a triangle. Consecutive chain nodes share a
+// triangle the walk crossed, so a chain is a path of g up to its first step
+// over a CH(V) edge. The walk answers when it reached t, or when the row it
+// stopped at is the blocking face: not a triangle face, and entered by L
+// through its interior by the corridor's exact entry test. The chains are
+// then trimmed there as holeHitResult trims them. ok is false in every other
+// case: s has no edges or lies on an island, the walk ended elsewhere, the
+// row it stopped at is not the blocking face (the outer row, a row L only
+// touches, a triangle holding an island), or no chain is a path.
+func (r *Router) chewFromWalk(L geom.Segment, s, t NodeID, sc *corridorScratch) (res Result, ok bool) {
+	f := r.anchor[s]
+	if f < 0 || r.inner.holderOf(int32(s)) >= 0 || L.A == L.B {
+		return Result{}, false
+	}
+	w := r.newWalk(L, s, t, sc)
+	stop := w.leave(f, r.locate(f, int32(s), -1))
+	for stop < 0 && len(sc.stack) > 0 {
+		stop = w.resume()
+	}
+	if w.reached {
+		path := r.shorter(sc.left, sc.right, len(sc.left) <= w.okL, len(sc.right) <= w.okR)
+		return Result{Path: path, Reached: true}, path != nil
+	}
+	if stop < 0 || int(stop) == r.outer || r.IsTriangleFace(int(stop)) {
+		return Result{}, false
+	}
+	if w.testRow(stop); len(sc.entries) == 0 {
+		return Result{}, false // L only touches the row
+	}
+	// Both chains end on the face: at the ends of the edge L crossed into
+	// it, or at the vertex L left into it.
+	onFace := r.markFace(int(stop), sc)
+	left, right := trimAt(sc.left, onFace), trimAt(sc.right, onFace)
+	path := r.shorter(left, right, len(left) <= w.okL, len(right) <= w.okR)
+	if path == nil {
+		return Result{}, false
+	}
+	return Result{Path: path, HoleHit: true, HitNode: path[len(path)-1], HoleFace: int(stop)}, true
+}
+
+// chewFromCorridor answers from the corridor: the faces whose interior st
+// passes through, with both chains rebuilt from them. It falls back to a
+// graph shortest path when neither chain is a path.
+func (r *Router) chewFromCorridor(L geom.Segment, s, t NodeID, sc *corridorScratch) Result {
 	corridor := r.corridor(L, s, t, sc)
 	if len(corridor) == 0 {
 		// Degenerate: no face registered as crossed (collinear grazing).
@@ -148,21 +202,8 @@ func insertByKey(verts []NodeID, keys []float64, v NodeID, key float64) ([]NodeI
 // whichever chain reaches one, preferring the shorter. It reuses the chain
 // mark set for the face's vertices.
 func (r *Router) holeHitResult(s NodeID, left, right []NodeID, holeFace int, sc *corridorScratch) Result {
-	onFace := sc.nodeSeen
-	onFace.Reset()
-	for _, v := range r.faces.Row(holeFace) {
-		onFace.Set(int(v))
-	}
-	trim := func(chain []NodeID) []NodeID {
-		// Truncate the chain at its first vertex on the blocking face.
-		for i, v := range chain {
-			if onFace.Has(int(v)) {
-				return chain[:i+1]
-			}
-		}
-		return nil
-	}
-	if pick := r.shorterValid(trim(left), trim(right)); pick != nil {
+	onFace := r.markFace(holeFace, sc)
+	if pick := r.shorterValid(trimAt(left, onFace), trimAt(right, onFace)); pick != nil {
 		return Result{Path: pick, HoleHit: true, HitNode: pick[len(pick)-1], HoleFace: holeFace}
 	}
 	// s itself may already be on the face.
@@ -183,11 +224,38 @@ func (r *Router) holeHitResult(s NodeID, left, right []NodeID, holeFace int, sc 
 	return best
 }
 
+// markFace marks the vertices of face f in the chain mark set and returns
+// it.
+func (r *Router) markFace(f int, sc *corridorScratch) *mem.Marks {
+	onFace := sc.nodeSeen
+	onFace.Reset()
+	for _, v := range r.faces.Row(f) {
+		onFace.Set(int(v))
+	}
+	return onFace
+}
+
+// trimAt truncates chain after its first vertex marked in onFace, or returns
+// nil when it has none.
+func trimAt(chain []NodeID, onFace *mem.Marks) []NodeID {
+	for i, v := range chain {
+		if onFace.Has(int(v)) {
+			return chain[:i+1]
+		}
+	}
+	return nil
+}
+
 // shorterValid returns the shorter of the two chains that are graph paths
 // (left on a tie), or nil when neither is. It returns a copy, since the
 // chains live in the pooled scratch.
 func (r *Router) shorterValid(left, right []NodeID) []NodeID {
-	lv, rv := r.validChain(left), r.validChain(right)
+	return r.shorter(left, right, r.validChain(left), r.validChain(right))
+}
+
+// shorter returns a copy of the shorter of the chains that are paths (left
+// on a tie), or nil when neither is; lv and rv say which are.
+func (r *Router) shorter(left, right []NodeID, lv, rv bool) []NodeID {
 	var pick []NodeID
 	switch {
 	case lv && rv && chainLength(r, right) < chainLength(r, left):

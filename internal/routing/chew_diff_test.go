@@ -82,27 +82,88 @@ func nearestNode(r *Router, p geom.Point) NodeID {
 	return best
 }
 
-// compareWithReference checks the corridor, both chains and the whole Chew
-// result of s→t against the reference walk.
-func compareWithReference(r *Router, s, t NodeID) error {
-	if got, want := r.Chew(s, t), r.refChew(s, t); !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("Chew(%d, %d) = %+v, reference %+v", s, t, got, want)
-	}
+// chewClass is how a Chew answer relates to the reference walk's.
+type chewClass int
+
+const (
+	sameAnswer     chewClass = iota // the reference's answer
+	fallbackToWalk                  // the reference fell back to a graph shortest path; Chew did not
+	changedAnswer                   // a reference chain is not a path, and Chew's answer differs
+	numChewClasses
+)
+
+// compareWithReference checks the corridor, both chains and the Chew result
+// of s→t against the reference walk. Chew must equal refChew wherever both
+// reference chains are paths and refChew did not fall back. Elsewhere it must
+// agree with refChew on Reached, HoleHit and HoleFace and return a path of g,
+// which, unless refChew fell back, is no longer than refChew's.
+func compareWithReference(r *Router, s, t NodeID) (chewClass, error) {
+	got, want := r.Chew(s, t), r.refChew(s, t)
 	if s == t || r.g.HasEdge(s, t) {
-		return nil // answered before any corridor is built
+		if !reflect.DeepEqual(got, want) {
+			return 0, fmt.Errorf("Chew(%d, %d) = %+v, reference %+v", s, t, got, want)
+		}
+		return sameAnswer, nil // answered before any corridor is built
 	}
 	L := geom.Seg(r.g.Point(s), r.g.Point(t))
 	sc := r.getScratch()
 	defer r.putScratch(sc)
 	faces := slices.Clone(r.corridor(L, s, t, sc))
 	if want := r.refCorridor(L); !slices.Equal(faces, want) {
-		return fmt.Errorf("corridor(%d, %d) = %v, reference %v", s, t, faces, want)
+		return 0, fmt.Errorf("corridor(%d, %d) = %v, reference %v", s, t, faces, want)
 	}
 	prefix, holeFace := r.refSplit(faces)
 	left, right := r.corridorChains(L, s, t, prefix, holeFace, sc)
 	wantL, wantR := r.refCorridorChains(L, s, t, prefix, holeFace)
 	if !slices.Equal(left, wantL) || !slices.Equal(right, wantR) {
-		return fmt.Errorf("chains(%d, %d) = %v | %v, reference %v | %v", s, t, left, right, wantL, wantR)
+		return 0, fmt.Errorf("chains(%d, %d) = %v | %v, reference %v | %v", s, t, left, right, wantL, wantR)
+	}
+
+	if r.validChain(wantL) && r.validChain(wantR) && !want.Fallback {
+		if !reflect.DeepEqual(got, want) {
+			return 0, fmt.Errorf("Chew(%d, %d) = %+v, reference %+v", s, t, got, want)
+		}
+		return sameAnswer, nil
+	}
+	if got.Reached != want.Reached || got.HoleHit != want.HoleHit || got.HoleFace != want.HoleFace {
+		return 0, fmt.Errorf("Chew(%d, %d) = %+v, reference %+v: outcomes differ", s, t, got, want)
+	}
+	if err := checkChewPath(r, s, t, got); err != nil {
+		return 0, err
+	}
+	switch {
+	case reflect.DeepEqual(got, want):
+		return sameAnswer, nil
+	case want.Fallback:
+		return fallbackToWalk, nil
+	case got.Length(r.g) > want.Length(r.g):
+		return 0, fmt.Errorf("Chew(%d, %d) = %+v is longer than the reference %+v", s, t, got, want)
+	}
+	return changedAnswer, nil
+}
+
+// checkChewPath checks that a Chew answer is a path of g from s: every step
+// an edge of g, ending at t when it reached t, and at HitNode, a node of
+// HoleFace, when it hit a hole. Only an answer that did neither may have no
+// path (the graph shortest path from an edgeless s to the hole's nodes).
+func checkChewPath(r *Router, s, t NodeID, res Result) error {
+	p := res.Path
+	if len(p) == 0 && !res.Reached && !res.HoleHit {
+		return nil
+	}
+	if len(p) == 0 || p[0] != s {
+		return fmt.Errorf("Chew(%d, %d) path %v does not start at s", s, t, p)
+	}
+	for i := 1; i < len(p); i++ {
+		if !r.g.HasEdge(p[i-1], p[i]) {
+			return fmt.Errorf("Chew(%d, %d) steps %d→%d, which is no edge of g", s, t, p[i-1], p[i])
+		}
+	}
+	switch end := p[len(p)-1]; {
+	case res.Reached && end != t:
+		return fmt.Errorf("Chew(%d, %d) reached, but its path ends at %d", s, t, end)
+	case res.HoleHit && (end != res.HitNode || !slices.Contains(r.faces.Row(res.HoleFace), int32(end))):
+		return fmt.Errorf("Chew(%d, %d) hit face %d, but its path ends at %d", s, t, res.HoleFace, end)
 	}
 	return nil
 }
@@ -209,10 +270,11 @@ func churnIsland(pts []geom.Point) (crashed, favoured []NodeID) {
 	return crashed, append(island, crashed...)
 }
 
-// forPairs calls check on random pairs of every deployment. On the grids
+// eachDeployment runs body in one parallel subtest per deployment, with the
+// deployment's router and a generator of its random pairs. On the grids
 // every fourth pair joins two lattice nodes; on the churned grid the next two
 // of every four start or end at a crashed or island node.
-func forPairs(t *testing.T, pairs int, check func(r *Router, s, u NodeID) error) {
+func eachDeployment(t *testing.T, body func(t *testing.T, name string, r *Router, next func() (s, u NodeID))) {
 	for i, d := range referenceDeployments() {
 		d, seed := d, int64(i+1)
 		t.Run(d.name, func(t *testing.T) {
@@ -223,8 +285,9 @@ func forPairs(t *testing.T, pairs int, check func(r *Router, s, u NodeID) error)
 			}
 			rng := rand.New(rand.NewSource(seed))
 			n := r.g.N()
-			for k := 0; k < pairs; k++ {
-				s, u := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			k := 0
+			body(t, d.name, r, func() (s, u NodeID) {
+				s, u = NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
 				switch {
 				case k%4 == 0 && len(lattice) > 0:
 					s, u = lattice[rng.Intn(len(lattice))], lattice[rng.Intn(len(lattice))]
@@ -233,22 +296,99 @@ func forPairs(t *testing.T, pairs int, check func(r *Router, s, u NodeID) error)
 				case k%4 == 2 && len(favoured) > 0:
 					u = favoured[rng.Intn(len(favoured))]
 				}
-				if err := check(r, s, u); err != nil {
-					t.Fatal(err)
-				}
-			}
+				k++
+				return s, u
+			})
 		})
 	}
 }
 
-// TestCorridorMatchesReference holds the corridor walk to the reference walk
-// on random pairs over every deployment family.
+// forPairs calls check on random pairs of every deployment.
+func forPairs(t *testing.T, pairs int, check func(r *Router, s, u NodeID) error) {
+	eachDeployment(t, func(t *testing.T, _ string, r *Router, next func() (NodeID, NodeID)) {
+		for k := 0; k < pairs; k++ {
+			s, u := next()
+			if err := check(r, s, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
+// TestCorridorMatchesReference holds the corridor walk and Chew's answers to
+// the reference walk on random pairs over every deployment family, and logs
+// how the answers split between compareWithReference's classes.
 func TestCorridorMatchesReference(t *testing.T) {
 	pairs := 3000
 	if testing.Short() {
 		pairs = 300
 	}
-	forPairs(t, pairs, compareWithReference)
+	var mu sync.Mutex
+	var total [numChewClasses]int
+	t.Cleanup(func() {
+		t.Logf("all deployments: %d answers as the reference's, %d reference fallbacks answered from the walk, %d changed where a reference chain is not a path",
+			total[sameAnswer], total[fallbackToWalk], total[changedAnswer])
+	})
+	eachDeployment(t, func(t *testing.T, _ string, r *Router, next func() (NodeID, NodeID)) {
+		var n [numChewClasses]int
+		for k := 0; k < pairs; k++ {
+			s, u := next()
+			c, err := compareWithReference(r, s, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n[c]++
+		}
+		t.Logf("%d same, %d fallbacks answered from the walk, %d changed", n[sameAnswer], n[fallbackToWalk], n[changedAnswer])
+		mu.Lock()
+		defer mu.Unlock()
+		for c := range total {
+			total[c] += n[c]
+		}
+	})
+}
+
+// answersFromCorridor reports whether Chew answers s→t from the corridor
+// rather than from its walk.
+func answersFromCorridor(r *Router, s, t NodeID) bool {
+	if s == t || r.g.HasEdge(s, t) {
+		return false
+	}
+	sc := r.getScratch()
+	defer r.putScratch(sc)
+	_, ok := r.chewFromWalk(geom.Seg(r.g.Point(s), r.g.Point(t)), s, t, sc)
+	return !ok
+}
+
+// TestChewAnswersArePaths checks every Chew answer on random pairs of the
+// reference deployments, lattice pairs along the borders among them: each
+// step of its path is an edge of g. It also pins how many of the pairs Chew
+// answers from the corridor rather than from its walk. On the bordered grids
+// those are pairs whose walk enters the outer row, which swallows the corner
+// triangles there (see the hull edges in DESIGN.md); on the uniform, obstacle
+// and city deployments one pair each whose chains both step over a CH(V)
+// edge; on the churned grid mostly pairs with an end that has no edges or
+// lies on the island.
+func TestChewAnswersArePaths(t *testing.T) {
+	fromCorridor := map[string]int{
+		"uniform": 1, "obstacles": 1, "city": 1, "maze": 0, "jittered": 0,
+		"bordered-0.5": 60, "bordered-0.55": 77, "exact-lines": 88, "churned": 1590, "translated": 61,
+	}
+	eachDeployment(t, func(t *testing.T, name string, r *Router, next func() (NodeID, NodeID)) {
+		slow := 0
+		for k := 0; k < 3000; k++ {
+			s, u := next()
+			if err := checkChewPath(r, s, u, r.Chew(s, u)); err != nil {
+				t.Fatal(err)
+			}
+			if answersFromCorridor(r, s, u) {
+				slow++
+			}
+		}
+		if slow != fromCorridor[name] {
+			t.Errorf("%d of 3000 pairs answered from the corridor, want %d", slow, fromCorridor[name])
+		}
+	})
 }
 
 // TestChewConcurrentMatchesReference runs the walk from several goroutines
@@ -264,7 +404,7 @@ func TestChewConcurrentMatchesReference(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for k := 0; k < 300; k++ {
-				if err := compareWithReference(r, NodeID(rng.Intn(n)), NodeID(rng.Intn(n))); err != nil {
+				if _, err := compareWithReference(r, NodeID(rng.Intn(n)), NodeID(rng.Intn(n))); err != nil {
 					t.Error(err)
 					return
 				}
@@ -294,21 +434,30 @@ func TestCorridorReferenceHandCases(t *testing.T) {
 	}
 	check := func(t *testing.T, r *Router, s, u NodeID) Result {
 		t.Helper()
-		if err := compareWithReference(r, s, u); err != nil {
+		if _, err := compareWithReference(r, s, u); err != nil {
 			t.Fatal(err)
 		}
 		return r.Chew(s, u)
 	}
 
 	t.Run("grid-line", func(t *testing.T) {
+		// The corridor is empty, so the reference falls back to a graph
+		// shortest path; the walk steps along the border edges and answers
+		// with them.
 		s, u := at(t, r, 0, 0), at(t, r, 0, 4)
 		sc := r.getScratch()
 		defer r.putScratch(sc)
 		if c := r.corridor(geom.Seg(r.g.Point(s), r.g.Point(u)), s, u, sc); len(c) != 0 {
 			t.Fatalf("segment along the border crosses faces %v", c)
 		}
-		if res := check(t, r, s, u); !res.Reached || !res.Fallback {
-			t.Fatalf("border segment: %+v, want a delivered fallback", res)
+		res := check(t, r, s, u)
+		if !res.Reached || res.Fallback || len(res.Path) != 9 {
+			t.Fatalf("border segment: %+v, want the 9 border nodes without a fallback", res)
+		}
+		for _, v := range res.Path {
+			if r.g.Point(v).X != 0 {
+				t.Fatalf("border segment: %v leaves the border at %d", res.Path, v)
+			}
 		}
 	})
 
@@ -436,8 +585,55 @@ func FuzzChew(f *testing.F) {
 	f.Fuzz(func(t *testing.T, a, b uint16, churned bool) {
 		r := fuzzRouter(churned)
 		n := r.g.N()
-		if err := compareWithReference(r, NodeID(int(a)%n), NodeID(int(b)%n)); err != nil {
+		if _, err := compareWithReference(r, NodeID(int(a)%n), NodeID(int(b)%n)); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestChewCorridorShareOnColdLayouts pins how many of 30 000 random pairs
+// Chew answers from the corridor rather than from its walk on the layouts of
+// perfbench's cold workloads: the 316×316-point bordered grid with two
+// central obstacles (field-cold) and the 151×151-point one with 24 random
+// convex obstacles (holes-cold). The count runs on one goroutine, so the race
+// pass skips it; it is no short test either.
+func TestChewCorridorShareOnColdLayouts(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("builds a 10⁵-node router")
+	}
+	central := func(side float64) [][]geom.Point {
+		c := side / 2
+		return [][]geom.Point{
+			workload.StarPolygon(geom.Pt(c, c+0.2), 1.6, 0.7, 5, 0.3),
+			workload.RegularPolygon(geom.Pt(c+4.4, c+3.6), 1.3, 6, 0.2),
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		side      float64
+		obstacles [][]geom.Point
+		want      int
+	}{
+		{"field-cold", 173.25, central(173.25), 1},
+		{"holes-cold", 82.5, workload.RandomConvexObstacles(2, 24, 82.5, 82.5, 0.8, 1.6, 2), 7},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sc, err := workload.BorderedGrid(0.55, c.side, c.side, 1, c.obstacles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := routerOver(sc.Points, sc.Radius)
+			rng := rand.New(rand.NewSource(1))
+			n := r.g.N()
+			slow := 0
+			for k := 0; k < 30000; k++ {
+				if answersFromCorridor(r, NodeID(rng.Intn(n)), NodeID(rng.Intn(n))) {
+					slow++
+				}
+			}
+			if slow != c.want {
+				t.Errorf("%d of 30 000 pairs answered from the corridor, want %d", slow, c.want)
+			}
+		})
+	}
 }

@@ -80,7 +80,9 @@ type Router struct {
 	// faces is the face table of g plus the CH(V) edges: row i is face i's
 	// boundary cycle, as nodes of g. across (per slot, aligned with
 	// faces.Dat) and anchor (per node) are its adjacency, which the corridor
-	// walk steps through; tri marks the rows the walk crosses as triangles.
+	// walk steps through; the sign bit of an across entry marks a CH(V) edge
+	// that g lacks (hullBit). tri marks the rows the walk crosses as
+	// triangles.
 	faces  mem.CSR[int32]
 	across []int32
 	anchor []int32
@@ -102,7 +104,8 @@ func New(g *delaunay.PlanarGraph) *Router {
 		g:       g,
 		maxHops: 4*g.N() + 16,
 	}
-	gbar := g.Clone() // g plus the CH(V) edges, for face enumeration only
+	gbar := g.Clone()        // g plus the CH(V) edges, for face enumeration only
+	var hullEdges [][2]int32 // the CH(V) edges g lacks
 	if g.N() >= 3 {
 		hull := geom.ConvexHull(g.Points())
 		// Index only the hull points: probing every node against a
@@ -122,13 +125,18 @@ func New(g *delaunay.PlanarGraph) *Router {
 		for i := range hull {
 			a, okA := idx[hull[i]]
 			b, okB := idx[hull[(i+1)%len(hull)]]
-			if okA && okB && a >= 0 && b >= 0 {
+			if okA && okB && a >= 0 && b >= 0 && a != b && !g.HasEdge(a, b) {
 				gbar.AddEdge(a, b)
+				hullEdges = append(hullEdges, [2]int32{int32(a), int32(b)})
 			}
 		}
 	}
 	fa := gbar.FacesWithAdjacency()
 	r.faces, r.across, r.anchor = fa.Faces, fa.Across, fa.Anchor
+	for _, e := range hullEdges {
+		r.markHull(e[0], e[1])
+		r.markHull(e[1], e[0])
+	}
 	r.outer = gbar.OuterFaceIndex(&r.faces)
 	r.inner = r.newInnerBounds()
 	r.tri = r.triangleRows()

@@ -1,16 +1,20 @@
 // The corridor walk: Chew's message steps from a face to the neighbour across
 // the edge the segment st crosses, and the router follows it through the
 // face table's adjacency. A triangle is crossed with one side test of its
-// third vertex; any other row (a hole, the outer row, the degenerate rows the
-// hull edges make where they overlap collinear border paths) is scanned once
-// for every point where the segment leaves it. Each face the walk visits
-// gets the corridor's entry test, fed with the side tests the walk made.
-// DESIGN.md ("Face-to-face corridor walk") argues why the corridor equals a
-// scan of every face.
+// third vertex, which then joins the chain on its side of st (both chains
+// when it lies on st). Chew answers from those chains with a walk that stops
+// at the first row that is not a triangle (chew.go). The corridor, Chew's
+// exact slow path, walks on through every other row (a hole, the outer row,
+// the degenerate rows the hull edges make where they overlap collinear
+// border paths), scanning it once for every point where the segment leaves
+// it, and gives each face it visits the corridor's entry test. DESIGN.md
+// ("Chew from the walk", "Face-to-face corridor walk") argues why the chains
+// are paths and why the corridor equals a scan of every face.
 
 package routing
 
 import (
+	"math"
 	"slices"
 	"sync"
 
@@ -26,7 +30,8 @@ type corridorScratch struct {
 	nodeSeen *mem.Marks // chain membership, then the blocking face's vertices
 	stack    []walkStep
 	regions  []int32 // non-triangle regions already entered, by head row
-	walked   []int32 // every face whose entry test found L on its boundary, in walk order
+	tris     []int32 // triangle rows crossed, in walk order
+	walked   []int32 // every face whose entry test found L on its boundary, in test order
 	poly     []geom.Point
 	sides    []geom.Orientation
 	params   []float64
@@ -71,22 +76,14 @@ type corridorEntry struct {
 // never earns one: segments between nodes stay inside CH(V).) The returned
 // slice lives in sc.
 func (r *Router) corridor(L geom.Segment, s, t NodeID, sc *corridorScratch) []int {
-	w := walk{r: r, L: L, t: t, pt: L.B, sc: sc}
-	w.dir = L.B.Sub(L.A)
-	w.len2 = w.dir.Dot(w.dir)
-	w.tFaceless = r.anchor[t] < 0
-	sc.entries, sc.stack, sc.regions, sc.walked = sc.entries[:0], sc.stack[:0], sc.regions[:0], sc.walked[:0]
+	w := r.newWalk(L, s, t, sc)
 	if L.A != L.B {
 		w.start(s)
 		for len(sc.stack) > 0 {
-			st := sc.stack[len(sc.stack)-1]
-			sc.stack = sc.stack[:len(sc.stack)-1]
-			if st.vertex {
-				w.leave(st.row, st.slot)
-			} else {
-				lo, hi := r.faces.Off[st.row], r.faces.Off[st.row+1]
-				w.cross(st.slot, NodeID(r.faces.Dat[st.slot]), NodeID(r.faces.Dat[next(st.slot, lo, hi)]))
-			}
+			w.enterRegion(w.resume())
+		}
+		for _, f := range sc.tris {
+			w.testRow(f)
 		}
 	}
 	// Faces are distinct, so (param, face) is a strict total order and the
@@ -160,7 +157,38 @@ func (r *Router) locate(f, v, to int32) int32 {
 	panic("routing: node missing from its face")
 }
 
-// walk is one corridor walk along L from s to t.
+// hullBit marks an across entry whose slot is a CH(V) edge that g lacks. Row
+// indices are non-negative, so the sign bit is free.
+const hullBit int32 = -1 << 31
+
+// rowAcross returns the row on the other side of slot p's edge.
+func (r *Router) rowAcross(p int32) int32 { return r.across[p] &^ hullBit }
+
+// onHull reports whether slot p's edge is a CH(V) edge that g lacks: a step
+// of a chain over it is no step of the network.
+func (r *Router) onHull(p int32) bool { return r.across[p] < 0 }
+
+// markHull sets the hull bit of the slot of edge a→b, found by turning
+// through the corners around a.
+func (r *Router) markHull(a, b int32) {
+	f := r.anchor[a]
+	p := r.locate(f, a, -1)
+	for i := 0; i <= len(r.faces.Dat); i++ {
+		lo, hi := r.faces.Off[f], r.faces.Off[f+1]
+		if r.faces.Dat[next(p, lo, hi)] == b {
+			r.across[p] |= hullBit
+			return
+		}
+		pr := prev(p, lo, hi)
+		f = r.rowAcross(pr)
+		p = r.locate(f, a, r.faces.Dat[pr])
+	}
+	panic("routing: hull edge missing from the face table")
+}
+
+// walk is one walk along L from s to t. Besides the faces, it records the
+// two chains: the nodes it meets left of L, and those right of L, in walk
+// order, a node on L in both.
 type walk struct {
 	r         *Router
 	L         geom.Segment
@@ -171,6 +199,53 @@ type walk struct {
 	tFaceless bool // t has no edges, so it can lie inside a face
 	steps     int
 	sc        *corridorScratch
+	// okL and okR are the lengths of the longest prefixes of the left and
+	// right chains that are paths of g: a chain stops being one at its first
+	// step over a CH(V) edge.
+	okL, okR int
+	reached  bool // the walk met t
+}
+
+// newWalk starts a walk along L from s to t: both chains hold s, and every
+// list of sc a walk fills is empty.
+func (r *Router) newWalk(L geom.Segment, s, t NodeID, sc *corridorScratch) walk {
+	w := walk{r: r, L: L, t: t, pt: L.B, sc: sc, okL: math.MaxInt, okR: math.MaxInt}
+	w.dir = L.B.Sub(L.A)
+	w.len2 = w.dir.Dot(w.dir)
+	w.tFaceless = r.anchor[t] < 0
+	sc.stack, sc.regions, sc.tris = sc.stack[:0], sc.regions[:0], sc.tris[:0]
+	sc.entries, sc.walked = sc.entries[:0], sc.walked[:0]
+	sc.left, sc.right = append(sc.left[:0], s), append(sc.right[:0], s)
+	return w
+}
+
+// addLeft appends v, reached over the edge at slot p, to the left chain.
+func (w *walk) addLeft(v NodeID, p int32) {
+	if w.r.onHull(p) {
+		w.okL = min(w.okL, len(w.sc.left))
+	}
+	w.sc.left = append(w.sc.left, v)
+}
+
+// addRight appends v, reached over the edge at slot p, to the right chain.
+func (w *walk) addRight(v NodeID, p int32) {
+	if w.r.onHull(p) {
+		w.okR = min(w.okR, len(w.sc.right))
+	}
+	w.sc.right = append(w.sc.right, v)
+}
+
+// resume pops the walk's next pending step and takes it. It returns the row
+// that is not a triangle the step ran into, or -1.
+func (w *walk) resume() int32 {
+	r, sc := w.r, w.sc
+	st := sc.stack[len(sc.stack)-1]
+	sc.stack = sc.stack[:len(sc.stack)-1]
+	if st.vertex {
+		return w.leave(st.row, st.slot)
+	}
+	lo, hi := r.faces.Off[st.row], r.faces.Off[st.row+1]
+	return w.cross(st.slot, NodeID(r.faces.Dat[st.slot]), NodeID(r.faces.Dat[next(st.slot, lo, hi)]))
 }
 
 // start enters the faces around s: its corners when it has edges, else the
@@ -179,7 +254,7 @@ type walk struct {
 func (w *walk) start(s NodeID) {
 	r := w.r
 	if f := r.anchor[s]; f >= 0 {
-		w.leave(f, r.locate(f, int32(s), -1))
+		w.enterRegion(w.leave(f, r.locate(f, int32(s), -1)))
 		w.enterHolders(r.inner.holderOf(int32(s)))
 		return
 	}
@@ -197,14 +272,14 @@ func (w *walk) start(s NodeID) {
 	switch geom.Orient(pa, pb, w.pt) {
 	case geom.CounterClockwise:
 	case geom.Clockwise:
-		x = r.across[e]
+		x = r.rowAcross(e)
 	default:
 		slot, end := next(e, lo, hi), pb
 		if !sameDir(w.L.A, pb, w.pt) {
 			slot, end = e, pa
 		}
 		if NodeID(r.faces.Dat[slot]) != w.t && geom.InSegmentBox(end, w.L) {
-			w.leave(x, slot)
+			w.enterRegion(w.leave(x, slot))
 		}
 		w.enterHolders(r.inner.holderOf(r.faces.Dat[r.faces.Off[x]]))
 		return
@@ -225,9 +300,10 @@ func (w *walk) enterHolders(h int32) {
 // leave continues the walk from the node at slot p of row f, which lies on
 // L (or is s). It turns counterclockwise through the corners around the
 // node and enters the one whose open wedge holds t; when L runs along edges
-// instead, it steps to the nearest node on that ray not beyond t and leaves
-// that node in turn.
-func (w *walk) leave(f, p int32) {
+// instead, it steps to the nearest node on that ray not beyond t, which joins
+// both chains, and leaves that node in turn. It returns the row that is not
+// a triangle the walk ran into, or -1.
+func (w *walk) leave(f, p int32) int32 {
 	r := w.r
 	for {
 		v := r.faces.Dat[p]
@@ -250,24 +326,27 @@ func (w *walk) leave(f, p int32) {
 					rayRow, raySlot, rayEnd = f, p, pa
 				}
 			} else if wedgeHolds(pv, pa, pb, oa, ob, a == b) {
-				w.enterCorner(f, p)
-				return
+				return w.enterCorner(f, p)
 			}
 			// The next corner counterclockwise leaves v towards b: it lies in
 			// the row across the edge b→v.
-			f, oa = r.across[pr], ob
+			f, oa = r.rowAcross(pr), ob
 			p = r.locate(f, v, b)
 			if f == f0 && p == p0 {
 				break
 			}
 		}
 		if raySlot < 0 {
-			return // L runs inside an edge that ends beyond t: it enters no face
+			return -1 // L runs inside an edge that ends beyond t: it enters no face
 		}
 		lo, hi := r.faces.Off[rayRow], r.faces.Off[rayRow+1]
 		f, p = rayRow, next(raySlot, lo, hi)
-		if NodeID(r.faces.Dat[p]) == w.t {
-			return
+		u := NodeID(r.faces.Dat[p])
+		w.addLeft(u, raySlot)
+		w.addRight(u, raySlot)
+		if u == w.t {
+			w.reached = true
+			return -1
 		}
 		w.step()
 	}
@@ -298,24 +377,25 @@ func sameDir(v, a, q geom.Point) bool {
 }
 
 // enterCorner enters row f at its corner on slot p, whose open wedge holds
-// t. A triangle is left across the edge opposite the corner.
-func (w *walk) enterCorner(f, p int32) {
+// t, and returns f when it is not a triangle. A triangle is left across the
+// edge opposite the corner, whose ends lie right (a) and left (b) of L: the
+// wedge of a counterclockwise triangle's corner is convex, so it holds t
+// only strictly between them.
+func (w *walk) enterCorner(f, p int32) int32 {
 	r := w.r
 	if !r.isTri(f) {
-		w.enterRegion(f)
-		return
+		return f
 	}
+	w.sc.tris = append(w.sc.tris, f)
 	lo, hi := r.faces.Off[f], r.faces.Off[f+1]
 	pa, pb := next(p, lo, hi), prev(p, lo, hi)
-	var sides [3]geom.Orientation
-	sides[p-lo] = geom.Collinear
-	sides[pa-lo] = geom.Orient(w.L.A, w.L.B, r.point(r.faces.Dat[pa]))
-	sides[pb-lo] = geom.Orient(w.L.A, w.L.B, r.point(r.faces.Dat[pb]))
-	w.testTriangle(f, sides)
 	a, b := NodeID(r.faces.Dat[pa]), NodeID(r.faces.Dat[pb])
-	if w.reaches(a, b) {
-		w.cross(pa, a, b)
+	w.addRight(a, p)
+	w.addLeft(b, pb)
+	if !w.reaches(a, b) {
+		return -1
 	}
+	return w.cross(pa, a, b)
 }
 
 // reaches reports whether L goes on past the edge a→b it is about to cross:
@@ -327,38 +407,43 @@ func (w *walk) reaches(a, b NodeID) bool {
 // cross follows L across the edge at slot p, from a (right of L) to b (left
 // of L), into the row across, and on through triangles: in a triangle
 // entered over b→a, the side of the third vertex c alone picks the edge L
-// leaves by. It stops at a non-triangle row, which it enters as a region, at
-// a vertex on L, which it queues, or at t.
-func (w *walk) cross(p int32, a, b NodeID) {
+// leaves by, and c joins the chain on that side (both on L). So the left
+// chain always ends at b and the right one at a, and each step of a chain
+// runs along an edge of the triangle just crossed. It stops at a row that is
+// not a triangle, which it returns, at a vertex on L, which it queues, or at
+// t.
+func (w *walk) cross(p int32, a, b NodeID) int32 {
 	r := w.r
 	for {
-		f := r.across[p]
+		f := r.rowAcross(p)
 		if !r.isTri(f) {
-			w.enterRegion(f)
-			return
+			return f
 		}
 		w.step()
+		w.sc.tris = append(w.sc.tris, f)
 		lo := r.faces.Off[f]
 		ib := r.locate(f, int32(b), int32(a)) - lo
 		ia, ic := (ib+1)%3, (ib+2)%3
 		c := NodeID(r.faces.Dat[lo+ic])
-		var sides [3]geom.Orientation
-		sides[ib], sides[ia] = geom.CounterClockwise, geom.Clockwise
-		sides[ic] = geom.Orient(w.L.A, w.L.B, r.g.Point(c))
-		w.testTriangle(f, sides)
-		switch sides[ic] {
+		switch geom.Orient(w.L.A, w.L.B, r.g.Point(c)) {
 		case geom.CounterClockwise:
+			w.addLeft(c, lo+ic)
 			p, b = lo+ia, c // out over a→c
 		case geom.Clockwise:
+			w.addRight(c, lo+ia)
 			p, a = lo+ic, c // out over c→b
 		default:
-			if c != w.t && (!w.tFaceless || geom.InSegmentBox(r.g.Point(c), w.L)) {
+			w.addLeft(c, lo+ic)
+			w.addRight(c, lo+ia)
+			if c == w.t {
+				w.reached = true
+			} else if !w.tFaceless || geom.InSegmentBox(r.g.Point(c), w.L) {
 				w.sc.stack = append(w.sc.stack, walkStep{row: f, slot: lo + ic, vertex: true})
 			}
-			return
+			return -1
 		}
 		if !w.reaches(a, b) {
-			return
+			return -1
 		}
 	}
 }
@@ -374,10 +459,14 @@ func (w *walk) step() {
 
 // enterRegion enters the region of row f — the row, or the face holding it
 // when f is an island's outline, with every outline that face holds — once
-// per walk. It tests each of the region's rows and queues every point where
-// L leaves them: each edge L properly crosses with t on its right, and each
-// vertex inside L where s lies strictly in the row's corner.
+// per walk; f < 0 enters nothing. It tests each of the region's rows and
+// queues every point where L leaves them: each edge L properly crosses with
+// t on its right, and each vertex inside L where s lies strictly in the
+// row's corner.
 func (w *walk) enterRegion(f int32) {
+	if f < 0 {
+		return
+	}
 	r, sc := w.r, w.sc
 	h := r.inner.head(f)
 	if slices.Contains(sc.regions, h) {
@@ -393,13 +482,8 @@ func (w *walk) enterRegion(f int32) {
 func (w *walk) scanRow(f int32) {
 	r, sc := w.r, w.sc
 	w.step()
-	lo, hi := r.faces.Off[f], r.faces.Off[f+1]
-	poly, sides := sc.poly[:0], sc.sides[:0]
-	for _, v := range r.faces.Dat[lo:hi] {
-		p := r.point(v)
-		poly, sides = append(poly, p), append(sides, geom.Orient(w.L.A, w.L.B, p))
-	}
-	sc.poly, sc.sides = poly, sides
+	lo := r.faces.Off[f]
+	poly, sides := w.rowSides(f)
 	if int(f) != r.outer {
 		w.test(int(f), poly, sides)
 	}
@@ -428,12 +512,22 @@ func (w *walk) scanRow(f int32) {
 	}
 }
 
-// testTriangle runs the entry test on triangle row f with its sides.
-func (w *walk) testTriangle(f int32, sides [3]geom.Orientation) {
-	lo := w.r.faces.Off[f]
-	row := w.r.faces.Dat[lo : lo+3]
-	poly := [3]geom.Point{w.r.point(row[0]), w.r.point(row[1]), w.r.point(row[2])}
-	w.test(int(f), poly[:], sides[:])
+// rowSides returns row f's polygon and each vertex's side of L, in sc.
+func (w *walk) rowSides(f int32) ([]geom.Point, []geom.Orientation) {
+	r, sc := w.r, w.sc
+	poly, sides := sc.poly[:0], sc.sides[:0]
+	for _, v := range r.faces.Row(int(f)) {
+		p := r.point(v)
+		poly, sides = append(poly, p), append(sides, geom.Orient(w.L.A, w.L.B, p))
+	}
+	sc.poly, sc.sides = poly, sides
+	return poly, sides
+}
+
+// testRow runs the entry test on row f.
+func (w *walk) testRow(f int32) {
+	poly, sides := w.rowSides(f)
+	w.test(int(f), poly, sides)
 }
 
 // test gives face fi its corridor entry when the segment passes through its
