@@ -155,7 +155,7 @@ func (nw *Network) repairTopology(v sim.NodeID, up bool) {
 	if incremental {
 		prev = nw.Holes
 	}
-	holes, reused := delaunay.DetectHolesLive(live, nw.G.Radius(), nw.dead, prev)
+	holes, reused := delaunay.DetectHolesLive(live, nw.G.Radius(), prev)
 
 	nw.LDel = live
 	nw.Holes = holes

@@ -27,19 +27,39 @@ func borderedPoints(s, w, h float64) []geom.Point {
 	return pts
 }
 
-// withHullEdges returns a clone of g with the edges of the convex hull of its
-// points added, as the router and hole detection overlay them.
-func withHullEdges(g *PlanarGraph) *PlanarGraph {
-	c := g.Clone()
-	hull := geom.ConvexHull(g.Points())
-	idx := make(map[geom.Point]udg.NodeID, g.N())
-	for v := 0; v < g.N(); v++ {
-		idx[g.Point(udg.NodeID(v))] = udg.NodeID(v)
+// eulerCounts returns the terms of Euler's formula for g's map: V counts the
+// nodes with edges, C their components, and F the rows of the face table. A
+// plane map has V − E + F = 2C; rotations that twist it lose faces.
+func eulerCounts(g *PlanarGraph) (v, e, f, c int) {
+	seen := make([]bool, g.N())
+	for s := range g.N() {
+		if seen[s] || g.Degree(udg.NodeID(s)) == 0 {
+			continue
+		}
+		c++
+		seen[s] = true
+		for stack := []udg.NodeID{udg.NodeID(s)}; len(stack) > 0; {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			v++
+			for _, w := range g.Neighbors(u) {
+				if !seen[w] {
+					seen[w] = true
+					stack = append(stack, w)
+				}
+			}
+		}
 	}
-	for i := range hull {
-		c.AddEdge(idx[hull[i]], idx[hull[(i+1)%len(hull)]])
+	faces := g.Faces()
+	return v, g.EdgeCount(), faces.Rows(), c
+}
+
+// checkEuler fails unless g's map has V − E + F = 2C.
+func checkEuler(t *testing.T, g *PlanarGraph) {
+	t.Helper()
+	if v, e, f, c := eulerCounts(g); v-e+f != 2*c {
+		t.Fatalf("V − E + F = %d − %d + %d = %d, want 2C = %d", v, e, f, v-e+f, 2*c)
 	}
-	return c
 }
 
 // checkFaceAdjacency holds FacesWithAdjacency to its contract on g: the same
@@ -91,10 +111,11 @@ func checkFaceAdjacency(t *testing.T, g *PlanarGraph) {
 	}
 }
 
-// TestFaceAdjacency checks the face adjacency on LDel² graphs, on clones with
-// the convex hull's edges added (on the bordered grids they overlap the
-// collinear border paths), and on clones after churn removed the edges of
-// random nodes and of a ring that cuts off an island.
+// TestFaceAdjacency checks the face adjacency on LDel² graphs, on their
+// CH(V) overlays (on the bordered grids the hull runs along the collinear
+// border paths), and on overlays after churn removed the edges of random
+// nodes and of a ring that cuts off an island. Both overlay maps must also
+// be plane by Euler's formula.
 func TestFaceAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for _, c := range []struct {
@@ -109,8 +130,9 @@ func TestFaceAdjacency(t *testing.T) {
 		g := c.g
 		t.Run(c.name, func(t *testing.T) {
 			checkFaceAdjacency(t, g)
-			hulled := withHullEdges(g)
+			hulled, _ := g.WithHull()
 			checkFaceAdjacency(t, hulled)
+			checkEuler(t, hulled)
 
 			churned := hulled.Clone()
 			c := g.Point(udg.NodeID(g.N() / 2))
@@ -121,6 +143,7 @@ func TestFaceAdjacency(t *testing.T) {
 				}
 			}
 			checkFaceAdjacency(t, churned)
+			checkEuler(t, churned)
 		})
 	}
 }

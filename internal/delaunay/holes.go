@@ -1,6 +1,9 @@
 package delaunay
 
 import (
+	"cmp"
+	"slices"
+
 	"hybridroute/internal/geom"
 	"hybridroute/internal/udg"
 )
@@ -136,8 +139,66 @@ func hullEdges(h []geom.Point) []geom.Segment {
 	return out
 }
 
-// DetectHoles lives in patch.go alongside DetectHolesLive (the two share one
-// implementation differing only in dead-node exclusion and hole reuse).
+// WithHull returns the overlay of Definition 2.5: a clone of g with the edges
+// of CH(V) that g lacks added, and those edges in hull order. Hole detection
+// and the router both build it here. CH(V) is the convex hull of the nodes
+// that have edges, so a crashed node neither widens it nor hides a notch,
+// and every point on its boundary is a hull node: where a border path is
+// straight, the hull side is that path's own edges, not one edge lying over
+// them. Coincident points resolve to the highest node ID.
+func (g *PlanarGraph) WithHull() (*PlanarGraph, [][2]udg.NodeID) {
+	hull := g.hullNodes()
+	c := g.Clone()
+	var added [][2]udg.NodeID
+	for i, a := range hull {
+		// The hull of collinear points runs there and back, so ask c, not g.
+		if b := hull[(i+1)%len(hull)]; a != b && !c.HasEdge(a, b) {
+			c.AddEdge(a, b)
+			added = append(added, [2]udg.NodeID{a, b})
+		}
+	}
+	return c, added
+}
+
+// hullNodes returns the hull of the nodes with edges, counterclockwise from
+// the lowest leftmost one, with every point on its boundary: Andrew's
+// monotone chain over the nodes sorted by point, popping only on a clockwise
+// turn.
+func (g *PlanarGraph) hullNodes() []udg.NodeID {
+	var vs []udg.NodeID
+	for v := range g.N() {
+		if g.Degree(udg.NodeID(v)) > 0 {
+			vs = append(vs, udg.NodeID(v))
+		}
+	}
+	slices.SortFunc(vs, func(a, b udg.NodeID) int {
+		pa, pb := g.pts[a], g.pts[b]
+		return cmp.Or(cmp.Compare(pa.X, pb.X), cmp.Compare(pa.Y, pb.Y), cmp.Compare(b, a))
+	})
+	// Coincident points sort highest ID first, and that one stays.
+	vs = slices.CompactFunc(vs, func(a, b udg.NodeID) bool { return g.pts[a] == g.pts[b] })
+	hull := make([]udg.NodeID, 0, 2*len(vs))
+	cw := func(v udg.NodeID) bool {
+		n := len(hull)
+		return geom.Orient(g.pts[hull[n-2]], g.pts[hull[n-1]], g.pts[v]) == geom.Clockwise
+	}
+	for _, v := range vs {
+		for len(hull) >= 2 && cw(v) {
+			hull = hull[:len(hull)-1]
+		}
+		hull = append(hull, v)
+	}
+	for i, lower := len(vs)-2, len(hull)+1; i >= 0; i-- {
+		for len(hull) >= lower && cw(vs[i]) {
+			hull = hull[:len(hull)-1]
+		}
+		hull = append(hull, vs[i])
+	}
+	if len(hull) > 1 {
+		hull = hull[:len(hull)-1] // the first node again
+	}
+	return hull
+}
 
 // addHole appends the hole bounded by ring, which it keeps: callers pass a
 // private copy.

@@ -11,7 +11,6 @@ package delaunay
 import (
 	"strconv"
 
-	"hybridroute/internal/geom"
 	"hybridroute/internal/udg"
 )
 
@@ -63,29 +62,12 @@ func ringKey(cycle []udg.NodeID, outer bool) string {
 }
 
 // DetectHolesLive finds the radio holes of a planar graph under dynamic
-// membership: excluded marks dead nodes, whose (isolated) points are left out
-// of the convex-hull overlay of Definition 2.5 so a corpse on the perimeter
-// cannot fabricate or hide an outer hole. When prev is non-nil, any detected
-// hole whose boundary ring is identical to a hole of prev reuses that hole's
-// derived geometry instead of recomputing it; the second return value counts
-// reused holes. DetectHolesLive(g, r, nil, nil) is exactly DetectHoles(g, r).
-func DetectHolesLive(ldel *PlanarGraph, r float64, excluded map[udg.NodeID]bool, prev *HoleSet) (*HoleSet, int) {
-	return detectHoles(ldel, r, excluded, prev)
-}
-
-// DetectHoles finds all radio holes of the planar graph ldel (assumed to be
-// LDel²(V) or a planar supergraph of it) for transmission radius r.
-//
-// Inner holes are bounded faces with ≥ 4 distinct nodes. For outer holes,
-// the convex hull CH(V) of the node set is overlaid (Definition 2.5) and
-// bounded faces of the combined graph with ≥ 3 nodes containing a hull edge
-// longer than r are reported.
-func DetectHoles(ldel *PlanarGraph, r float64) *HoleSet {
-	hs, _ := detectHoles(ldel, r, nil, nil)
-	return hs
-}
-
-func detectHoles(ldel *PlanarGraph, r float64, excluded map[udg.NodeID]bool, prev *HoleSet) (*HoleSet, int) {
+// membership, where a crashed node keeps its point but has no edges. When
+// prev is non-nil, any detected hole whose boundary ring is identical to a
+// hole of prev reuses that hole's derived geometry instead of recomputing
+// it; the second return value counts reused holes. DetectHolesLive(g, r, nil)
+// is exactly DetectHoles(g, r).
+func DetectHolesLive(ldel *PlanarGraph, r float64, prev *HoleSet) (*HoleSet, int) {
 	hs := &HoleSet{NodeHoles: make(map[udg.NodeID][]int)}
 	var prevByRing map[string]*Hole
 	if prev != nil {
@@ -115,83 +97,40 @@ func detectHoles(ldel *PlanarGraph, r float64, excluded map[udg.NodeID]bool, pre
 			hs.OuterBoundary = nodeIDs(cycle)
 			continue
 		}
-		if excluded != nil && ldel.cycleArea(cycle) < 0 {
-			// Removing a cut node can disconnect the embedding, giving each
-			// component its own clockwise unbounded face; only one is the
-			// global outer face, so skip the rest rather than report them as
-			// (spurious) inner holes.
-			continue
-		}
-		if DistinctNodes(cycle) >= 4 {
+		// Removing a cut node can disconnect the embedding, giving each
+		// component its own clockwise unbounded face; only one is the global
+		// outer face, so both passes skip every face of negative area rather
+		// than report the rest as (spurious) holes.
+		if ldel.cycleArea(cycle) >= 0 && DistinctNodes(cycle) >= 4 {
 			add(cycle, false)
 		}
 	}
 
-	// Outer holes: overlay convex hull edges of the (live) point set.
-	pts := ldel.Points()
-	hullInput := pts
-	if len(excluded) > 0 {
-		hullInput = make([]geom.Point, 0, len(pts))
-		for v := 0; v < ldel.N(); v++ {
-			if !excluded[udg.NodeID(v)] {
-				hullInput = append(hullInput, pts[v])
-			}
+	// Outer holes: the bounded faces of the CH(V) overlay with a hull edge
+	// longer than r. Every such edge is one g lacks, since LDel² edges are
+	// no longer than r.
+	gbar, added := ldel.WithHull()
+	type hedge struct{ a, b udg.NodeID }
+	longHull := make(map[hedge]bool)
+	for _, e := range added {
+		if ldel.Point(e[0]).Dist(ldel.Point(e[1])) > r {
+			longHull[hedge{e[0], e[1]}] = true
+			longHull[hedge{e[1], e[0]}] = true
 		}
 	}
-	hullPts := geom.ConvexHull(hullInput)
-	if len(hullPts) >= 3 {
-		// Only hull vertices ever get looked up, so index just those few
-		// points instead of building a map over all n nodes. Scanning nodes
-		// in ascending order keeps the historical resolution for coincident
-		// points (the highest live node ID wins).
-		ptIndex := make(map[geom.Point]udg.NodeID, len(hullPts))
-		for _, p := range hullPts {
-			ptIndex[p] = udg.NodeID(0)
-		}
-		for v := 0; v < ldel.N(); v++ {
-			if excluded[udg.NodeID(v)] {
+	if len(longHull) > 0 {
+		bfaces := gbar.Faces()
+		bouter := gbar.OuterFaceIndex(&bfaces)
+		for i := 0; i < bfaces.Rows(); i++ {
+			cycle := bfaces.Row(i)
+			if i == bouter || DistinctNodes(cycle) < 3 || gbar.cycleArea(cycle) < 0 {
 				continue
 			}
-			if _, ok := ptIndex[ldel.Point(udg.NodeID(v))]; ok {
-				ptIndex[ldel.Point(udg.NodeID(v))] = udg.NodeID(v)
-			}
-		}
-		gbar := ldel.Clone()
-		type hedge struct{ a, b udg.NodeID }
-		longHull := make(map[hedge]bool)
-		for i := range hullPts {
-			pa, pb := hullPts[i], hullPts[(i+1)%len(hullPts)]
-			a, okA := ptIndex[pa]
-			b, okB := ptIndex[pb]
-			if !okA || !okB {
-				continue
-			}
-			gbar.AddEdge(a, b)
-			if pa.Dist(pb) > r {
-				longHull[hedge{a, b}] = true
-				longHull[hedge{b, a}] = true
-			}
-		}
-		if len(longHull) > 0 {
-			bfaces := gbar.Faces()
-			bouter := gbar.OuterFaceIndex(&bfaces)
-			for i := 0; i < bfaces.Rows(); i++ {
-				cycle := bfaces.Row(i)
-				if i == bouter || DistinctNodes(cycle) < 3 {
-					continue
-				}
-				if excluded != nil && gbar.cycleArea(cycle) < 0 {
-					continue
-				}
-				has := false
-				n := len(cycle)
-				for j := 0; j < n && !has; j++ {
-					if longHull[hedge{udg.NodeID(cycle[j]), udg.NodeID(cycle[(j+1)%n])}] {
-						has = true
-					}
-				}
-				if has {
+			n := len(cycle)
+			for j := 0; j < n; j++ {
+				if longHull[hedge{udg.NodeID(cycle[j]), udg.NodeID(cycle[(j+1)%n])}] {
 					add(cycle, true)
+					break
 				}
 			}
 		}
@@ -203,4 +142,16 @@ func detectHoles(ldel *PlanarGraph, r float64, excluded map[udg.NodeID]bool, pre
 		}
 	}
 	return hs, reused
+}
+
+// DetectHoles finds all radio holes of the planar graph ldel (assumed to be
+// LDel²(V) or a planar supergraph of it) for transmission radius r.
+//
+// Inner holes are bounded faces with ≥ 4 distinct nodes. For outer holes,
+// the convex hull CH(V) of the nodes with edges is overlaid (Definition 2.5,
+// WithHull) and bounded faces of the combined graph with ≥ 3 nodes
+// containing a hull edge longer than r are reported.
+func DetectHoles(ldel *PlanarGraph, r float64) *HoleSet {
+	hs, _ := DetectHolesLive(ldel, r, nil)
+	return hs
 }

@@ -5,6 +5,7 @@ import (
 
 	"hybridroute/internal/geom"
 	"hybridroute/internal/udg"
+	"hybridroute/internal/workload"
 )
 
 func TestRemoveNodeEdges(t *testing.T) {
@@ -45,12 +46,12 @@ func TestRemoveNodeEdges(t *testing.T) {
 }
 
 // TestDetectHolesLiveMatchesDetectHoles pins that the live detector with no
-// exclusions and no reuse is exactly DetectHoles.
+// reuse is exactly DetectHoles.
 func TestDetectHolesLiveMatchesDetectHoles(t *testing.T) {
 	g := gridWithHole(0.6, 6, 6, 1.5)
 	ld := LDelK(g, 2)
 	a := DetectHoles(ld, g.Radius())
-	b, reused := DetectHolesLive(ld, g.Radius(), nil, nil)
+	b, reused := DetectHolesLive(ld, g.Radius(), nil)
 	if reused != 0 {
 		t.Errorf("reused %d holes with nil prev", reused)
 	}
@@ -66,7 +67,7 @@ func TestDetectHolesLiveMatchesDetectHoles(t *testing.T) {
 
 // TestDetectHolesLiveReuse crashes a node far from the existing hole and
 // verifies that re-detection reuses the untouched hole's geometry (same Hull
-// backing array) while the dead node is excluded from the hull overlay.
+// backing array) and puts the dead node on no hole.
 func TestDetectHolesLiveReuse(t *testing.T) {
 	g := gridWithHole(0.6, 8, 8, 1.5)
 	if !g.Connected() {
@@ -99,8 +100,7 @@ func TestDetectHolesLiveReuse(t *testing.T) {
 	}
 	live := ld.Clone()
 	live.RemoveNodeEdges(victim)
-	excluded := map[udg.NodeID]bool{victim: true}
-	cur, reused := DetectHolesLive(live, g.Radius(), excluded, prev)
+	cur, reused := DetectHolesLive(live, g.Radius(), prev)
 	if reused == 0 {
 		t.Error("expected at least one hole ring to be reused")
 	}
@@ -148,9 +148,9 @@ func TestDetectHolesLiveReuse(t *testing.T) {
 	}
 }
 
-// TestDetectHolesLiveExcludesDeadHullPoint pins the overlay exclusion: a dead
-// node that was a convex-hull vertex must not contribute hull edges, so the
-// overlay is built over the live perimeter.
+// TestDetectHolesLiveExcludesDeadHullPoint pins the overlay's extent: a dead
+// node that was a convex-hull vertex has no edges, so it contributes no hull
+// edges, and the overlay is built over the live perimeter.
 func TestDetectHolesLiveExcludesDeadHullPoint(t *testing.T) {
 	// A dense strip with one far-out spike; the spike is the hull vertex.
 	var pts []geom.Point
@@ -165,12 +165,47 @@ func TestDetectHolesLiveExcludesDeadHullPoint(t *testing.T) {
 	ld := LDelK(g, 2)
 	live := ld.Clone()
 	live.RemoveNodeEdges(udg.NodeID(spike))
-	cur, _ := DetectHolesLive(live, g.Radius(), map[udg.NodeID]bool{udg.NodeID(spike): true}, nil)
+	cur, _ := DetectHolesLive(live, g.Radius(), nil)
 	for _, h := range cur.Holes {
 		for _, v := range h.Ring {
 			if v == udg.NodeID(spike) {
 				t.Fatalf("dead spike %d on hole boundary %v", spike, h.Ring)
 			}
 		}
+	}
+}
+
+// TestDetectHolesLiveNotch crashes the border node at (5.5, 0) of a hole-free
+// bordered grid. Its neighbours on the straight border are 1.1 apart, more
+// than the radio range, so the hull edge between them closes a notch, and
+// Definition 2.5 makes the triangle behind it an outer hole.
+func TestDetectHolesLiveNotch(t *testing.T) {
+	sc, err := workload.BorderedGrid(0.55, 10.45, 10.45, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sc.Build()
+	ld := LDel2Fast(g)
+	if hs := DetectHoles(ld, g.Radius()); len(hs.Holes) != 0 {
+		t.Fatalf("the pristine grid has %d holes", len(hs.Holes))
+	}
+	nearest := func(p geom.Point) udg.NodeID {
+		best := udg.NodeID(0)
+		for v := range g.N() {
+			if g.Point(udg.NodeID(v)).Dist(p) < g.Point(best).Dist(p) {
+				best = udg.NodeID(v)
+			}
+		}
+		return best
+	}
+	live := ld.Clone()
+	live.RemoveNodeEdges(nearest(geom.Pt(5.5, 0)))
+	hs, _ := DetectHolesLive(live, g.Radius(), nil)
+	if len(hs.Holes) != 1 || !hs.Holes[0].Outer {
+		t.Fatalf("%d holes after the crash, want one outer hole", len(hs.Holes))
+	}
+	want := []udg.NodeID{nearest(geom.Pt(4.95, 0)), nearest(geom.Pt(6.05, 0)), nearest(geom.Pt(5.5, 0.55))}
+	if ring := hs.Holes[0].Ring; len(ring) != 3 || ringKey(ring, true) != ringKey(want, true) {
+		t.Fatalf("the notch's ring is %v, want the triangle %v", ring, want)
 	}
 }

@@ -160,10 +160,8 @@ func (r *Router) newInnerBounds() *innerBounds {
 	}
 	for _, pr := range probes {
 		if pr.best < 0 {
-			// Where the hull edges overlap collinear border paths, the outer
-			// row swallows the corner triangles: its polygon winds around them
-			// once each way, so no polygon holds a point there, and the outer
-			// row is the face that does.
+			// Only the outer row holds a point outside the hull of the nodes
+			// with edges, such as a crashed hull corner.
 			pr.best = int32(r.outer)
 		}
 		switch {

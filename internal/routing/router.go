@@ -68,11 +68,12 @@ func (r Result) Hops() int {
 // the simulation).
 //
 // Face classification follows Definition 2.5: the convex hull CH(V) of the
-// node set is overlaid on the graph, so the region between the outer
-// boundary and the hull decomposes into bounded faces. A segment between two
-// nodes always stays inside CH(V) and therefore never crosses the outer face
-// of the augmented embedding; outer holes (boundary notches behind a hull
-// edge longer than the radio range) appear as ordinary bounded non-triangle
+// nodes with edges is overlaid on the graph (delaunay.WithHull, the overlay
+// hole detection uses), so the region between the outer boundary and the
+// hull decomposes into bounded faces. A segment between two nodes with edges
+// always stays inside CH(V) and therefore never crosses the outer face of
+// the augmented embedding; outer holes (boundary notches behind a hull edge
+// longer than the radio range) appear as ordinary bounded non-triangle
 // faces. Hull edges are classification artifacts only — path construction
 // and all forwarding decisions use the real communication graph.
 type Router struct {
@@ -104,38 +105,13 @@ func New(g *delaunay.PlanarGraph) *Router {
 		g:       g,
 		maxHops: 4*g.N() + 16,
 	}
-	gbar := g.Clone()        // g plus the CH(V) edges, for face enumeration only
-	var hullEdges [][2]int32 // the CH(V) edges g lacks
-	if g.N() >= 3 {
-		hull := geom.ConvexHull(g.Points())
-		// Index only the hull points: probing every node against a
-		// hull-sized map avoids an n-entry map at n=10⁶. The ascending scan
-		// keeps the historical coincident-point resolution (highest node ID
-		// wins, as later map inserts used to overwrite earlier ones).
-		idx := make(map[geom.Point]NodeID, len(hull))
-		for _, p := range hull {
-			idx[p] = -1
-		}
-		for v := 0; v < g.N(); v++ {
-			p := g.Point(NodeID(v))
-			if _, ok := idx[p]; ok {
-				idx[p] = NodeID(v)
-			}
-		}
-		for i := range hull {
-			a, okA := idx[hull[i]]
-			b, okB := idx[hull[(i+1)%len(hull)]]
-			if okA && okB && a >= 0 && b >= 0 && a != b && !g.HasEdge(a, b) {
-				gbar.AddEdge(a, b)
-				hullEdges = append(hullEdges, [2]int32{int32(a), int32(b)})
-			}
-		}
-	}
+	gbar, hullEdges := g.WithHull() // for face enumeration only
 	fa := gbar.FacesWithAdjacency()
 	r.faces, r.across, r.anchor = fa.Faces, fa.Across, fa.Anchor
 	for _, e := range hullEdges {
-		r.markHull(e[0], e[1])
-		r.markHull(e[1], e[0])
+		a, b := int32(e[0]), int32(e[1])
+		r.markHull(a, b)
+		r.markHull(b, a)
 	}
 	r.outer = gbar.OuterFaceIndex(&r.faces)
 	r.inner = r.newInnerBounds()

@@ -5,11 +5,10 @@
 // when it lies on st). Chew answers from those chains with a walk that stops
 // at the first row that is not a triangle (chew.go). The corridor, Chew's
 // exact slow path, walks on through every other row (a hole, the outer row,
-// the degenerate rows the hull edges make where they overlap collinear
-// border paths), scanning it once for every point where the segment leaves
-// it, and gives each face it visits the corridor's entry test. DESIGN.md
-// ("Chew from the walk", "Face-to-face corridor walk") argues why the chains
-// are paths and why the corridor equals a scan of every face.
+// an island's outline), scanning it once for every point where the segment
+// leaves it, and gives each face it visits the corridor's entry test.
+// DESIGN.md ("Chew from the walk", "Face-to-face corridor walk") argues why
+// the chains are paths and why the corridor equals a scan of every face.
 
 package routing
 
@@ -73,8 +72,8 @@ type corridorEntry struct {
 // face index. The walk visits each face the open segment meets once; a face
 // earns an entry only through the geometric tests a scan of every face
 // would make, so the corridor is identical to that scan. (The outer face
-// never earns one: segments between nodes stay inside CH(V).) The returned
-// slice lives in sc.
+// never earns one: the walk does not test it, as the scan does not.) The
+// returned slice lives in sc.
 func (r *Router) corridor(L geom.Segment, s, t NodeID, sc *corridorScratch) []int {
 	w := r.newWalk(L, s, t, sc)
 	if L.A != L.B {
@@ -126,8 +125,8 @@ func prev(p, lo, hi int32) int32 {
 func (r *Router) isTri(f int32) bool { return r.tri[f>>6]&(1<<(f&63)) != 0 }
 
 // triangleRows marks the rows the walk crosses with one side test: three
-// slots whose nodes turn counterclockwise (so not the outer row, an island's
-// outline or a degenerate hull row), and no island or edgeless node inside.
+// slots whose nodes turn counterclockwise (so not the outer row or an
+// island's outline), and no island or edgeless node inside.
 func (r *Router) triangleRows() []uint64 {
 	tri := make([]uint64, (r.faces.Rows()+63)/64)
 	for f := 0; f < r.faces.Rows(); f++ {
@@ -220,19 +219,27 @@ func (r *Router) newWalk(L geom.Segment, s, t NodeID, sc *corridorScratch) walk 
 }
 
 // addLeft appends v, reached over the edge at slot p, to the left chain.
-func (w *walk) addLeft(v NodeID, p int32) {
-	if w.r.onHull(p) {
-		w.okL = min(w.okL, len(w.sc.left))
-	}
-	w.sc.left = append(w.sc.left, v)
-}
+func (w *walk) addLeft(v NodeID, p int32) { w.sc.left, w.okL = w.r.extend(w.sc.left, w.okL, v, p) }
 
 // addRight appends v, reached over the edge at slot p, to the right chain.
-func (w *walk) addRight(v NodeID, p int32) {
-	if w.r.onHull(p) {
-		w.okR = min(w.okR, len(w.sc.right))
+func (w *walk) addRight(v NodeID, p int32) { w.sc.right, w.okR = w.r.extend(w.sc.right, w.okR, v, p) }
+
+// extend appends v, reached over the edge at slot p, to a chain whose longest
+// prefix that is a path of g has length ok. A step straight back to the node
+// before the last (a, c, a) drops c instead: the chain then ends at v as it
+// would have, is a path wherever the longer one was, and is never longer.
+// The dropped step no longer counts against ok.
+func (r *Router) extend(chain []NodeID, ok int, v NodeID, p int32) ([]NodeID, int) {
+	if n := len(chain); n >= 2 && chain[n-2] == v {
+		if ok >= n-1 {
+			ok = math.MaxInt
+		}
+		return chain[:n-1], ok
 	}
-	w.sc.right = append(w.sc.right, v)
+	if r.onHull(p) {
+		ok = min(ok, len(chain))
+	}
+	return append(chain, v), ok
 }
 
 // resume pops the walk's next pending step and takes it. It returns the row

@@ -2,7 +2,9 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hybridroute/internal/geom"
@@ -110,5 +112,22 @@ func TestWalkedFacesPerCorridorFace(t *testing.T) {
 	t.Logf("%d faces walked for %d corridor faces: %.3f per face", walked, faces, ratio)
 	if ratio > 1.01 {
 		t.Fatalf("%.3f faces walked per corridor face, want at most 1.01", ratio)
+	}
+}
+
+// TestExtendDropsDetour holds a chain step back to the node before the last
+// to its contract: the node between goes, and a CH(V) step that goes with it
+// no longer cuts the chain's path prefix, so later steps keep the chain a path.
+func TestExtendDropsDetour(t *testing.T) {
+	r := &Router{across: []int32{hullBit, 0}} // slot 0 is a CH(V) edge, slot 1 is not
+	chain, ok := []NodeID{1, 2}, math.MaxInt
+	chain, ok = r.extend(chain, ok, 3, 0)
+	if !slices.Equal(chain, []NodeID{1, 2, 3}) || ok != 2 {
+		t.Fatalf("after a hull step: %v with path prefix %d, want [1 2 3] and 2", chain, ok)
+	}
+	chain, ok = r.extend(chain, ok, 2, 0)
+	chain, ok = r.extend(chain, ok, 4, 1)
+	if !slices.Equal(chain, []NodeID{1, 2, 4}) || ok != math.MaxInt {
+		t.Fatalf("after the detour 2, 3, 2 and a step to 4: %v with path prefix %d, want [1 2 4], all a path", chain, ok)
 	}
 }
