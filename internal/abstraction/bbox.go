@@ -147,12 +147,14 @@ func (a *BBox) Waypoints(s, t geom.Point) ([]geom.Point, float64, bool) {
 }
 
 // links returns which corners endpoint p joins: its own region's corners
-// when it lies in region, else the corners it sees.
+// when it lies in region, else the corners it sees, decided from the
+// overlay's view of the boxes from p (geom.Box.Corners lists them
+// counterclockwise; a degenerate box is left to the predicate).
 func (a *BBox) links(p geom.Point, region int) func(int) bool {
 	if region >= 0 {
 		return func(i int) bool { return a.cornerRegion(i) == region }
 	}
-	return func(i int) bool { return a.overlay.Visible(p, a.corners[i]) }
+	return a.overlay.Links(p)
 }
 
 // cornerRegion returns the region a corner index belongs to.

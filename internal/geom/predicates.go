@@ -31,33 +31,50 @@ func (o Orientation) String() string {
 // constant to stay conservative.
 const orientErrBound = 4.0 * (1.0e-16)
 
+// orientMinMag is the least magnitude at which the relative bound holds. A
+// product that underflows into the subnormals is rounded by up to 2⁻¹⁰⁷⁵,
+// an absolute error the relative bound does not cover; from 2⁻¹⁰⁰⁰ up the
+// bound's slack over (3 + 16ε)ε covers it many times over.
+const orientMinMag = 0x1p-1000
+
 // Orient returns the orientation of the ordered triple (a, b, c): whether c
 // is to the left of (counterclockwise), to the right of (clockwise), or on
 // the directed line a→b. The float64 fast path falls back to exact rational
-// arithmetic when the determinant is within its rounding-error bound.
+// arithmetic when the determinant is within its rounding-error bound, or
+// when a product may have underflowed. Both products are exactly zero when
+// each has a zero factor (a float difference is zero only for equal
+// operands), the common collinear case, which needs no fallback.
 func Orient(a, b, c Point) Orientation {
 	detLeft := (a.X - c.X) * (b.Y - c.Y)
 	detRight := (a.Y - c.Y) * (b.X - c.X)
 	det := detLeft - detRight
 	mag := math.Abs(detLeft) + math.Abs(detRight)
-	if math.Abs(det) > orientErrBound*mag {
+	if math.Abs(det) > orientErrBound*mag && mag >= orientMinMag {
 		if det > 0 {
 			return CounterClockwise
 		}
 		return Clockwise
 	}
-	if det == 0 && mag == 0 {
+	if mag == 0 && (a.X == c.X || b.Y == c.Y) && (a.Y == c.Y || b.X == c.X) {
 		return Collinear
 	}
 	return orientExact(a, b, c)
 }
+
+// exactPrec is the big.Float precision at which orientExact rounds nothing.
+// A float64 is an integer multiple of 2⁻¹⁰⁷⁴ below 2¹⁰²⁴ in magnitude, so
+// the difference of two fits in 2 099 bits and the product of two such
+// differences in twice that. Bits are only paid for where an operand has
+// them: coordinates of similar magnitude cost what they did at 200 bits,
+// which was exact only while all six coordinates spanned under about 2⁷⁰.
+const exactPrec = 2 * 2099
 
 func orientExact(a, b, c Point) Orientation {
 	ax, ay := big.NewFloat(a.X), big.NewFloat(a.Y)
 	bx, by := big.NewFloat(b.X), big.NewFloat(b.Y)
 	cx, cy := big.NewFloat(c.X), big.NewFloat(c.Y)
 	for _, f := range []*big.Float{ax, ay, bx, by, cx, cy} {
-		f.SetPrec(200)
+		f.SetPrec(exactPrec)
 	}
 	l := new(big.Float).Mul(new(big.Float).Sub(ax, cx), new(big.Float).Sub(by, cy))
 	r := new(big.Float).Mul(new(big.Float).Sub(ay, cy), new(big.Float).Sub(bx, cx))

@@ -66,6 +66,26 @@ func TestOrientNearDegenerate(t *testing.T) {
 	}
 }
 
+// TestOrientExactAcrossMagnitudes pins the exact fallback on coordinates
+// that span far more than a float64 mantissa. p = (2ᵉ, 1) lies just beyond
+// the line x + y = 1, so every rotation of the triple ((1,0), (0,1), p) is
+// clockwise and every swap counterclockwise. At 200 bits the fallback
+// rounded 2⁻⁵¹³ − 1 to −1 and called some of them collinear.
+func TestOrientExactAcrossMagnitudes(t *testing.T) {
+	for _, e := range []int{-60, -200, -513, -1074} {
+		p := Pt(math.Ldexp(1, e), 1)
+		a, c := Pt(1, 0), Pt(0, 1)
+		for _, tri := range [][3]Point{{a, c, p}, {c, p, a}, {p, a, c}} {
+			if got := Orient(tri[0], tri[1], tri[2]); got != Clockwise {
+				t.Errorf("2^%d: Orient%v = %v, want clockwise", e, tri, got)
+			}
+			if got := Orient(tri[1], tri[0], tri[2]); got != CounterClockwise {
+				t.Errorf("2^%d: Orient(%v, %v, %v) = %v, want counterclockwise", e, tri[1], tri[0], tri[2], got)
+			}
+		}
+	}
+}
+
 func TestInCircleSquare(t *testing.T) {
 	a, b, c := Pt(0, 0), Pt(2, 0), Pt(0, 2)
 	// Circle through these passes through (2,2); center (1,1), r=sqrt2.
@@ -282,4 +302,29 @@ func randomStarPolygon(rng *rand.Rand, n int) []Point {
 		out[i] = withA[i].p
 	}
 	return out
+}
+
+// TestOrientUnderflow pins Orient on products that underflow: p lies one
+// subnormal ulp above the x-axis, so it is left of (0,0)→(1,0), yet each
+// float product of the determinant rounds to zero. Before the guard the fast
+// path read the zero products as exact and called p collinear.
+func TestOrientUnderflow(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	for _, c := range []struct {
+		a, b, p Point
+		want    Orientation
+	}{
+		{Pt(0, 0), Pt(1, 0), Pt(0.5, tiny), CounterClockwise},
+		{Pt(0, 0), Pt(1, 0), Pt(0.5, -tiny), Clockwise},
+		{Pt(0, 0), Pt(tiny, 0), Pt(0, tiny), CounterClockwise},
+		{Pt(0, 0), Pt(tiny, tiny), Pt(2*tiny, 2*tiny), Collinear},
+		{Pt(tiny, 0), Pt(0, tiny), Pt(0, 0), CounterClockwise},
+	} {
+		if got := Orient(c.a, c.b, c.p); got != c.want {
+			t.Errorf("Orient(%v, %v, %v) = %v, want %v", c.a, c.b, c.p, got, c.want)
+		}
+		if got := Orient(c.b, c.a, c.p); got != -c.want {
+			t.Errorf("Orient(%v, %v, %v) = %v, want %v", c.b, c.a, c.p, got, -c.want)
+		}
+	}
 }

@@ -29,6 +29,14 @@ type routeRequest struct {
 	Deliver    bool   `json:"deliver,omitempty"`
 }
 
+// maxBodyBytes caps a POST /route body, as the gateway caps the bodies it
+// forwards.
+const maxBodyBytes = 1 << 20
+
+// maxDeadlineMS is the largest deadline_ms whose time.Duration fits in an
+// int64; a larger one would wrap to a deadline in the past.
+const maxDeadlineMS = math.MaxInt64 / int64(time.Millisecond)
+
 // routeResponse is the POST /route answer.
 type routeResponse struct {
 	Reached      bool   `json:"reached"`
@@ -62,13 +70,17 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var body routeRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&body); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	n := s.nw.G.N()
 	if body.S < 0 || body.S >= n || body.T < 0 || body.T >= n {
 		http.Error(w, "node id out of range", http.StatusBadRequest)
+		return
+	}
+	if int64(body.DeadlineMS) > maxDeadlineMS {
+		http.Error(w, "deadline_ms out of range", http.StatusBadRequest)
 		return
 	}
 	req := Request{

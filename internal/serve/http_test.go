@@ -336,3 +336,111 @@ func saturate(t *testing.T, ts *httptest.Server, g *gate) {
 	post("b")
 	post("c")
 }
+
+// routeBodies are the POST /route bodies the HTTP tests send, plus the two
+// deadlines either side of the largest that fits a time.Duration.
+func routeBodies(n int) []string {
+	return []string{
+		`{"s":0,"t":5}`,
+		`{"s":0,"t":5,"source":"y"}`,
+		`{"s":0,"t":` + itoa(n-1) + `}`,
+		`{"s":-1,"t":2}`,
+		`{"s":0,"t":999999}`,
+		`not json`,
+		`{"s":0,"t":5,"deadline_ms":-1}`,
+		`{"s":0,"t":5,"deadline_ms":60000}`,
+		`{"s":0,"t":5,"deadline_ms":9223372036854}`,
+		`{"s":0,"t":5,"deadline_ms":9223372036855}`,
+		`{"s":3,"t":7,"deliver":true}`,
+	}
+}
+
+// startedServer returns a started one-worker server over testNetwork that
+// shuts down when the test ends.
+func startedServer(t testing.TB) *Server {
+	t.Helper()
+	srv := newTestServer(t, testNetwork(t), Config{Workers: 1, QueueSize: 4})
+	srv.Start()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	})
+	return srv
+}
+
+// serveRoute posts body to h's /route and returns the recorded answer.
+func serveRoute(h http.Handler, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/route", strings.NewReader(body)))
+	return rec
+}
+
+// TestRouteInputBounds pins POST /route's two input bounds. A deadline_ms
+// whose duration does not fit in an int64 is 400: it used to wrap to a
+// deadline in the past and shed as 504 on an idle server. A body is read up
+// to 1 MiB, as the gateway reads it, and one byte more is 400.
+func TestRouteInputBounds(t *testing.T) {
+	h := startedServer(t).Handler()
+	const limit = 1 << 20
+	pad := func(n int) string { return strings.Repeat(" ", n-len(`{"s":0,"t":5}`)) + `{"s":0,"t":5}` }
+	for _, c := range []struct {
+		name, body string
+		want       int
+	}{
+		{"a minute", `{"s":0,"t":5,"deadline_ms":60000}`, http.StatusOK},
+		{"the largest deadline", `{"s":0,"t":5,"deadline_ms":9223372036854}`, http.StatusOK},
+		{"one ms past it", `{"s":0,"t":5,"deadline_ms":9223372036855}`, http.StatusBadRequest},
+		{"10^13 ms", `{"s":0,"t":5,"deadline_ms":10000000000000}`, http.StatusBadRequest},
+		{"largest int", `{"s":0,"t":5,"deadline_ms":9223372036854775807}`, http.StatusBadRequest},
+		{"a body of 1 MiB", pad(limit), http.StatusOK},
+		{"a byte more", pad(limit + 1), http.StatusBadRequest},
+	} {
+		rec := serveRoute(h, c.body)
+		if rec.Code != c.want {
+			t.Errorf("%s: POST /route = %d (%s), want %d", c.name, rec.Code, strings.TrimSpace(rec.Body.String()), c.want)
+		}
+	}
+}
+
+// FuzzRouteBody posts fuzzed bodies to one started server's /route. No body
+// may panic the handler or draw a status outside the API's set. A routed
+// answer that reached t must run from s to t. A body that decodes to node
+// IDs in range and a deadline of at least a second must not be shed as
+// expired: the server is idle, so only a deadline computed wrongly could
+// have passed.
+func FuzzRouteBody(f *testing.F) {
+	srv := startedServer(f)
+	n := srv.nw.G.N()
+	for _, b := range routeBodies(n) {
+		f.Add(b)
+	}
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := serveRoute(h, body)
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusMethodNotAllowed, http.StatusTooManyRequests,
+			http.StatusBadGateway, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		default:
+			t.Fatalf("POST /route %q = %d: %s", body, rec.Code, rec.Body.String())
+		}
+		var req routeRequest
+		decoded := json.NewDecoder(strings.NewReader(body)).Decode(&req) == nil &&
+			req.S >= 0 && req.S < n && req.T >= 0 && req.T < n
+		if decoded && req.DeadlineMS >= 1000 && rec.Code == http.StatusGatewayTimeout {
+			t.Fatalf("POST /route %q on an idle server = 504: %s", body, rec.Body.String())
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var rr routeResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
+			t.Fatalf("POST /route %q = 200 with an undecodable answer: %v", body, err)
+		}
+		if rr.Reached && (!decoded || len(rr.Path) == 0 || rr.Path[0] != req.S || rr.Path[len(rr.Path)-1] != req.T) {
+			t.Fatalf("POST /route %q reached along %v, which does not run from s to t", body, rr.Path)
+		}
+	})
+}

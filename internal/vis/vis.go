@@ -30,17 +30,30 @@ type obstacleSet struct {
 	polys   [][]geom.Point
 	boxes   []geom.Box // widened bounding box of polys[i]
 	corners []geom.Point
+	owner   []int  // corners[i] is a corner of polys[owner[i]]
+	first   []int  // corners[first[i]] is polys[i][0]
+	convex  []bool // polys[i] is strictly convex and counterclockwise
 }
 
 func newObstacleSet(polys [][]geom.Point) obstacleSet {
-	o := obstacleSet{polys: polys, boxes: make([]geom.Box, len(polys))}
+	o := obstacleSet{
+		polys:  polys,
+		boxes:  make([]geom.Box, len(polys)),
+		first:  make([]int, len(polys)),
+		convex: make([]bool, len(polys)),
+	}
 	for i, poly := range polys {
 		b := geom.BoundingBox(poly)
 		o.boxes[i] = geom.Box{
 			Min: geom.Pt(b.Min.X-cullMargin, b.Min.Y-cullMargin),
 			Max: geom.Pt(b.Max.X+cullMargin, b.Max.Y+cullMargin),
 		}
+		o.first[i] = len(o.corners)
+		o.convex[i] = strictlyConvexCCW(poly)
 		o.corners = append(o.corners, poly...)
+		for range poly {
+			o.owner = append(o.owner, i)
+		}
 	}
 	return o
 }
@@ -62,17 +75,19 @@ func (o *obstacleSet) Corners() []geom.Point { return o.corners }
 // segment properly crosses, and the margin keeps every sampled probe
 // outside it: the answer equals the plain loop over all obstacles.
 func (o *obstacleSet) Visible(a, b geom.Point) bool {
-	s := geom.Seg(a, b)
 	sb := geom.EmptyBox().Extend(a).Extend(b)
-	for i, poly := range o.polys {
-		if !sb.Overlaps(o.boxes[i]) || lineMissesBox(a, b, o.boxes[i]) {
-			continue
-		}
-		if geom.SegmentIntersectsPolygon(s, poly) {
+	for i := range o.polys {
+		if sb.Overlaps(o.boxes[i]) && o.blocks(i, a, b) {
 			return false
 		}
 	}
 	return true
+}
+
+// blocks is Visible's test of obstacle i against segment ab once the
+// segment's box meets the obstacle's: the line cull, then the predicate.
+func (o *obstacleSet) blocks(i int, a, b geom.Point) bool {
+	return !lineMissesBox(a, b, o.boxes[i]) && geom.SegmentIntersectsPolygon(geom.Seg(a, b), o.polys[i])
 }
 
 // lineMissesBox reports whether every corner of box lies strictly on the
@@ -110,9 +125,7 @@ func (o *obstacleSet) shortestPath(base [][]int, s, t geom.Point) ([]geom.Point,
 	if o.Visible(s, t) {
 		return []geom.Point{s, t}, s.Dist(t), true
 	}
-	return Search(o.corners, base, s, t,
-		func(i int) bool { return o.Visible(s, o.corners[i]) },
-		func(i int) bool { return o.Visible(t, o.corners[i]) })
+	return Search(o.corners, base, s, t, o.Links(s), o.Links(t))
 }
 
 // Search runs Euclidean Dijkstra from s to t over the corner graph base
