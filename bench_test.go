@@ -389,10 +389,10 @@ func BenchmarkEngineBatchTraced(b *testing.B) {
 	}
 }
 
-// BenchmarkChewCorridor prices Chew's corridor walk alone: one op is one
-// Router.Chew over the next of 512 fixed random pairs on a bordered grid
-// (spacing 0.55) with the scale series' two central obstacles, so the mix
-// holds delivered walks, hole hits and border fallbacks. The 41×41-point leg
+// BenchmarkChewCorridor prices Chew's walk alone: one op is one Router.Chew
+// over the next of 512 fixed random pairs on a bordered grid (spacing 0.55)
+// with the scale series' two central obstacles, so the mix holds delivered
+// walks and hole hits. The 41×41-point leg
 // fits in cache; the 316×316-point leg is the field-cold deployment, whose
 // face table and its adjacency do not, so it also prices the memory reads of
 // the walk from face to face.

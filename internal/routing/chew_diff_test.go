@@ -11,6 +11,7 @@ import (
 
 	"hybridroute/internal/delaunay"
 	"hybridroute/internal/geom"
+	"hybridroute/internal/mem"
 	"hybridroute/internal/udg"
 	"hybridroute/internal/workload"
 )
@@ -89,36 +90,91 @@ const (
 	sameAnswer     chewClass = iota // the reference's answer
 	fallbackToWalk                  // the reference fell back to a graph shortest path; Chew did not
 	changedAnswer                   // a reference chain is not a path, and Chew's answer differs
+	noPath                          // s and t lie in different components of g, and Chew hit no hole
+	islandChord                     // the reference hit an island's outline; Chew crossed the island to t
 	numChewClasses
 )
 
-// compareWithReference checks the corridor, both chains and the Chew result
-// of s→t against the reference walk. Chew must equal refChew wherever both
-// reference chains are paths and refChew did not fall back. Elsewhere it must
-// agree with refChew on Reached, HoleHit and HoleFace and return a path of g,
-// which, unless refChew fell back, is no longer than refChew's.
+// components labels the components of g, found by a search over its edges
+// apart from the router's own union-find; cached per router.
+func components(r *Router) []int {
+	if c, ok := componentCache.Load(r); ok {
+		return c.([]int)
+	}
+	n := r.g.N()
+	comp := make([]int, n)
+	for v := range comp {
+		comp[v] = -1
+	}
+	var stack []NodeID
+	for v := 0; v < n; v++ {
+		if comp[v] >= 0 {
+			continue
+		}
+		comp[v] = v
+		for stack = append(stack[:0], NodeID(v)); len(stack) > 0; {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, w := range r.g.Neighbors(u) {
+				if comp[w] < 0 {
+					comp[w] = v
+					stack = append(stack, w)
+				}
+			}
+		}
+	}
+	componentCache.Store(r, comp)
+	return comp
+}
+
+var componentCache sync.Map // *Router → []int
+
+// islandOutline reports whether row f is the outline of an island: traced
+// clockwise around it, as the outer row is around the rest.
+func islandOutline(r *Router, f int) bool {
+	var poly []geom.Point
+	for _, v := range r.faces.Row(f) {
+		poly = append(poly, r.point(v))
+	}
+	return f != r.outer && geom.PolygonArea(poly) < 0
+}
+
+// compareWithReference checks the Chew result of s→t against the reference
+// walk, and returns the class of the answer. Every answer is a path of g from
+// s (checkChewPath). Where s and t lie in different components of g and
+// Chew's walk hit no hole, refChew must not reach t, and Chew answers Stuck
+// at s, flagged Fallback. Where refChew hit an island's outline, whose
+// interior its entry test reads as the row's, Chew may reach t across the
+// island. Chew must equal refChew wherever both reference chains are paths
+// and refChew did not fall back. Elsewhere it must agree with refChew on
+// Reached, HoleHit and HoleFace, and, unless refChew fell back, be no longer.
 func compareWithReference(r *Router, s, t NodeID) (chewClass, error) {
 	got, want := r.Chew(s, t), r.refChew(s, t)
 	if s == t || r.g.HasEdge(s, t) {
 		if !reflect.DeepEqual(got, want) {
 			return 0, fmt.Errorf("Chew(%d, %d) = %+v, reference %+v", s, t, got, want)
 		}
-		return sameAnswer, nil // answered before any corridor is built
+		return sameAnswer, nil // answered before any walk
+	}
+	if err := checkChewPath(r, s, t, got); err != nil {
+		return 0, err
+	}
+	if comp := components(r); comp[s] != comp[t] && !got.HoleHit {
+		stuck := Result{Path: []NodeID{s}, Stuck: true, Fallback: true}
+		switch {
+		case want.Reached:
+			return 0, fmt.Errorf("reference reached %d from %d in another component: %+v", t, s, want)
+		case !reflect.DeepEqual(got, stuck):
+			return 0, fmt.Errorf("Chew(%d, %d) = %+v across components, want %+v", s, t, got, stuck)
+		}
+		return noPath, nil
+	}
+	if want.HoleHit && islandOutline(r, want.HoleFace) && got.Reached {
+		return islandChord, nil
 	}
 	L := geom.Seg(r.g.Point(s), r.g.Point(t))
-	sc := r.getScratch()
-	defer r.putScratch(sc)
-	faces := slices.Clone(r.corridor(L, s, t, sc))
-	if want := r.refCorridor(L); !slices.Equal(faces, want) {
-		return 0, fmt.Errorf("corridor(%d, %d) = %v, reference %v", s, t, faces, want)
-	}
-	prefix, holeFace := r.refSplit(faces)
-	left, right := r.corridorChains(L, s, t, prefix, holeFace, sc)
+	prefix, holeFace := r.refSplit(r.refCorridor(L))
 	wantL, wantR := r.refCorridorChains(L, s, t, prefix, holeFace)
-	if !slices.Equal(left, wantL) || !slices.Equal(right, wantR) {
-		return 0, fmt.Errorf("chains(%d, %d) = %v | %v, reference %v | %v", s, t, left, right, wantL, wantR)
-	}
-
 	if r.validChain(wantL) && r.validChain(wantR) && !want.Fallback {
 		if !reflect.DeepEqual(got, want) {
 			return 0, fmt.Errorf("Chew(%d, %d) = %+v, reference %+v", s, t, got, want)
@@ -127,9 +183,6 @@ func compareWithReference(r *Router, s, t NodeID) (chewClass, error) {
 	}
 	if got.Reached != want.Reached || got.HoleHit != want.HoleHit || got.HoleFace != want.HoleFace {
 		return 0, fmt.Errorf("Chew(%d, %d) = %+v, reference %+v: outcomes differ", s, t, got, want)
-	}
-	if err := checkChewPath(r, s, t, got); err != nil {
-		return 0, err
 	}
 	switch {
 	case reflect.DeepEqual(got, want):
@@ -145,13 +198,9 @@ func compareWithReference(r *Router, s, t NodeID) (chewClass, error) {
 // checkChewPath checks that a Chew answer is a path of g from s: every step
 // an edge of g and none straight back to the node two hops earlier (a detour
 // a, c, a), ending at t when it reached t, and at HitNode, a node of
-// HoleFace, when it hit a hole. Only an answer that did neither may have no
-// path (the graph shortest path from an edgeless s to the hole's nodes).
+// HoleFace, when it hit a hole.
 func checkChewPath(r *Router, s, t NodeID, res Result) error {
 	p := res.Path
-	if len(p) == 0 && !res.Reached && !res.HoleHit {
-		return nil
-	}
 	if len(p) == 0 || p[0] != s {
 		return fmt.Errorf("Chew(%d, %d) path %v does not start at s", s, t, p)
 	}
@@ -319,9 +368,9 @@ func forPairs(t *testing.T, pairs int, check func(r *Router, s, u NodeID) error)
 	})
 }
 
-// TestCorridorMatchesReference holds the corridor walk and Chew's answers to
-// the reference walk on random pairs over every deployment family, and logs
-// how the answers split between compareWithReference's classes.
+// TestCorridorMatchesReference holds Chew's answers to the reference walk on
+// random pairs over every deployment family, and logs how the answers split
+// between compareWithReference's classes.
 func TestCorridorMatchesReference(t *testing.T) {
 	pairs := 3000
 	if testing.Short() {
@@ -330,8 +379,8 @@ func TestCorridorMatchesReference(t *testing.T) {
 	var mu sync.Mutex
 	var total [numChewClasses]int
 	t.Cleanup(func() {
-		t.Logf("all deployments: %d answers as the reference's, %d reference fallbacks answered from the walk, %d changed where a reference chain is not a path",
-			total[sameAnswer], total[fallbackToWalk], total[changedAnswer])
+		t.Logf("all deployments: %d answers as the reference's, %d reference fallbacks answered from the walk, %d changed where a reference chain is not a path, %d with no path, %d island chords",
+			total[sameAnswer], total[fallbackToWalk], total[changedAnswer], total[noPath], total[islandChord])
 	})
 	eachDeployment(t, func(t *testing.T, _ string, r *Router, next func() (NodeID, NodeID)) {
 		var n [numChewClasses]int
@@ -343,7 +392,8 @@ func TestCorridorMatchesReference(t *testing.T) {
 			}
 			n[c]++
 		}
-		t.Logf("%d same, %d fallbacks answered from the walk, %d changed", n[sameAnswer], n[fallbackToWalk], n[changedAnswer])
+		t.Logf("%d same, %d fallbacks answered from the walk, %d changed, %d no path, %d island chords",
+			n[sameAnswer], n[fallbackToWalk], n[changedAnswer], n[noPath], n[islandChord])
 		mu.Lock()
 		defer mu.Unlock()
 		for c := range total {
@@ -352,44 +402,50 @@ func TestCorridorMatchesReference(t *testing.T) {
 	})
 }
 
-// answersFromCorridor reports whether Chew answers s→t from the corridor
-// rather than from its walk.
-func answersFromCorridor(r *Router, s, t NodeID) bool {
+// walkDeclines reports whether Chew answers s→t without its walk's chains:
+// no path, or the graph shortest path.
+func walkDeclines(r *Router, s, t NodeID) bool {
 	if s == t || r.g.HasEdge(s, t) {
 		return false
 	}
 	sc := r.getScratch()
 	defer r.putScratch(sc)
-	_, ok := r.chewFromWalk(geom.Seg(r.g.Point(s), r.g.Point(t)), s, t, sc)
+	_, ok := r.chewFromWalk(s, t, sc)
 	return !ok
 }
 
 // TestChewAnswersArePaths checks every Chew answer on random pairs of the
 // reference deployments, lattice pairs along the borders among them, with
 // checkChewPath: each step of its path is an edge of g, and none turns
-// straight back. It also pins how many of the pairs Chew answers from the
-// corridor rather than from its walk: on the uniform, obstacle and city
-// deployments one pair each whose chains both step over a CH(V) edge; on
-// the churned grid mostly pairs with an end that has no edges or lies on the
-// island; on the other deployments none.
+// straight back. It also pins how many of the pairs Chew's walk declines: on
+// the uniform, obstacle and city deployments one pair each whose chains both
+// step over a CH(V) edge, answered by the graph shortest path; on the
+// churned grid mostly pairs with an end that has no edges or lies across the
+// ring from the island, answered with no path; on the other deployments none.
 func TestChewAnswersArePaths(t *testing.T) {
-	fromCorridor := map[string]int{
+	declined := map[string]int{
 		"uniform": 1, "obstacles": 1, "city": 1, "maze": 0, "jittered": 0,
-		"bordered-0.5": 0, "bordered-0.55": 0, "exact-lines": 0, "churned": 1493, "translated": 0,
+		"bordered-0.5": 0, "bordered-0.55": 0, "exact-lines": 0, "churned": 1425, "translated": 0,
 	}
 	eachDeployment(t, func(t *testing.T, name string, r *Router, next func() (NodeID, NodeID)) {
-		slow := 0
+		noPath, shortest := 0, 0
 		for k := 0; k < 3000; k++ {
 			s, u := next()
-			if err := checkChewPath(r, s, u, r.Chew(s, u)); err != nil {
+			res := r.Chew(s, u)
+			if err := checkChewPath(r, s, u, res); err != nil {
 				t.Fatal(err)
 			}
-			if answersFromCorridor(r, s, u) {
-				slow++
+			switch {
+			case !walkDeclines(r, s, u):
+			case res.Reached:
+				shortest++
+			default:
+				noPath++
 			}
 		}
-		if slow != fromCorridor[name] {
-			t.Errorf("%d of 3000 pairs answered from the corridor, want %d", slow, fromCorridor[name])
+		t.Logf("the walk declines %d of 3000 pairs: %d with no path, %d answered by the graph shortest path", noPath+shortest, noPath, shortest)
+		if noPath+shortest != declined[name] {
+			t.Errorf("the walk declines %d of 3000 pairs, want %d", noPath+shortest, declined[name])
 		}
 	})
 }
@@ -418,9 +474,9 @@ func TestChewConcurrentMatchesReference(t *testing.T) {
 }
 
 // TestCorridorReferenceHandCases covers the configurations random pairs
-// reach only by luck: a segment along a grid line (empty corridor, so the
-// walk falls back), a segment through a run of vertices, a corridor whose
-// first face is a hole, and adjacent endpoints.
+// reach only by luck: a segment along a grid line (an empty reference
+// corridor, so the reference falls back), a segment through a run of
+// vertices, a corridor whose first face is a hole, and adjacent endpoints.
 func TestCorridorReferenceHandCases(t *testing.T) {
 	sc, err := workload.BorderedGrid(0.5, 10, 10, 1, [][]geom.Point{workload.Rect(4, 4, 2, 2)})
 	if err != nil {
@@ -448,9 +504,7 @@ func TestCorridorReferenceHandCases(t *testing.T) {
 		// shortest path; the walk steps along the border edges and answers
 		// with them.
 		s, u := at(t, r, 0, 0), at(t, r, 0, 4)
-		sc := r.getScratch()
-		defer r.putScratch(sc)
-		if c := r.corridor(geom.Seg(r.g.Point(s), r.g.Point(u)), s, u, sc); len(c) != 0 {
+		if c := r.refCorridor(geom.Seg(r.g.Point(s), r.g.Point(u))); len(c) != 0 {
 			t.Fatalf("segment along the border crosses faces %v", c)
 		}
 		res := check(t, r, s, u)
@@ -473,8 +527,10 @@ func TestCorridorReferenceHandCases(t *testing.T) {
 		L := geom.Seg(r.g.Point(s), r.g.Point(u))
 		sc := r.getScratch()
 		defer r.putScratch(sc)
-		prefix, holeFace := r.refSplit(slices.Clone(r.corridor(L, s, u, sc)))
-		left, right := r.corridorChains(L, s, u, prefix, holeFace, sc)
+		if _, ok := r.chewFromWalk(s, u, sc); !ok {
+			t.Fatal("the walk declines the diagonal")
+		}
+		left, right := sc.left, sc.right
 		onL := 0
 		for _, v := range left[1 : len(left)-1] {
 			if geom.Orient(L.A, L.B, r.g.Point(v)) == geom.Collinear {
@@ -495,10 +551,8 @@ func TestCorridorReferenceHandCases(t *testing.T) {
 		found := false
 		for y := 4.0; y <= 6 && !found; y += 0.5 {
 			s, u := nearestNode(r, geom.Pt(3.5, y)), nearestNode(r, geom.Pt(7, y))
-			sc := r.getScratch()
-			c := r.corridor(geom.Seg(r.g.Point(s), r.g.Point(u)), s, u, sc)
+			c := r.refCorridor(geom.Seg(r.g.Point(s), r.g.Point(u)))
 			found = len(c) > 0 && !r.IsTriangleFace(c[0])
-			r.putScratch(sc)
 			if !found {
 				continue
 			}
@@ -516,6 +570,75 @@ func TestCorridorReferenceHandCases(t *testing.T) {
 		u := r.g.Neighbors(s)[0]
 		if res := check(t, r, s, u); !res.Reached || len(res.Path) != 2 {
 			t.Fatalf("adjacent pair: %+v", res)
+		}
+	})
+}
+
+// TestChewNoPathHandCases covers ends that g does not connect. On a graph of
+// two triangles abc and bcd with an island inside abc, Chew from a to the
+// island, from the island to a and from d to the island answers Stuck at s:
+// the walk stops before the edge the island does not lie beyond, where it
+// would otherwise pass the island and loop. On the churned grid an edgeless
+// s is answered without a walk, an edgeless t behind a hole keeps the walk's
+// hole hit, and a chord of the island reaches t across the island's
+// triangles, where the reference's entry test hits the island's outline.
+func TestChewNoPathHandCases(t *testing.T) {
+	stuck := func(s NodeID) Result { return Result{Path: []NodeID{s}, Stuck: true, Fallback: true} }
+
+	t.Run("island-in-triangle", func(t *testing.T) {
+		pts := []geom.Point{geom.Pt(0, 0), geom.Pt(4, -1), geom.Pt(4, 1), geom.Pt(8, 0), geom.Pt(2, 0), geom.Pt(2.5, 0.1)}
+		r := New(delaunay.NewPlanarGraph(pts, [][2]int{{0, 1}, {1, 2}, {2, 0}, {1, 3}, {3, 2}, {4, 5}}))
+		a, d, island := NodeID(0), NodeID(3), NodeID(4)
+		for _, c := range [][2]NodeID{{a, island}, {island, a}, {d, island}} {
+			if got := r.Chew(c[0], c[1]); !reflect.DeepEqual(got, stuck(c[0])) {
+				t.Errorf("Chew(%d, %d) = %+v, want %+v", c[0], c[1], got, stuck(c[0]))
+			}
+		}
+	})
+
+	r := fuzzChurnedGrid()
+	check := func(t *testing.T, s, u NodeID, want chewClass) Result {
+		t.Helper()
+		c, err := compareWithReference(r, s, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c != want {
+			t.Fatalf("%d→%d is of class %d, want %d", s, u, c, want)
+		}
+		return r.Chew(s, u)
+	}
+
+	t.Run("edgeless-s", func(t *testing.T) {
+		s, u := nearestNode(r, geom.Pt(3, 0)), nearestNode(r, geom.Pt(3, 6))
+		if len(r.g.Neighbors(s)) != 0 {
+			t.Fatalf("node %d at %v has edges", s, r.g.Point(s))
+		}
+		sc := &walkScratch{nodeSeen: mem.NewMarks(r.g.N())}
+		if _, ok := r.chewFromWalk(s, u, sc); ok || len(sc.left) != 0 {
+			t.Fatalf("the walk from edgeless %d started: chains %v | %v", s, sc.left, sc.right)
+		}
+		if got := check(t, s, u, noPath); !reflect.DeepEqual(got, stuck(s)) {
+			t.Fatalf("Chew(%d, %d) = %+v, want %+v", s, u, got, stuck(s))
+		}
+	})
+
+	t.Run("edgeless-t-behind-hole", func(t *testing.T) {
+		// t is the crashed border node at (3, 0); L from (3, 6) meets the
+		// hexagonal hole first.
+		s, u := nearestNode(r, geom.Pt(3, 6)), nearestNode(r, geom.Pt(3, 0))
+		if len(r.g.Neighbors(u)) != 0 {
+			t.Fatalf("node %d at %v has edges", u, r.g.Point(u))
+		}
+		if got := check(t, s, u, sameAnswer); !got.HoleHit || got.Fallback {
+			t.Fatalf("Chew(%d, %d) = %+v, want the walk's hole hit", s, u, got)
+		}
+	})
+
+	t.Run("island-chord", func(t *testing.T) {
+		s, u := nearestNode(r, geom.Pt(7.5, 8)), nearestNode(r, geom.Pt(9.5, 9))
+		if got := check(t, s, u, islandChord); got.Fallback {
+			t.Fatalf("Chew(%d, %d) = %+v, want the walk's path across the island", s, u, got)
 		}
 	})
 }
@@ -554,7 +677,8 @@ func fuzzRouter(churned bool) *Router {
 // grid, pairs along the main diagonal, the anti-diagonal and the border,
 // across the hole, adjacent and equal; on the churned grid, pairs from and to
 // crashed nodes (one on a hull edge, one next to a corner, one inside), into
-// and out of the island, and from the island across the ring.
+// and out of the island, from the island across the ring, and a chord of the
+// island.
 func addFuzzSeeds(f *testing.F) {
 	node := func(churned bool, x, y float64) uint16 {
 		return uint16(nearestNode(fuzzRouter(churned), geom.Pt(x, y)))
@@ -575,14 +699,14 @@ func addFuzzSeeds(f *testing.F) {
 		{true, 8.5, 8.5, 1, 11},
 		{true, 1, 11, 9, 8.5},
 		{true, 3, 0, 9, 0},
+		{true, 7.5, 8, 9.5, 9},
 	} {
 		f.Add(node(c.churned, c.sx, c.sy), node(c.churned, c.tx, c.ty), c.churned)
 	}
 }
 
-// FuzzChew holds the corridor walk to the reference walk on fuzzed pairs of
-// a bordered grid with one hole whose diagonals are exact, and of the
-// churned grid.
+// FuzzChew holds Chew to the reference walk on fuzzed pairs of a bordered
+// grid with one hole whose diagonals are exact, and of the churned grid.
 func FuzzChew(f *testing.F) {
 	addFuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, a, b uint16, churned bool) {
@@ -595,11 +719,11 @@ func FuzzChew(f *testing.F) {
 }
 
 // TestChewCorridorShareOnColdLayouts pins how many of 30 000 random pairs
-// Chew answers from the corridor rather than from its walk on the layouts of
-// perfbench's cold workloads: the 316×316-point bordered grid with two
-// central obstacles (field-cold) and the 151×151-point one with 24 random
-// convex obstacles (holes-cold). The count runs on one goroutine, so the race
-// pass skips it; it is no short test either.
+// Chew's walk declines on the layouts of perfbench's cold workloads: the
+// 316×316-point bordered grid with two central obstacles (field-cold) and the
+// 151×151-point one with 24 random convex obstacles (holes-cold). The count
+// runs on one goroutine, so the race pass skips it; it is no short test
+// either.
 func TestChewCorridorShareOnColdLayouts(t *testing.T) {
 	if testing.Short() || raceDetector {
 		t.Skip("builds a 10⁵-node router")
@@ -628,14 +752,14 @@ func TestChewCorridorShareOnColdLayouts(t *testing.T) {
 			r := routerOver(sc.Points, sc.Radius)
 			rng := rand.New(rand.NewSource(1))
 			n := r.g.N()
-			slow := 0
+			declined := 0
 			for k := 0; k < 30000; k++ {
-				if answersFromCorridor(r, NodeID(rng.Intn(n)), NodeID(rng.Intn(n))) {
-					slow++
+				if walkDeclines(r, NodeID(rng.Intn(n)), NodeID(rng.Intn(n))) {
+					declined++
 				}
 			}
-			if slow != c.want {
-				t.Errorf("%d of 30 000 pairs answered from the corridor, want %d", slow, c.want)
+			if declined != c.want {
+				t.Errorf("the walk declines %d of 30 000 pairs, want %d", declined, c.want)
 			}
 		})
 	}

@@ -196,6 +196,19 @@ func sortByParam(vs []NodeID, key func(NodeID) float64) {
 	sort.SliceStable(vs, func(i, j int) bool { return key(vs[i]) < key(vs[j]) })
 }
 
+// validChain reports whether consecutive chain nodes are graph edges.
+func (r *Router) validChain(chain []NodeID) bool {
+	if len(chain) == 0 {
+		return false
+	}
+	for i := 1; i < len(chain); i++ {
+		if !r.g.HasEdge(chain[i-1], chain[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // refHoleHitResult routes to a boundary node of the blocking face along
 // whichever chain reaches one, preferring the shorter, from a map of the
 // face's vertices.

@@ -40,8 +40,10 @@ type Result struct {
 	HoleHit  bool
 	HitNode  NodeID
 	HoleFace int
-	// Fallback is set when the corridor walk had to fall back to a graph
-	// shortest path due to a degenerate geometric configuration.
+	// Fallback is set when Chew's walk declined: the answer is then the
+	// graph shortest path, or, when s and t lie in different components,
+	// Stuck at s. ChewVia also sets it for a leg that took the graph
+	// shortest path because Chew did not reach its waypoint.
 	Fallback bool
 }
 
@@ -80,20 +82,20 @@ type Router struct {
 	g *delaunay.PlanarGraph // real communication graph
 	// faces is the face table of g plus the CH(V) edges: row i is face i's
 	// boundary cycle, as nodes of g. across (per slot, aligned with
-	// faces.Dat) and anchor (per node) are its adjacency, which the corridor
-	// walk steps through; the sign bit of an across entry marks a CH(V) edge
-	// that g lacks (hullBit). tri marks the rows the walk crosses as
-	// triangles.
+	// faces.Dat) and anchor (per node, −1 for a node without edges) are its
+	// adjacency, which Chew's walk steps through; the sign bit of an across
+	// entry marks a CH(V) edge that g lacks (hullBit). tri marks the rows
+	// the walk crosses as triangles.
 	faces  mem.CSR[int32]
 	across []int32
 	anchor []int32
 	tri    []uint64
 	outer  int
-	// inner ties islands and nodes without edges to the faces holding them;
-	// empty when the augmented graph is connected.
-	inner *innerBounds
-	// scratch pools the per-query working memory (corridors run
-	// concurrently under the engine's batch workers).
+	// islands maps each node with edges outside the outer row's component
+	// to its component; nil when the augmented graph is connected.
+	islands map[int32]int32
+	// scratch pools the per-query working memory (walks run concurrently
+	// under the engine's batch workers).
 	scratch *sync.Pool
 	// maxHops bounds every walk; defaults to 4n.
 	maxHops int
@@ -114,7 +116,7 @@ func New(g *delaunay.PlanarGraph) *Router {
 		r.markHull(b, a)
 	}
 	r.outer = gbar.OuterFaceIndex(&r.faces)
-	r.inner = r.newInnerBounds()
+	r.islands = r.newIslands()
 	r.tri = r.triangleRows()
 	r.scratch = newScratchPool(g.N())
 	return r

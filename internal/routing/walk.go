@@ -1,108 +1,45 @@
-// The corridor walk: Chew's message steps from a face to the neighbour across
-// the edge the segment st crosses, and the router follows it through the
-// face table's adjacency. A triangle is crossed with one side test of its
-// third vertex, which then joins the chain on its side of st (both chains
-// when it lies on st). Chew answers from those chains with a walk that stops
-// at the first row that is not a triangle (chew.go). The corridor, Chew's
-// exact slow path, walks on through every other row (a hole, the outer row,
-// an island's outline), scanning it once for every point where the segment
-// leaves it, and gives each face it visits the corridor's entry test.
-// DESIGN.md ("Chew from the walk", "Face-to-face corridor walk") argues why
-// the chains are paths and why the corridor equals a scan of every face.
+// Chew's walk: the message steps from a face to the neighbour across the
+// edge the segment st crosses, and the router follows it through the face
+// table's adjacency. A triangle is crossed with one side test of its third
+// vertex, which then joins the chain on its side of st (both chains when it
+// lies on st). The walk stops at t, at the first row that is not a triangle,
+// or, when t lies in another component than s, before the first edge t does
+// not lie beyond; Chew answers from the chains (chew.go). Only the row it
+// stops at gets the exact entry test. DESIGN.md ("Chew from the walk",
+// "Face-to-face corridor walk") argues why the chains are paths.
 
 package routing
 
 import (
 	"math"
-	"slices"
 	"sync"
 
 	"hybridroute/internal/geom"
 	"hybridroute/internal/mem"
 )
 
-// corridorScratch is the working memory of one Chew call, pooled on the
-// Router because engine workers run corridors concurrently. The n-sized
-// nodeSeen and every buffer live here rather than on the Router, so a built
-// Router carries no per-query state.
-type corridorScratch struct {
-	nodeSeen *mem.Marks // chain membership, then the blocking face's vertices
-	stack    []walkStep
-	regions  []int32 // non-triangle regions already entered, by head row
-	tris     []int32 // triangle rows crossed, in walk order
-	walked   []int32 // every face whose entry test found L on its boundary, in test order
+// walkScratch is the working memory of one Chew call, pooled on the Router
+// because engine workers run walks concurrently. The n-sized nodeSeen and
+// every buffer live here rather than on the Router, so a built Router
+// carries no per-query state.
+type walkScratch struct {
+	nodeSeen *mem.Marks // the blocking face's vertices
+	tris     []int32    // triangle rows crossed, in walk order, for the walk's contract tests
 	poly     []geom.Point
 	sides    []geom.Orientation
 	params   []float64
-	entries  []corridorEntry
-	faces    []int
-	verts    []NodeID
-	keys     []float64
 	left     []NodeID
 	right    []NodeID
 }
 
-func (r *Router) getScratch() *corridorScratch { return r.scratch.Get().(*corridorScratch) }
+func (r *Router) getScratch() *walkScratch { return r.scratch.Get().(*walkScratch) }
 
-func (r *Router) putScratch(sc *corridorScratch) { r.scratch.Put(sc) }
+func (r *Router) putScratch(sc *walkScratch) { r.scratch.Put(sc) }
 
 func newScratchPool(nNodes int) *sync.Pool {
 	return &sync.Pool{New: func() interface{} {
-		return &corridorScratch{nodeSeen: mem.NewMarks(nNodes)}
+		return &walkScratch{nodeSeen: mem.NewMarks(nNodes)}
 	}}
-}
-
-// walkStep is pending work of the walk: cross the edge at slot (its tail on
-// the right of L, its head on the left) into the row across, or, with
-// vertex set, leave the slot's node, which lies on L, through its corners.
-type walkStep struct {
-	row, slot int32
-	vertex    bool
-}
-
-// corridorEntry is one corridor face with the parameter along the segment at
-// which the segment enters its interior.
-type corridorEntry struct {
-	param float64
-	face  int
-}
-
-// corridor returns the indices of all faces whose interior the segment L =
-// st passes through, ordered by entry parameter along the segment, ties by
-// face index. The walk visits each face the open segment meets once; a face
-// earns an entry only through the geometric tests a scan of every face
-// would make, so the corridor is identical to that scan. (The outer face
-// never earns one: the walk does not test it, as the scan does not.) The
-// returned slice lives in sc.
-func (r *Router) corridor(L geom.Segment, s, t NodeID, sc *corridorScratch) []int {
-	w := r.newWalk(L, s, t, sc)
-	if L.A != L.B {
-		w.start(s)
-		for len(sc.stack) > 0 {
-			w.enterRegion(w.resume())
-		}
-		for _, f := range sc.tris {
-			w.testRow(f)
-		}
-	}
-	// Faces are distinct, so (param, face) is a strict total order and the
-	// sorted order does not depend on the sort algorithm.
-	entries := sc.entries
-	slices.SortFunc(entries, func(a, b corridorEntry) int {
-		if a.param != b.param {
-			if a.param < b.param {
-				return -1
-			}
-			return 1
-		}
-		return a.face - b.face
-	})
-	faces := sc.faces[:0]
-	for _, e := range entries {
-		faces = append(faces, e.face)
-	}
-	sc.faces = faces
-	return faces
 }
 
 // next and prev step along a row's slots [lo, hi) cyclically.
@@ -121,17 +58,18 @@ func prev(p, lo, hi int32) int32 {
 }
 
 // isTri reports whether the walk crosses row f as a triangle: three slots,
-// counterclockwise, holding nothing.
+// counterclockwise.
 func (r *Router) isTri(f int32) bool { return r.tri[f>>6]&(1<<(f&63)) != 0 }
 
 // triangleRows marks the rows the walk crosses with one side test: three
-// slots whose nodes turn counterclockwise (so not the outer row or an
-// island's outline), and no island or edgeless node inside.
+// slots whose nodes turn counterclockwise, so not the outer row or an
+// island's outline. An island or an edgeless node inside does not matter:
+// the walk meets neither, and stops before a t among them (tApart).
 func (r *Router) triangleRows() []uint64 {
 	tri := make([]uint64, (r.faces.Rows()+63)/64)
 	for f := 0; f < r.faces.Rows(); f++ {
 		row := r.faces.Row(f)
-		if len(row) != 3 || len(r.inner.attached[int32(f)]) > 0 {
+		if len(row) != 3 {
 			continue
 		}
 		if geom.Orient(r.point(row[0]), r.point(row[1]), r.point(row[2])) == geom.CounterClockwise {
@@ -189,33 +127,47 @@ func (r *Router) markHull(a, b int32) {
 // two chains: the nodes it meets left of L, and those right of L, in walk
 // order, a node on L in both.
 type walk struct {
-	r         *Router
-	L         geom.Segment
-	dir       geom.Point
-	len2      float64
-	t         NodeID
-	pt        geom.Point
-	tFaceless bool // t has no edges, so it can lie inside a face
-	steps     int
-	sc        *corridorScratch
+	r  *Router
+	L  geom.Segment
+	t  NodeID
+	pt geom.Point
+	// tApart says t lies in another component than s (it has no edges, or
+	// lies on an island): the walk never meets it, and t may lie inside a
+	// face, so the walk stops before any edge t does not lie beyond.
+	tApart bool
+	steps  int
+	sc     *walkScratch
 	// okL and okR are the lengths of the longest prefixes of the left and
 	// right chains that are paths of g: a chain stops being one at its first
 	// step over a CH(V) edge.
 	okL, okR int
 	reached  bool // the walk met t
+	// onRow and onSlot locate the node on L that the walk leaves next, the
+	// third vertex of the last triangle crossed; onRow is -1 for none.
+	onRow, onSlot int32
 }
 
-// newWalk starts a walk along L from s to t: both chains hold s, and every
-// list of sc a walk fills is empty.
-func (r *Router) newWalk(L geom.Segment, s, t NodeID, sc *corridorScratch) walk {
+// newWalk starts a walk along L from s to t: both chains hold s, and no
+// triangle is crossed yet.
+func (r *Router) newWalk(L geom.Segment, s, t NodeID, sc *walkScratch) walk {
 	w := walk{r: r, L: L, t: t, pt: L.B, sc: sc, okL: math.MaxInt, okR: math.MaxInt}
-	w.dir = L.B.Sub(L.A)
-	w.len2 = w.dir.Dot(w.dir)
-	w.tFaceless = r.anchor[t] < 0
-	sc.stack, sc.regions, sc.tris = sc.stack[:0], sc.regions[:0], sc.tris[:0]
-	sc.entries, sc.walked = sc.entries[:0], sc.walked[:0]
+	w.tApart = !r.connected(s, t)
+	sc.tris = sc.tris[:0]
 	sc.left, sc.right = append(sc.left[:0], s), append(sc.right[:0], s)
 	return w
+}
+
+// run walks from the node at slot p of row f, s or a node on L, and on
+// from every node on L a triangle leads it to. It returns the row that is
+// not a triangle the walk stopped at, or -1.
+func (w *walk) run(f, p int32) int32 {
+	for {
+		w.onRow = -1
+		if stop := w.leave(f, p); stop >= 0 || w.onRow < 0 {
+			return stop
+		}
+		f, p = w.onRow, w.onSlot
+	}
 }
 
 // addLeft appends v, reached over the edge at slot p, to the left chain.
@@ -240,68 +192,6 @@ func (r *Router) extend(chain []NodeID, ok int, v NodeID, p int32) ([]NodeID, in
 		ok = min(ok, len(chain))
 	}
 	return append(chain, v), ok
-}
-
-// resume pops the walk's next pending step and takes it. It returns the row
-// that is not a triangle the step ran into, or -1.
-func (w *walk) resume() int32 {
-	r, sc := w.r, w.sc
-	st := sc.stack[len(sc.stack)-1]
-	sc.stack = sc.stack[:len(sc.stack)-1]
-	if st.vertex {
-		return w.leave(st.row, st.slot)
-	}
-	lo, hi := r.faces.Off[st.row], r.faces.Off[st.row+1]
-	return w.cross(st.slot, NodeID(r.faces.Dat[st.slot]), NodeID(r.faces.Dat[next(st.slot, lo, hi)]))
-}
-
-// start enters the faces around s: its corners when it has edges, else the
-// face holding it. Inside an island the walk also enters every face holding
-// the island, since their rows enclose it.
-func (w *walk) start(s NodeID) {
-	r := w.r
-	if f := r.anchor[s]; f >= 0 {
-		w.enterRegion(w.leave(f, r.locate(f, int32(s), -1)))
-		w.enterHolders(r.inner.holderOf(int32(s)))
-		return
-	}
-	e, onEdge := r.inner.onEdge[int32(s)]
-	if !onEdge {
-		w.enterHolders(r.inner.holderOf(int32(s)))
-		return
-	}
-	// s lies on the edge a→b of row x: L starts on t's side of it, or runs
-	// along it to the endpoint towards t.
-	x := r.rowOf(e)
-	lo, hi := r.faces.Off[x], r.faces.Off[x+1]
-	a, b := r.faces.Dat[e], r.faces.Dat[next(e, lo, hi)]
-	pa, pb := r.point(a), r.point(b)
-	switch geom.Orient(pa, pb, w.pt) {
-	case geom.CounterClockwise:
-	case geom.Clockwise:
-		x = r.rowAcross(e)
-	default:
-		slot, end := next(e, lo, hi), pb
-		if !sameDir(w.L.A, pb, w.pt) {
-			slot, end = e, pa
-		}
-		if NodeID(r.faces.Dat[slot]) != w.t && geom.InSegmentBox(end, w.L) {
-			w.enterRegion(w.leave(x, slot))
-		}
-		w.enterHolders(r.inner.holderOf(r.faces.Dat[r.faces.Off[x]]))
-		return
-	}
-	w.enterRegion(x)
-	w.enterHolders(r.inner.holderOf(r.faces.Dat[r.faces.Off[x]]))
-}
-
-// enterHolders enters the region of row h and of every face holding it in
-// turn, up to a row of the main component (h < 0).
-func (w *walk) enterHolders(h int32) {
-	for h >= 0 {
-		w.enterRegion(h)
-		h = w.r.inner.holderOf(w.r.faces.Dat[w.r.faces.Off[h]])
-	}
 }
 
 // leave continues the walk from the node at slot p of row f, which lies on
@@ -406,9 +296,9 @@ func (w *walk) enterCorner(f, p int32) int32 {
 }
 
 // reaches reports whether L goes on past the edge a→b it is about to cross:
-// always, unless t has no edges and so may lie before the edge.
+// always, unless t lies apart and so may lie before the edge.
 func (w *walk) reaches(a, b NodeID) bool {
-	return !w.tFaceless || geom.Orient(w.r.g.Point(a), w.r.g.Point(b), w.pt) == geom.Clockwise
+	return !w.tApart || geom.Orient(w.r.g.Point(a), w.r.g.Point(b), w.pt) == geom.Clockwise
 }
 
 // cross follows L across the edge at slot p, from a (right of L) to b (left
@@ -417,8 +307,8 @@ func (w *walk) reaches(a, b NodeID) bool {
 // leaves by, and c joins the chain on that side (both on L). So the left
 // chain always ends at b and the right one at a, and each step of a chain
 // runs along an edge of the triangle just crossed. It stops at a row that is
-// not a triangle, which it returns, at a vertex on L, which it queues, or at
-// t.
+// not a triangle, which it returns, at a vertex on L, which it leaves next
+// (onRow), or at t.
 func (w *walk) cross(p int32, a, b NodeID) int32 {
 	r := w.r
 	for {
@@ -444,8 +334,8 @@ func (w *walk) cross(p int32, a, b NodeID) int32 {
 			w.addRight(c, lo+ia)
 			if c == w.t {
 				w.reached = true
-			} else if !w.tFaceless || geom.InSegmentBox(r.g.Point(c), w.L) {
-				w.sc.stack = append(w.sc.stack, walkStep{row: f, slot: lo + ic, vertex: true})
+			} else if !w.tApart || geom.InSegmentBox(r.g.Point(c), w.L) {
+				w.onRow, w.onSlot = f, lo+ic
 			}
 			return -1
 		}
@@ -460,90 +350,24 @@ func (w *walk) cross(p int32, a, b NodeID) int32 {
 func (w *walk) step() {
 	w.steps++
 	if w.steps > w.r.faces.Rows() {
-		panic("routing: corridor walk revisits faces")
+		panic("routing: Chew's walk revisits faces")
 	}
 }
 
-// enterRegion enters the region of row f — the row, or the face holding it
-// when f is an island's outline, with every outline that face holds — once
-// per walk; f < 0 enters nothing. It tests each of the region's rows and
-// queues every point where L leaves them: each edge L properly crosses with
-// t on its right, and each vertex inside L where s lies strictly in the
-// row's corner.
-func (w *walk) enterRegion(f int32) {
-	if f < 0 {
-		return
-	}
-	r, sc := w.r, w.sc
-	h := r.inner.head(f)
-	if slices.Contains(sc.regions, h) {
-		return
-	}
-	sc.regions = append(sc.regions, h)
-	w.scanRow(h)
-	for _, a := range r.inner.attached[h] {
-		w.scanRow(a)
-	}
-}
-
-func (w *walk) scanRow(f int32) {
-	r, sc := w.r, w.sc
-	w.step()
-	lo := r.faces.Off[f]
-	poly, sides := w.rowSides(f)
-	if int(f) != r.outer {
-		w.test(int(f), poly, sides)
-	}
-	n := len(poly)
-	for j := 0; j < n; j++ {
-		k, i := (j+1)%n, (j+n-1)%n
-		switch {
-		case sides[j] == geom.Clockwise && sides[k] == geom.CounterClockwise:
-			if geom.ProperlyIntersectSides(w.L, geom.Seg(poly[j], poly[k]), sides[j], sides[k]) {
-				sc.stack = append(sc.stack, walkStep{row: f, slot: lo + int32(j)})
-			}
-		case sides[j] == geom.Collinear:
-			v := poly[j]
-			if v == w.L.A || v == w.L.B || !geom.InSegmentBox(v, w.L) {
-				continue
-			}
-			q := w.L.A
-			oa, ob := geom.Orient(v, poly[k], q), geom.Orient(v, poly[i], q)
-			if oa == geom.Collinear && sameDir(v, poly[k], q) {
-				continue // L arrives along the edge, stepping from its other end
-			}
-			if wedgeHolds(v, poly[k], poly[i], oa, ob, r.faces.Dat[lo+int32(k)] == r.faces.Dat[lo+int32(i)]) {
-				sc.stack = append(sc.stack, walkStep{row: f, slot: lo + int32(j), vertex: true})
-			}
-		}
-	}
-}
-
-// rowSides returns row f's polygon and each vertex's side of L, in sc.
-func (w *walk) rowSides(f int32) ([]geom.Point, []geom.Orientation) {
-	r, sc := w.r, w.sc
+// enters reports whether L passes through the interior of row f, by the
+// exact entry test: the parameters where L crosses an edge or meets a vertex,
+// sorted, and the first pair more than 10⁻¹² apart whose midpoint lies
+// strictly inside the face.
+func (w *walk) enters(f int32) bool {
+	r, sc, L := w.r, w.sc, w.L
 	poly, sides := sc.poly[:0], sc.sides[:0]
 	for _, v := range r.faces.Row(int(f)) {
 		p := r.point(v)
-		poly, sides = append(poly, p), append(sides, geom.Orient(w.L.A, w.L.B, p))
+		poly, sides = append(poly, p), append(sides, geom.Orient(L.A, L.B, p))
 	}
-	sc.poly, sc.sides = poly, sides
-	return poly, sides
-}
-
-// testRow runs the entry test on row f.
-func (w *walk) testRow(f int32) {
-	poly, sides := w.rowSides(f)
-	w.test(int(f), poly, sides)
-}
-
-// test gives face fi its corridor entry when the segment passes through its
-// interior: the parameters where L crosses an edge or meets a vertex, sorted,
-// and the first pair more than 10⁻¹² apart whose midpoint lies strictly
-// inside the face. sides[j] is poly[j]'s side of L.
-func (w *walk) test(fi int, poly []geom.Point, sides []geom.Orientation) {
-	sc, L := w.sc, w.L
-	paramOf := func(p geom.Point) float64 { return p.Sub(L.A).Dot(w.dir) / w.len2 }
+	dir := L.B.Sub(L.A)
+	len2 := dir.Dot(dir)
+	paramOf := func(p geom.Point) float64 { return p.Sub(L.A).Dot(dir) / len2 }
 	n := len(poly)
 	params := sc.params[:0]
 	for j := 0; j < n; j++ {
@@ -558,13 +382,7 @@ func (w *walk) test(fi int, poly []geom.Point, sides []geom.Orientation) {
 			params = append(params, clamp01(paramOf(poly[j])))
 		}
 	}
-	sc.params = params
-	if len(params) > 0 {
-		sc.walked = append(sc.walked, int32(fi))
-	}
-	if len(params) < 2 {
-		return
-	}
+	sc.poly, sc.sides, sc.params = poly, sides, params
 	sortFloats(params)
 	for j := 0; j+1 < len(params); j++ {
 		if params[j+1]-params[j] < 1e-12 {
@@ -572,14 +390,8 @@ func (w *walk) test(fi int, poly []geom.Point, sides []geom.Orientation) {
 		}
 		mid := geom.Lerp(L.A, L.B, (params[j]+params[j+1])/2)
 		if geom.PointStrictlyInSimple(mid, poly) {
-			sc.entries = append(sc.entries, corridorEntry{params[j], fi})
-			return
+			return true
 		}
 	}
-}
-
-// rowOf returns the row holding slot p.
-func (r *Router) rowOf(p int32) int32 {
-	f, _ := slices.BinarySearch(r.faces.Off, p+1)
-	return int32(f - 1)
+	return false
 }

@@ -3,38 +3,40 @@ package routing
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"testing"
 
 	"hybridroute/internal/geom"
-	"hybridroute/internal/workload"
 )
 
-// checkWalk holds the corridor walk of s→t to its contract: the faces it
-// tests are distinct, every face of the reference corridor is among them,
-// and each meets the closed segment.
+// checkWalk holds Chew's walk of s→t to its contract wherever it answers:
+// every triangle of the reference corridor before its first non-triangle
+// face is among the triangles the walk crossed, no triangle is crossed
+// twice, and each meets the closed segment.
 func checkWalk(r *Router, s, t NodeID) error {
 	if s == t || r.g.HasEdge(s, t) {
 		return nil // answered before any walk
 	}
-	L := geom.Seg(r.g.Point(s), r.g.Point(t))
 	sc := r.getScratch()
 	defer r.putScratch(sc)
-	r.corridor(L, s, t, sc)
-	walked := make(map[int]bool, len(sc.walked))
-	for _, f := range sc.walked {
-		if walked[int(f)] {
-			return fmt.Errorf("walk %d→%d tests face %d twice", s, t, f)
+	if _, ok := r.chewFromWalk(s, t, sc); !ok {
+		return nil
+	}
+	L := geom.Seg(r.g.Point(s), r.g.Point(t))
+	crossed := make(map[int]bool, len(sc.tris))
+	for _, f := range sc.tris {
+		if crossed[int(f)] {
+			return fmt.Errorf("walk %d→%d crosses triangle %d twice", s, t, f)
 		}
-		walked[int(f)] = true
+		crossed[int(f)] = true
 		if !rowMeets(r, int(f), L) {
-			return fmt.Errorf("walk %d→%d tests face %d, which misses the segment", s, t, f)
+			return fmt.Errorf("walk %d→%d crosses triangle %d, which misses the segment", s, t, f)
 		}
 	}
-	for _, f := range r.refCorridor(L) {
-		if !walked[f] {
-			return fmt.Errorf("walk %d→%d misses corridor face %d", s, t, f)
+	prefix, _ := r.refSplit(r.refCorridor(L))
+	for _, f := range prefix {
+		if !crossed[f] {
+			return fmt.Errorf("walk %d→%d misses corridor triangle %d", s, t, f)
 		}
 	}
 	return nil
@@ -55,8 +57,8 @@ func rowMeets(r *Router, f int, L geom.Segment) bool {
 	return geom.PointInPolygon(L.A, poly)
 }
 
-// TestWalkCoversCorridor holds the walk to its contract on random pairs over
-// every deployment of the differential tests.
+// TestWalkCoversCorridor holds Chew's walk to its contract on random pairs
+// over every deployment of the differential tests.
 func TestWalkCoversCorridor(t *testing.T) {
 	pairs := 1000
 	if testing.Short() {
@@ -65,7 +67,7 @@ func TestWalkCoversCorridor(t *testing.T) {
 	forPairs(t, pairs, checkWalk)
 }
 
-// FuzzWalk holds the walk to its contract on fuzzed pairs of FuzzChew's
+// FuzzWalk holds Chew's walk to its contract on fuzzed pairs of FuzzChew's
 // deployments.
 func FuzzWalk(f *testing.F) {
 	addFuzzSeeds(f)
@@ -76,43 +78,6 @@ func FuzzWalk(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
-}
-
-// TestWalkedFacesPerCorridorFace pins the walk's tightness on
-// BenchmarkChewCorridor's 41×41 deployment and pairs: the faces every walk
-// tests, per face of the resulting corridors. The count is deterministic;
-// the walk tests 1.000 faces per corridor face, where the face grid it
-// replaced offered 2.27.
-func TestWalkedFacesPerCorridorFace(t *testing.T) {
-	const side = 22.0
-	c := side / 2
-	obstacles := [][]geom.Point{
-		workload.StarPolygon(geom.Pt(c, c+0.2), 1.6, 0.7, 5, 0.3),
-		workload.RegularPolygon(geom.Pt(c+4.4, c+3.6), 1.3, 6, 0.2),
-	}
-	sc, err := workload.BorderedGrid(0.55, side, side, 1, obstacles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := routerOver(sc.Points, sc.Radius)
-	rng := rand.New(rand.NewSource(7))
-	n := r.g.N()
-	walked, faces := 0, 0
-	for i := 0; i < 512; i++ {
-		s, u := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-		if s == u || r.g.HasEdge(s, u) {
-			continue // Chew answers these before any walk
-		}
-		scr := r.getScratch()
-		faces += len(r.corridor(geom.Seg(r.g.Point(s), r.g.Point(u)), s, u, scr))
-		walked += len(scr.walked)
-		r.putScratch(scr)
-	}
-	ratio := float64(walked) / float64(faces)
-	t.Logf("%d faces walked for %d corridor faces: %.3f per face", walked, faces, ratio)
-	if ratio > 1.01 {
-		t.Fatalf("%.3f faces walked per corridor face, want at most 1.01", ratio)
-	}
 }
 
 // TestExtendDropsDetour holds a chain step back to the node before the last
