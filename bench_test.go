@@ -395,7 +395,8 @@ func BenchmarkEngineBatchTraced(b *testing.B) {
 // walks and hole hits. The 41×41-point leg
 // fits in cache; the 316×316-point leg is the field-cold deployment, whose
 // face table and its adjacency do not, so it also prices the memory reads of
-// the walk from face to face.
+// the walk from face to face. us/hop is the timed loop over the hops of the
+// paths it answered, as in BenchmarkScale's cold leg.
 func BenchmarkChewCorridor(b *testing.B) {
 	for _, leg := range []struct {
 		name string
@@ -422,11 +423,17 @@ func BenchmarkChewCorridor(b *testing.B) {
 					pairs[i] = [2]routing.NodeID{routing.NodeID(rng.Intn(n)), routing.NodeID(rng.Intn(n))}
 				}
 			}
+			hops := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := pairs[i%len(pairs)]
 				chewSink = r.Chew(p[0], p[1])
+				hops += chewSink.Hops()
+			}
+			b.StopTimer()
+			if hops > 0 {
+				b.ReportMetric(b.Elapsed().Seconds()*1e6/float64(hops), "us/hop")
 			}
 		})
 	}

@@ -12,9 +12,15 @@
 // cluster-wide "cluster" rollup: counters are summed across instances, gauges
 // take the fleet maximum.
 //
+// With -compare a baseline document (an earlier BENCH_results.json) is read
+// before anything is written, and every row it also holds at the same name
+// and GOMAXPROCS is reported on stderr: ns/op and each custom metric both rows
+// carry, old -> new with the ratio new/old. Rows the baseline lacks are
+// listed. It only reports: the exit status does not depend on the ratios.
+//
 // Usage:
 //
-//	go test -bench=. -benchmem | benchjson -o BENCH_results.json [-metrics trace.json] [-instances i0.json,i1.json]
+//	go test -bench=. -benchmem | benchjson -o BENCH_results.json [-metrics trace.json] [-instances i0.json,i1.json] [-compare BASELINE.json]
 package main
 
 import (
@@ -27,6 +33,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -190,6 +197,32 @@ func convert(r io.Reader, echo io.Writer, metricsJSON []byte) (benchFile, error)
 	return doc, nil
 }
 
+// rowKey identifies a benchmark row: a -cpu 1 and a -cpu 2 run of one
+// benchmark are two rows.
+type rowKey struct {
+	name  string
+	procs int
+}
+
+// loadDoc reads a results document; found is false when the file is missing
+// or blank.
+func loadDoc(path string) (doc benchFile, found bool, err error) {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return doc, false, nil
+		}
+		return doc, false, err
+	}
+	if len(bytes.TrimSpace(buf)) == 0 {
+		return doc, false, nil
+	}
+	if err := json.Unmarshal(buf, &doc); err != nil {
+		return doc, false, fmt.Errorf("results %s: %w", path, err)
+	}
+	return doc, true, nil
+}
+
 // mergePrior folds the benchmarks of a previous output document (typically
 // the -o target of an earlier run) under the current one: prior lines are
 // kept unless the current run re-measured the same benchmark at the same
@@ -198,23 +231,9 @@ func convert(r io.Reader, echo io.Writer, metricsJSON []byte) (benchFile, error)
 // missing or empty prior file is a first run and merges to nothing — it must
 // never fail or taint the output.
 func mergePrior(doc *benchFile, path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
+	prior, found, err := loadDoc(path)
+	if err != nil || !found {
 		return err
-	}
-	if len(bytes.TrimSpace(buf)) == 0 {
-		return nil
-	}
-	var prior benchFile
-	if err := json.Unmarshal(buf, &prior); err != nil {
-		return fmt.Errorf("prior results %s: %w", path, err)
-	}
-	type rowKey struct {
-		name  string
-		procs int
 	}
 	fresh := make(map[rowKey]bool, len(doc.Benchmarks))
 	for _, b := range doc.Benchmarks {
@@ -250,11 +269,62 @@ func mergePrior(doc *benchFile, path string) error {
 	return nil
 }
 
+// compareBaseline writes to w one line per row of doc that the baseline
+// document at path holds at the same name and procs: ns/op and every custom
+// metric both rows carry, old -> new and the ratio new/old. It then lists the
+// rows the baseline lacks. A missing baseline is an error: there is nothing to
+// compare against.
+func compareBaseline(w io.Writer, doc benchFile, path string) error {
+	base, found, err := loadDoc(path)
+	if err != nil {
+		return err
+	}
+	if !found {
+		return fmt.Errorf("no baseline results at %s", path)
+	}
+	old := make(map[rowKey]benchResult, len(base.Benchmarks))
+	for _, b := range base.Benchmarks {
+		old[rowKey{b.Name, b.Procs}] = b
+	}
+	change := func(name string, was, now float64) string {
+		if was == 0 {
+			return fmt.Sprintf(" %s %.4g -> %.4g", name, was, now)
+		}
+		return fmt.Sprintf(" %s %.4g -> %.4g (x%.3f)", name, was, now, now/was)
+	}
+	var lacking []string
+	for _, b := range doc.Benchmarks {
+		row := fmt.Sprintf("%s procs=%d", b.Name, b.Procs)
+		o, ok := old[rowKey{b.Name, b.Procs}]
+		if !ok {
+			lacking = append(lacking, row)
+			continue
+		}
+		line := row + ":" + change("ns/op", o.NsPerOp, b.NsPerOp)
+		units := make([]string, 0, len(b.Custom))
+		for u := range b.Custom {
+			if _, shared := o.Custom[u]; shared {
+				units = append(units, u)
+			}
+		}
+		sort.Strings(units)
+		for _, u := range units {
+			line += "," + change(u, o.Custom[u], b.Custom[u])
+		}
+		fmt.Fprintln(w, "benchjson: compare "+line)
+	}
+	for _, row := range lacking {
+		fmt.Fprintln(w, "benchjson: compare "+row+": not in the baseline")
+	}
+	return nil
+}
+
 func main() {
 	out := flag.String("o", "BENCH_results.json", "output JSON path")
 	metrics := flag.String("metrics", "", "trace-metrics JSON file to embed as the \"metrics\" block")
 	instances := flag.String("instances", "", "comma-separated per-instance registry snapshot files to merge into the \"cluster\" rollup (counters summed, gauges maxed)")
 	merge := flag.Bool("merge", false, "merge with the existing output file instead of replacing it (a missing or empty file is a first run)")
+	compare := flag.String("compare", "", "baseline results JSON to report each re-measured row against (name and procs), before anything is written")
 	flag.Parse()
 
 	var metricsJSON []byte
@@ -274,6 +344,11 @@ func main() {
 			log.Fatalf("benchjson: instances: %v", err)
 		}
 		doc.Cluster = roll
+	}
+	if *compare != "" {
+		if err := compareBaseline(os.Stderr, doc, *compare); err != nil {
+			log.Fatalf("benchjson: compare: %v", err)
+		}
 	}
 	if *merge {
 		if err := mergePrior(&doc, *out); err != nil {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -413,5 +414,79 @@ func TestMergePriorKeepsCluster(t *testing.T) {
 	}
 	if doc.Cluster == nil || doc.Cluster.Instances != 3 || doc.Cluster.Counters["c"] != 9 {
 		t.Fatalf("prior cluster rollup lost in merge: %+v", doc.Cluster)
+	}
+}
+
+// TestCompareBaseline pins -compare: rows match the baseline by name and
+// procs, only custom metrics both rows carry are reported, rows the baseline
+// lacks are listed, a missing baseline fails, and a row far worse than its
+// baseline is reported like any other.
+func TestCompareBaseline(t *testing.T) {
+	dir := t.TempDir()
+	baseline := filepath.Join(dir, "baseline.json")
+	buf, err := json.Marshal(benchFile{Benchmarks: []benchResult{
+		{Name: "BenchmarkScale/n=1e4/cold", Procs: 1, Iterations: 1, NsPerOp: 100, Custom: map[string]float64{"us/hop": 0.5, "queries/sec": 2000}},
+		{Name: "BenchmarkScale/n=1e4/cold", Procs: 2, Iterations: 1, NsPerOp: 50},
+		{Name: "BenchmarkScale/n=1e4/build", Procs: 1, Iterations: 1, NsPerOp: 1000, Custom: map[string]float64{"bytes/node": 300}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(baseline, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		run       string
+		path      string
+		wantErr   bool
+		wantLines []string
+	}{
+		{
+			name:      "matches by procs",
+			run:       "BenchmarkScale/n=1e4/cold-2 1 60 ns/op 3000 queries/sec\n",
+			path:      baseline,
+			wantLines: []string{"benchjson: compare BenchmarkScale/n=1e4/cold procs=2: ns/op 50 -> 60 (x1.200)"},
+		},
+		{
+			name: "shared custom metrics and a lacking row",
+			run:  "BenchmarkScale/n=1e4/cold 1 80 ns/op 0.4 us/hop 2500 queries/sec 7 hops/query\nBenchmarkChewCorridor/grid=41x41 100 4000 ns/op\n",
+			path: baseline,
+			wantLines: []string{
+				"benchjson: compare BenchmarkScale/n=1e4/cold procs=1: ns/op 100 -> 80 (x0.800), queries/sec 2000 -> 2500 (x1.250), us/hop 0.5 -> 0.4 (x0.800)",
+				"benchjson: compare BenchmarkChewCorridor/grid=41x41 procs=1: not in the baseline",
+			},
+		},
+		{
+			name:    "missing baseline file",
+			run:     "BenchmarkScale/n=1e4/cold 1 80 ns/op\n",
+			path:    filepath.Join(dir, "nope.json"),
+			wantErr: true,
+		},
+		{
+			name:      "row far worse than the baseline",
+			run:       "BenchmarkScale/n=1e4/build 1 3000 ns/op 290 bytes/node\n",
+			path:      baseline,
+			wantLines: []string{"benchjson: compare BenchmarkScale/n=1e4/build procs=1: ns/op 1000 -> 3000 (x3.000), bytes/node 300 -> 290 (x0.967)"},
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			doc, err := convert(bytes.NewReader([]byte(c.run)), io.Discard, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			err = compareBaseline(&out, doc, c.path)
+			if (err != nil) != c.wantErr {
+				t.Fatalf("error %v, want one: %v", err, c.wantErr)
+			}
+			var lines []string
+			if s := strings.TrimSpace(out.String()); s != "" {
+				lines = strings.Split(s, "\n")
+			}
+			if !reflect.DeepEqual(lines, c.wantLines) {
+				t.Fatalf("lines %q, want %q", lines, c.wantLines)
+			}
+		})
 	}
 }

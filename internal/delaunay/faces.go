@@ -82,50 +82,58 @@ func (g *PlanarGraph) Faces() mem.CSR[int32] {
 // from Faces.Dat[p] to the next node of the row, and row f lies to its left.
 type FaceAdjacency struct {
 	Faces mem.CSR[int32]
-	// Across is aligned with Faces.Dat: the row on the other side of each
-	// slot's edge, the one that holds the reversed edge.
-	Across []int32
-	// Anchor holds, per node, one row through the node, a three-slot row
+	// Twin is aligned with Faces.Dat: the slot of each slot's reversed edge,
+	// which lies in the row on the other side of the edge. Twin[Twin[p]] = p.
+	Twin []int32
+	// Anchor holds, per node, one slot leaving the node, in a three-slot row
 	// when the node has one; -1 for a node without edges.
 	Anchor []int32
 }
 
-// FacesWithAdjacency is Faces plus, for every slot, the row across its edge
-// and, for every node, one row through it. The enumeration already finds
-// u's position in v's rotation for every directed edge u→v it walks; that
-// position is the reversed edge, so the adjacency costs one int32 per slot
-// and per node.
+// FacesWithAdjacency is Faces plus, for every slot, the slot of its reversed
+// edge and, for every node, one slot leaving it. The enumeration already
+// finds u's position in v's rotation for every directed edge u→v it walks;
+// that position is the reversed edge's CSR index, which a slot-of-index
+// array filled on the same pass turns into its slot, so the adjacency costs
+// one int32 per slot and per node.
 func (g *PlanarGraph) FacesWithAdjacency() FaceAdjacency {
 	var fa FaceAdjacency
-	fa.Faces = g.faces(&fa.Across)
+	fa.Faces = g.faces(&fa.Twin)
 	fa.Anchor = make([]int32, g.N())
 	for v := range fa.Anchor {
 		fa.Anchor[v] = -1
 	}
-	for f := 0; f < fa.Faces.Rows(); f++ {
-		tri := fa.Faces.Off[f+1]-fa.Faces.Off[f] == 3
-		for _, v := range fa.Faces.Row(f) {
-			if a := fa.Anchor[v]; a < 0 || tri && fa.Faces.Off[a+1]-fa.Faces.Off[a] != 3 {
-				fa.Anchor[v] = int32(f)
+	// Three-slot rows first, then the rest: each node keeps the first slot
+	// leaving it, in row order, of the first pass that has one.
+	for _, tri := range []bool{true, false} {
+		for f := 0; f < fa.Faces.Rows(); f++ {
+			lo, hi := fa.Faces.Off[f], fa.Faces.Off[f+1]
+			if tri && hi-lo != 3 {
+				continue
+			}
+			for p := lo; p < hi; p++ {
+				if v := fa.Faces.Dat[p]; fa.Anchor[v] < 0 {
+					fa.Anchor[v] = p
+				}
 			}
 		}
 	}
 	return fa
 }
 
-// faces enumerates the face table; when across is non-nil it also fills
-// *across with the row across every slot.
-func (g *PlanarGraph) faces(across *[]int32) mem.CSR[int32] {
+// faces enumerates the face table; when twin is non-nil it also fills *twin
+// with the slot of every slot's reversed edge.
+func (g *PlanarGraph) faces(twin *[]int32) mem.CSR[int32] {
 	off, dat := g.flatRows()
 	visited := make([]bool, len(dat))
 	faces := mem.CSR[int32]{Off: []int32{0}, Dat: make([]int32, 0, len(dat))}
-	// rowOf maps a directed edge's CSR index to its row; twin maps a slot to
+	// slotOf maps a directed edge's CSR index to its slot; rev maps a slot to
 	// the CSR index of its reversed edge. Both are filled only when the
 	// adjacency is asked for.
-	var rowOf, twin []int32
-	if across != nil {
-		rowOf = make([]int32, len(dat))
-		twin = make([]int32, 0, len(dat))
+	var slotOf, rev []int32
+	if twin != nil {
+		slotOf = make([]int32, len(dat))
+		rev = make([]int32, 0, len(dat))
 	}
 
 	for u := 0; u < g.N(); u++ {
@@ -133,10 +141,12 @@ func (g *PlanarGraph) faces(across *[]int32) mem.CSR[int32] {
 			if visited[k] {
 				continue
 			}
-			row := int32(faces.Rows())
 			cu, ck := udg.NodeID(u), k
 			for !visited[ck] {
 				visited[ck] = true
+				if twin != nil {
+					slotOf[ck] = int32(len(faces.Dat))
+				}
 				faces.Dat = append(faces.Dat, int32(cu))
 				cv := dat[ck]
 				nbrs := dat[off[cv]:off[cv+1]]
@@ -150,9 +160,8 @@ func (g *PlanarGraph) faces(across *[]int32) mem.CSR[int32] {
 				if pi < 0 {
 					panic("delaunay: rotation lookup for absent edge")
 				}
-				if across != nil {
-					rowOf[ck] = row
-					twin = append(twin, off[cv]+int32(pi))
+				if twin != nil {
+					rev = append(rev, off[cv]+int32(pi))
 				}
 				ni := (pi - 1 + len(nbrs)) % len(nbrs)
 				cu, ck = cv, int(off[cv])+ni
@@ -160,11 +169,11 @@ func (g *PlanarGraph) faces(across *[]int32) mem.CSR[int32] {
 			faces.Off = append(faces.Off, int32(len(faces.Dat)))
 		}
 	}
-	if across != nil {
-		for p, k := range twin {
-			twin[p] = rowOf[k]
+	if twin != nil {
+		for p, k := range rev {
+			rev[p] = slotOf[k]
 		}
-		*across = twin
+		*twin = rev
 	}
 	return faces
 }

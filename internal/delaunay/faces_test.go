@@ -1,6 +1,7 @@
 package delaunay
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -63,52 +64,65 @@ func checkEuler(t *testing.T, g *PlanarGraph) {
 }
 
 // checkFaceAdjacency holds FacesWithAdjacency to its contract on g: the same
-// table as Faces, every slot's row across holding the reversed edge, and
-// every node with edges anchored on a row through it (a three-slot row when
-// it lies on one), every node without edges on none.
-func checkFaceAdjacency(t *testing.T, g *PlanarGraph) {
-	t.Helper()
+// table as Faces; every slot's twin a slot whose twin it is in turn, running
+// from the slot's head to its tail; and every node with edges anchored on a
+// slot leaving it (in a three-slot row when it lies on one), every node
+// without edges on none.
+func checkFaceAdjacency(g *PlanarGraph) error {
 	fa := g.FacesWithAdjacency()
 	plain := g.Faces()
 	if !slices.Equal(fa.Faces.Off, plain.Off) || !slices.Equal(fa.Faces.Dat, plain.Dat) {
-		t.Fatal("the face table differs from Faces")
+		return fmt.Errorf("the face table differs from Faces")
 	}
-	if len(fa.Across) != len(fa.Faces.Dat) || len(fa.Anchor) != g.N() {
-		t.Fatalf("%d across entries for %d slots, %d anchors for %d nodes", len(fa.Across), len(fa.Faces.Dat), len(fa.Anchor), g.N())
+	slots := int32(len(fa.Faces.Dat))
+	if len(fa.Twin) != int(slots) || len(fa.Anchor) != g.N() {
+		return fmt.Errorf("%d twins for %d slots, %d anchors for %d nodes", len(fa.Twin), slots, len(fa.Anchor), g.N())
+	}
+	// rowOf and next are the slot arithmetic the adjacency spares its users.
+	rowOf := make([]int, slots)
+	for f := 0; f < fa.Faces.Rows(); f++ {
+		for p := fa.Faces.Off[f]; p < fa.Faces.Off[f+1]; p++ {
+			rowOf[p] = f
+		}
+	}
+	next := func(p int32) int32 {
+		if f := rowOf[p]; p+1 == fa.Faces.Off[f+1] {
+			return fa.Faces.Off[f]
+		}
+		return p + 1
 	}
 	onTriangle := make([]bool, g.N())
-	for f := 0; f < fa.Faces.Rows(); f++ {
-		row := fa.Faces.Row(f)
-		for i, u := range row {
-			v := row[(i+1)%len(row)]
-			if len(row) == 3 {
-				onTriangle[u] = true
-			}
-			across := fa.Faces.Row(int(fa.Across[int(fa.Faces.Off[f])+i]))
-			found := false
-			for j, w := range across {
-				found = found || w == v && across[(j+1)%len(across)] == u
-			}
-			if !found {
-				t.Fatalf("row %d across slot %d→%d of row %d lacks the edge %d→%d", fa.Across[int(fa.Faces.Off[f])+i], u, v, f, v, u)
-			}
+	for p := int32(0); p < slots; p++ {
+		tail, head := fa.Faces.Dat[p], fa.Faces.Dat[next(p)]
+		if fa.Faces.Off[rowOf[p]+1]-fa.Faces.Off[rowOf[p]] == 3 {
+			onTriangle[tail] = true
+		}
+		q := fa.Twin[p]
+		switch {
+		case q < 0 || q >= slots:
+			return fmt.Errorf("slot %d (%d→%d) has twin %d, outside the %d slots", p, tail, head, q, slots)
+		case fa.Twin[q] != p:
+			return fmt.Errorf("slot %d has twin %d, whose twin is %d", p, q, fa.Twin[q])
+		case fa.Faces.Dat[q] != head || fa.Faces.Dat[next(q)] != tail:
+			return fmt.Errorf("slot %d (%d→%d) has twin %d (%d→%d), not the reversed edge", p, tail, head, q, fa.Faces.Dat[q], fa.Faces.Dat[next(q)])
 		}
 	}
 	for v := 0; v < g.N(); v++ {
 		a := fa.Anchor[v]
 		if g.Degree(udg.NodeID(v)) == 0 {
 			if a != -1 {
-				t.Fatalf("node %d has no edges but anchor %d", v, a)
+				return fmt.Errorf("node %d has no edges but anchor %d", v, a)
 			}
 			continue
 		}
-		if a < 0 || !slices.Contains(fa.Faces.Row(int(a)), int32(v)) {
-			t.Fatalf("node %d has edges but anchor %d does not hold it", v, a)
+		if a < 0 || a >= slots || fa.Faces.Dat[a] != int32(v) {
+			return fmt.Errorf("node %d has edges but anchor %d does not leave it", v, a)
 		}
-		if onTriangle[v] && len(fa.Faces.Row(int(a))) != 3 {
-			t.Fatalf("node %d lies on a three-slot row but is anchored on a %d-slot one", v, len(fa.Faces.Row(int(a))))
+		if f := rowOf[a]; onTriangle[v] && fa.Faces.Off[f+1]-fa.Faces.Off[f] != 3 {
+			return fmt.Errorf("node %d lies on a three-slot row but is anchored on a %d-slot one", v, fa.Faces.Off[f+1]-fa.Faces.Off[f])
 		}
 	}
+	return nil
 }
 
 // TestFaceAdjacency checks the face adjacency on LDel² graphs, on their
@@ -129,9 +143,12 @@ func TestFaceAdjacency(t *testing.T) {
 	} {
 		g := c.g
 		t.Run(c.name, func(t *testing.T) {
-			checkFaceAdjacency(t, g)
 			hulled, _ := g.WithHull()
-			checkFaceAdjacency(t, hulled)
+			for _, g := range []*PlanarGraph{g, hulled} {
+				if err := checkFaceAdjacency(g); err != nil {
+					t.Fatal(err)
+				}
+			}
 			checkEuler(t, hulled)
 
 			churned := hulled.Clone()
@@ -142,7 +159,9 @@ func TestFaceAdjacency(t *testing.T) {
 					churned.RemoveNodeEdges(udg.NodeID(v))
 				}
 			}
-			checkFaceAdjacency(t, churned)
+			if err := checkFaceAdjacency(churned); err != nil {
+				t.Fatal(err)
+			}
 			checkEuler(t, churned)
 		})
 	}

@@ -138,9 +138,10 @@ func latticePoints(data []byte) []geom.Point {
 	return pts
 }
 
-// FuzzWithHull checks WithHull on the LDel² graph (radius 1) of small point
-// sets snapped to a lattice, where borders and interior lines are exactly
-// collinear and cocircular quadruples make some graphs non-plane.
+// FuzzWithHull checks WithHull, and the face adjacency of the overlay it
+// returns, on the LDel² graph (radius 1) of small point sets snapped to a
+// lattice, where borders and interior lines are exactly collinear and
+// cocircular quadruples make some graphs non-plane.
 func FuzzWithHull(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -160,7 +161,12 @@ func FuzzWithHull(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := checkWithHull(LDel2Fast(udg.Build(latticePoints(data), 1))); err != nil {
+		g := LDel2Fast(udg.Build(latticePoints(data), 1))
+		if err := checkWithHull(g); err != nil {
+			t.Fatal(err)
+		}
+		gbar, _ := g.WithHull()
+		if err := checkFaceAdjacency(gbar); err != nil {
 			t.Fatal(err)
 		}
 	})

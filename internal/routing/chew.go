@@ -37,25 +37,26 @@ func (r *Router) Chew(s, t NodeID) Result {
 	return r.fallback(s, t)
 }
 
-// chewFromWalk answers from the chains of a walk from s that stops at t, at
-// the first row that is not a triangle, or, when t lies in another component
-// than s, before an edge t does not lie beyond. Consecutive chain nodes share
-// a triangle the walk crossed, so a chain is a path of g up to its first step
+// chewFromWalk answers from the chains of a walk from s that stops at t or at
+// the first row that is not a triangle. Consecutive chain nodes share a
+// triangle the walk crossed, so a chain is a path of g up to its first step
 // over a CH(V) edge. The walk answers when it reached t, or when the row it
 // stopped at is the blocking face: not a triangle face, and entered by L
 // through its interior by the exact entry test. The chains are then trimmed at
-// their first node on that face. ok is false in every other case: s has no
-// edges, the walk ended elsewhere, the row it stopped at is not the blocking
-// face (the outer row, a row L only touches, an island's three-node outline),
-// or no chain is a path.
+// their first node on that face. ok is false in every other case: s and t lie
+// in different components (no walk starts, since none could reach t, and a
+// hole it met would only send the query after a t no path reaches), the walk
+// ended elsewhere, the row it stopped at is not the blocking face (the outer
+// row, a row L only touches, an island's three-node outline), or no chain is
+// a path.
 func (r *Router) chewFromWalk(s, t NodeID, sc *walkScratch) (res Result, ok bool) {
 	L := geom.Seg(r.g.Point(s), r.g.Point(t))
-	f := r.anchor[s]
-	if f < 0 || L.A == L.B {
+	if L.A == L.B || !r.connected(s, t) {
 		return Result{}, false
 	}
 	w := r.newWalk(L, s, t, sc)
-	stop := w.run(f, r.locate(f, int32(s), -1))
+	p := r.anchor[s]
+	stop := w.run(p, r.pos(p))
 	if w.reached {
 		path := r.shorter(sc.left, sc.right, len(sc.left) <= w.okL, len(sc.right) <= w.okR)
 		return Result{Path: path, Reached: true}, path != nil

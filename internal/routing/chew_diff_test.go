@@ -90,7 +90,7 @@ const (
 	sameAnswer     chewClass = iota // the reference's answer
 	fallbackToWalk                  // the reference fell back to a graph shortest path; Chew did not
 	changedAnswer                   // a reference chain is not a path, and Chew's answer differs
-	noPath                          // s and t lie in different components of g, and Chew hit no hole
+	noPath                          // s and t lie in different components of g
 	islandChord                     // the reference hit an island's outline; Chew crossed the island to t
 	numChewClasses
 )
@@ -141,13 +141,13 @@ func islandOutline(r *Router, f int) bool {
 
 // compareWithReference checks the Chew result of s→t against the reference
 // walk, and returns the class of the answer. Every answer is a path of g from
-// s (checkChewPath). Where s and t lie in different components of g and
-// Chew's walk hit no hole, refChew must not reach t, and Chew answers Stuck
-// at s, flagged Fallback. Where refChew hit an island's outline, whose
-// interior its entry test reads as the row's, Chew may reach t across the
-// island. Chew must equal refChew wherever both reference chains are paths
-// and refChew did not fall back. Elsewhere it must agree with refChew on
-// Reached, HoleHit and HoleFace, and, unless refChew fell back, be no longer.
+// s (checkChewPath). Where s and t lie in different components of g, refChew
+// must not reach t, and Chew answers Stuck at s, flagged Fallback. Where
+// refChew hit an island's outline, whose interior its entry test reads as the
+// row's, Chew may reach t across the island. Chew must equal refChew wherever
+// both reference chains are paths and refChew did not fall back. Elsewhere it
+// must agree with refChew on Reached, HoleHit and HoleFace, and, unless
+// refChew fell back, be no longer.
 func compareWithReference(r *Router, s, t NodeID) (chewClass, error) {
 	got, want := r.Chew(s, t), r.refChew(s, t)
 	if s == t || r.g.HasEdge(s, t) {
@@ -159,7 +159,7 @@ func compareWithReference(r *Router, s, t NodeID) (chewClass, error) {
 	if err := checkChewPath(r, s, t, got); err != nil {
 		return 0, err
 	}
-	if comp := components(r); comp[s] != comp[t] && !got.HoleHit {
+	if comp := components(r); comp[s] != comp[t] {
 		stuck := Result{Path: []NodeID{s}, Stuck: true, Fallback: true}
 		switch {
 		case want.Reached:
@@ -420,12 +420,13 @@ func walkDeclines(r *Router, s, t NodeID) bool {
 // straight back. It also pins how many of the pairs Chew's walk declines: on
 // the uniform, obstacle and city deployments one pair each whose chains both
 // step over a CH(V) edge, answered by the graph shortest path; on the
-// churned grid mostly pairs with an end that has no edges or lies across the
-// ring from the island, answered with no path; on the other deployments none.
+// churned grid every pair whose ends g does not connect, answered with no
+// path, and a few answered by the graph shortest path; on the other
+// deployments none.
 func TestChewAnswersArePaths(t *testing.T) {
 	declined := map[string]int{
 		"uniform": 1, "obstacles": 1, "city": 1, "maze": 0, "jittered": 0,
-		"bordered-0.5": 0, "bordered-0.55": 0, "exact-lines": 0, "churned": 1425, "translated": 0,
+		"bordered-0.5": 0, "bordered-0.55": 0, "exact-lines": 0, "churned": 1920, "translated": 0,
 	}
 	eachDeployment(t, func(t *testing.T, name string, r *Router, next func() (NodeID, NodeID)) {
 		noPath, shortest := 0, 0
@@ -577,11 +578,11 @@ func TestCorridorReferenceHandCases(t *testing.T) {
 // TestChewNoPathHandCases covers ends that g does not connect. On a graph of
 // two triangles abc and bcd with an island inside abc, Chew from a to the
 // island, from the island to a and from d to the island answers Stuck at s:
-// the walk stops before the edge the island does not lie beyond, where it
-// would otherwise pass the island and loop. On the churned grid an edgeless
-// s is answered without a walk, an edgeless t behind a hole keeps the walk's
-// hole hit, and a chord of the island reaches t across the island's
-// triangles, where the reference's entry test hits the island's outline.
+// no walk starts toward an end in another component, where it would pass the
+// island and loop. On the churned grid an edgeless s or t is answered without
+// a walk, whether or not L leaves the hole it meets before t, and a chord of
+// the island reaches t across the island's triangles, where the reference's
+// entry test hits the island's outline.
 func TestChewNoPathHandCases(t *testing.T) {
 	stuck := func(s NodeID) Result { return Result{Path: []NodeID{s}, Stuck: true, Fallback: true} }
 
@@ -624,14 +625,18 @@ func TestChewNoPathHandCases(t *testing.T) {
 	})
 
 	t.Run("edgeless-t-behind-hole", func(t *testing.T) {
-		// t is the crashed border node at (3, 0); L from (3, 6) meets the
-		// hexagonal hole first.
-		s, u := nearestNode(r, geom.Pt(3, 6)), nearestNode(r, geom.Pt(3, 0))
-		if len(r.g.Neighbors(u)) != 0 {
-			t.Fatalf("node %d at %v has edges", u, r.g.Point(u))
-		}
-		if got := check(t, s, u, sameAnswer); !got.HoleHit || got.Fallback {
-			t.Fatalf("Chew(%d, %d) = %+v, want the walk's hole hit", s, u, got)
+		// Both targets are crashed. From (3, 6), L meets the hexagonal hole
+		// and leaves it before the border node at (3, 0); from (8.5, 3), L
+		// ends inside the crashed ring around the island. No hole is
+		// reported toward a t that no path reaches.
+		for _, c := range [][4]float64{{3, 6, 3, 0}, {8.5, 3, 8.5, 10.5}} {
+			s, u := nearestNode(r, geom.Pt(c[0], c[1])), nearestNode(r, geom.Pt(c[2], c[3]))
+			if len(r.g.Neighbors(u)) != 0 {
+				t.Fatalf("node %d at %v has edges", u, r.g.Point(u))
+			}
+			if got := check(t, s, u, noPath); !reflect.DeepEqual(got, stuck(s)) {
+				t.Fatalf("Chew(%d, %d) = %+v, want %+v", s, u, got, stuck(s))
+			}
 		}
 	})
 
@@ -677,8 +682,8 @@ func fuzzRouter(churned bool) *Router {
 // grid, pairs along the main diagonal, the anti-diagonal and the border,
 // across the hole, adjacent and equal; on the churned grid, pairs from and to
 // crashed nodes (one on a hull edge, one next to a corner, one inside), into
-// and out of the island, from the island across the ring, and a chord of the
-// island.
+// and out of the island, from the island across the ring, a chord of the
+// island, and to crashed nodes beyond the hexagonal hole and inside the ring.
 func addFuzzSeeds(f *testing.F) {
 	node := func(churned bool, x, y float64) uint16 {
 		return uint16(nearestNode(fuzzRouter(churned), geom.Pt(x, y)))
@@ -700,6 +705,8 @@ func addFuzzSeeds(f *testing.F) {
 		{true, 1, 11, 9, 8.5},
 		{true, 3, 0, 9, 0},
 		{true, 7.5, 8, 9.5, 9},
+		{true, 3, 6, 3, 0},
+		{true, 8.5, 3, 8.5, 10.5},
 	} {
 		f.Add(node(c.churned, c.sx, c.sy), node(c.churned, c.tx, c.ty), c.churned)
 	}

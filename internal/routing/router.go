@@ -81,15 +81,16 @@ func (r Result) Hops() int {
 type Router struct {
 	g *delaunay.PlanarGraph // real communication graph
 	// faces is the face table of g plus the CH(V) edges: row i is face i's
-	// boundary cycle, as nodes of g. across (per slot, aligned with
-	// faces.Dat) and anchor (per node, −1 for a node without edges) are its
-	// adjacency, which Chew's walk steps through; the sign bit of an across
-	// entry marks a CH(V) edge that g lacks (hullBit). tri marks the rows
-	// the walk crosses as triangles.
+	// boundary cycle, as nodes of g. adj (per slot, aligned with faces.Dat)
+	// and anchor (per node) are its adjacency, which Chew's walk steps
+	// through. An adj entry names the slot of the reversed edge (its twin),
+	// the twin's position in its row when that row is a walkable triangle,
+	// and whether the slot's edge is a CH(V) edge that g lacks (walk.go has
+	// the layout). anchor holds one slot leaving each node, in a three-slot
+	// row when the node has one; −1 for a node without edges.
 	faces  mem.CSR[int32]
-	across []int32
+	adj    []int32
 	anchor []int32
-	tri    []uint64
 	outer  int
 	// islands maps each node with edges outside the outer row's component
 	// to its component; nil when the augmented graph is connected.
@@ -109,7 +110,8 @@ func New(g *delaunay.PlanarGraph) *Router {
 	}
 	gbar, hullEdges := g.WithHull() // for face enumeration only
 	fa := gbar.FacesWithAdjacency()
-	r.faces, r.across, r.anchor = fa.Faces, fa.Across, fa.Anchor
+	r.faces, r.anchor = fa.Faces, fa.Anchor
+	r.adj = r.encodeAdjacency(fa.Twin)
 	for _, e := range hullEdges {
 		a, b := int32(e[0]), int32(e[1])
 		r.markHull(a, b)
@@ -117,7 +119,6 @@ func New(g *delaunay.PlanarGraph) *Router {
 	}
 	r.outer = gbar.OuterFaceIndex(&r.faces)
 	r.islands = r.newIslands()
-	r.tri = r.triangleRows()
 	r.scratch = newScratchPool(g.N())
 	return r
 }

@@ -1,16 +1,19 @@
 // Chew's walk: the message steps from a face to the neighbour across the
 // edge the segment st crosses, and the router follows it through the face
-// table's adjacency. A triangle is crossed with one side test of its third
+// table's adjacency: one int32 per slot that names the slot of the reversed
+// edge (its twin) and the twin's position in its row when that row is a
+// walkable triangle. A triangle is crossed with one side test of its third
 // vertex, which then joins the chain on its side of st (both chains when it
-// lies on st). The walk stops at t, at the first row that is not a triangle,
-// or, when t lies in another component than s, before the first edge t does
-// not lie beyond; Chew answers from the chains (chew.go). Only the row it
-// stops at gets the exact entry test. DESIGN.md ("Chew from the walk",
-// "Face-to-face corridor walk") argues why the chains are paths.
+// lies on st), and its slots are found from the twin alone: no row index, no
+// row bounds, no scan. The walk stops at t or at the first row that is not a
+// triangle; only that row gets its index, by binary search, and the exact
+// entry test. Chew answers from the chains (chew.go). DESIGN.md ("Chew from
+// the walk", "Face-to-face corridor walk") argues why the chains are paths.
 
 package routing
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -24,7 +27,7 @@ import (
 // carries no per-query state.
 type walkScratch struct {
 	nodeSeen *mem.Marks // the blocking face's vertices
-	tris     []int32    // triangle rows crossed, in walk order, for the walk's contract tests
+	tris     []int32    // first slots of the triangles crossed, in walk order, for the walk's contract tests
 	poly     []geom.Point
 	sides    []geom.Orientation
 	params   []float64
@@ -57,68 +60,99 @@ func prev(p, lo, hi int32) int32 {
 	return p - 1
 }
 
-// isTri reports whether the walk crosses row f as a triangle: three slots,
-// counterclockwise.
-func (r *Router) isTri(f int32) bool { return r.tri[f>>6]&(1<<(f&63)) != 0 }
+// The adjacency entry of slot p packs three fields into one int32: the slot
+// of p's reversed edge (its twin) shifted left by 2; in the low 2 bits, the
+// twin's position in its row (0–2) when that row is a walkable triangle
+// (three slots whose nodes turn counterclockwise, so not the outer row or an
+// island's outline), and notTri otherwise; and in the sign bit, hullBit.
+const (
+	notTri  int32 = 3
+	hullBit int32 = -1 << 31
+	// maxSlots bounds the face table: a twin shifted left by 2 must stay
+	// clear of the sign bit.
+	maxSlots = 1 << 29
+)
 
-// triangleRows marks the rows the walk crosses with one side test: three
-// slots whose nodes turn counterclockwise, so not the outer row or an
-// island's outline. An island or an edgeless node inside does not matter:
-// the walk meets neither, and stops before a t among them (tApart).
-func (r *Router) triangleRows() []uint64 {
-	tri := make([]uint64, (r.faces.Rows()+63)/64)
+// encodeAdjacency turns the twin table into the adjacency entries, in place.
+// Each entry first takes its own slot's position code, then each pair of
+// twins swaps codes, so an entry holds its twin's.
+func (r *Router) encodeAdjacency(twin []int32) []int32 {
+	if len(twin) > maxSlots {
+		panic(fmt.Sprintf("routing: %d face slots, more than the 2^29 the adjacency encoding holds", len(twin)))
+	}
 	for f := 0; f < r.faces.Rows(); f++ {
-		row := r.faces.Row(f)
-		if len(row) != 3 {
-			continue
-		}
-		if geom.Orient(r.point(row[0]), r.point(row[1]), r.point(row[2])) == geom.CounterClockwise {
-			tri[f>>6] |= 1 << (f & 63)
+		lo, hi := r.faces.Off[f], r.faces.Off[f+1]
+		row := r.faces.Dat[lo:hi]
+		tri := len(row) == 3 && geom.Orient(r.point(row[0]), r.point(row[1]), r.point(row[2])) == geom.CounterClockwise
+		for p := lo; p < hi; p++ {
+			code := notTri
+			if tri {
+				code = p - lo
+			}
+			twin[p] = twin[p]<<2 | code
 		}
 	}
-	return tri
+	for p, e := range twin {
+		if q := e >> 2; int32(p) < q {
+			twin[p], twin[q] = q<<2|twin[q]&notTri, int32(p)<<2|e&notTri
+		}
+	}
+	return twin
 }
 
 func (r *Router) point(v int32) geom.Point { return r.g.Point(NodeID(v)) }
 
-// locate returns the slot of row f that leaves node v, towards node to when
-// to >= 0. The walk calls it on three-slot rows, and on a longer row only
-// when turning around a node through that row's corner.
-func (r *Router) locate(f, v, to int32) int32 {
-	lo, hi := r.faces.Off[f], r.faces.Off[f+1]
-	for p := lo; p < hi; p++ {
-		if r.faces.Dat[p] == v && (to < 0 || r.faces.Dat[next(p, lo, hi)] == to) {
-			return p
+// twinOf returns the slot an adjacency entry names.
+func twinOf(e int32) int32 { return (e &^ hullBit) >> 2 }
+
+// twin returns the slot of p's reversed edge.
+func (r *Router) twin(p int32) int32 { return twinOf(r.adj[p]) }
+
+// pos returns slot p's own position code, which its twin's entry holds.
+func (r *Router) pos(p int32) int32 { return r.adj[r.twin(p)] & notTri }
+
+// rowOf returns the row that holds slot p, by binary search over the row
+// bounds. The walk needs it only for a row that is not a walkable triangle.
+func (r *Router) rowOf(p int32) int32 {
+	off := r.faces.Off
+	lo, hi := 0, len(off)-1 // off[lo] <= p < off[hi]
+	for hi-lo > 1 {
+		if m := int(uint(lo+hi) >> 1); off[m] <= p {
+			lo = m
+		} else {
+			hi = m
 		}
 	}
-	panic("routing: node missing from its face")
+	return int32(lo)
 }
 
-// hullBit marks an across entry whose slot is a CH(V) edge that g lacks. Row
-// indices are non-negative, so the sign bit is free.
-const hullBit int32 = -1 << 31
-
-// rowAcross returns the row on the other side of slot p's edge.
-func (r *Router) rowAcross(p int32) int32 { return r.across[p] &^ hullBit }
+// bounds returns the slots [lo, hi) of the row holding slot p, whose
+// position code is pos: a triangle's from the code, any other row's by
+// binary search.
+func (r *Router) bounds(p, pos int32) (lo, hi int32) {
+	if pos != notTri {
+		return p - pos, p - pos + 3
+	}
+	f := r.rowOf(p)
+	return r.faces.Off[f], r.faces.Off[f+1]
+}
 
 // onHull reports whether slot p's edge is a CH(V) edge that g lacks: a step
 // of a chain over it is no step of the network.
-func (r *Router) onHull(p int32) bool { return r.across[p] < 0 }
+func (r *Router) onHull(p int32) bool { return r.adj[p] < 0 }
 
 // markHull sets the hull bit of the slot of edge a→b, found by turning
-// through the corners around a.
+// through the corners around a: the next corner leaves a along the twin of
+// the current corner's incoming edge.
 func (r *Router) markHull(a, b int32) {
-	f := r.anchor[a]
-	p := r.locate(f, a, -1)
-	for i := 0; i <= len(r.faces.Dat); i++ {
-		lo, hi := r.faces.Off[f], r.faces.Off[f+1]
-		if r.faces.Dat[next(p, lo, hi)] == b {
-			r.across[p] |= hullBit
+	p := r.anchor[a]
+	for range len(r.adj) + 1 {
+		if r.faces.Dat[r.twin(p)] == b {
+			r.adj[p] |= hullBit
 			return
 		}
-		pr := prev(p, lo, hi)
-		f = r.rowAcross(pr)
-		p = r.locate(f, a, r.faces.Dat[pr])
+		lo, hi := r.bounds(p, r.pos(p))
+		p = r.twin(prev(p, lo, hi))
 	}
 	panic("routing: hull edge missing from the face table")
 }
@@ -127,46 +161,42 @@ func (r *Router) markHull(a, b int32) {
 // two chains: the nodes it meets left of L, and those right of L, in walk
 // order, a node on L in both.
 type walk struct {
-	r  *Router
-	L  geom.Segment
-	t  NodeID
-	pt geom.Point
-	// tApart says t lies in another component than s (it has no edges, or
-	// lies on an island): the walk never meets it, and t may lie inside a
-	// face, so the walk stops before any edge t does not lie beyond.
-	tApart bool
-	steps  int
-	sc     *walkScratch
+	r     *Router
+	L     geom.Segment
+	t     NodeID
+	pt    geom.Point
+	steps int
+	sc    *walkScratch
 	// okL and okR are the lengths of the longest prefixes of the left and
 	// right chains that are paths of g: a chain stops being one at its first
 	// step over a CH(V) edge.
 	okL, okR int
 	reached  bool // the walk met t
-	// onRow and onSlot locate the node on L that the walk leaves next, the
-	// third vertex of the last triangle crossed; onRow is -1 for none.
-	onRow, onSlot int32
+	// onSlot and onPos locate the node on L that the walk leaves next, the
+	// third vertex of the last triangle crossed: its slot in that triangle
+	// and the slot's position; onSlot is -1 for none.
+	onSlot, onPos int32
 }
 
-// newWalk starts a walk along L from s to t: both chains hold s, and no
-// triangle is crossed yet.
+// newWalk starts a walk along L from s to t, which lie in one component:
+// both chains hold s, and no triangle is crossed yet.
 func (r *Router) newWalk(L geom.Segment, s, t NodeID, sc *walkScratch) walk {
 	w := walk{r: r, L: L, t: t, pt: L.B, sc: sc, okL: math.MaxInt, okR: math.MaxInt}
-	w.tApart = !r.connected(s, t)
 	sc.tris = sc.tris[:0]
 	sc.left, sc.right = append(sc.left[:0], s), append(sc.right[:0], s)
 	return w
 }
 
-// run walks from the node at slot p of row f, s or a node on L, and on
-// from every node on L a triangle leads it to. It returns the row that is
-// not a triangle the walk stopped at, or -1.
-func (w *walk) run(f, p int32) int32 {
+// run walks from the node at slot p, whose position code is pos, s or a
+// node on L, and on from every node on L a triangle leads it to. It returns
+// the row that is not a triangle the walk stopped at, or -1.
+func (w *walk) run(p, pos int32) int32 {
 	for {
-		w.onRow = -1
-		if stop := w.leave(f, p); stop >= 0 || w.onRow < 0 {
+		w.onSlot = -1
+		if stop := w.leave(p, pos); stop >= 0 || w.onSlot < 0 {
 			return stop
 		}
-		f, p = w.onRow, w.onSlot
+		p, pos = w.onSlot, w.onPos
 	}
 }
 
@@ -194,23 +224,23 @@ func (r *Router) extend(chain []NodeID, ok int, v NodeID, p int32) ([]NodeID, in
 	return append(chain, v), ok
 }
 
-// leave continues the walk from the node at slot p of row f, which lies on
-// L (or is s). It turns counterclockwise through the corners around the
-// node and enters the one whose open wedge holds t; when L runs along edges
-// instead, it steps to the nearest node on that ray not beyond t, which joins
-// both chains, and leaves that node in turn. It returns the row that is not
-// a triangle the walk ran into, or -1.
-func (w *walk) leave(f, p int32) int32 {
+// leave continues the walk from the node at slot p, whose position code is
+// pos, which lies on L (or is s). It turns counterclockwise through the
+// corners around the node and enters the one whose open wedge holds t; when
+// L runs along edges instead, it steps to the nearest node on that ray not
+// beyond t, which joins both chains, and leaves that node in turn. It
+// returns the row that is not a triangle the walk ran into, or -1.
+func (w *walk) leave(p, pos int32) int32 {
 	r := w.r
 	for {
 		v := r.faces.Dat[p]
 		pv := r.point(v)
-		f0, p0 := f, p
-		rayRow, raySlot := int32(-1), int32(-1)
+		p0 := p
+		raySlot, rayPos, rayLo, rayHi := int32(-1), int32(0), int32(0), int32(0)
 		var rayEnd geom.Point
 		oa := geom.Collinear
 		for first := true; ; first = false {
-			lo, hi := r.faces.Off[f], r.faces.Off[f+1]
+			lo, hi := r.bounds(p, pos)
 			pr := prev(p, lo, hi)
 			a, b := r.faces.Dat[next(p, lo, hi)], r.faces.Dat[pr]
 			pa, pb := r.point(a), r.point(b)
@@ -220,24 +250,29 @@ func (w *walk) leave(f, p int32) int32 {
 			ob := geom.Orient(pv, pb, w.pt)
 			if oa == geom.Collinear && sameDir(pv, pa, w.pt) {
 				if geom.InSegmentBox(pa, geom.Seg(pv, w.pt)) && (raySlot < 0 || geom.InSegmentBox(pa, geom.Seg(pv, rayEnd))) {
-					rayRow, raySlot, rayEnd = f, p, pa
+					raySlot, rayPos, rayLo, rayHi, rayEnd = p, pos, lo, hi, pa
 				}
 			} else if wedgeHolds(pv, pa, pb, oa, ob, a == b) {
-				return w.enterCorner(f, p)
+				if pos == notTri {
+					return r.rowOf(p)
+				}
+				return w.enterCorner(p, pos)
 			}
-			// The next corner counterclockwise leaves v towards b: it lies in
-			// the row across the edge b→v.
-			f, oa = r.rowAcross(pr), ob
-			p = r.locate(f, v, b)
-			if f == f0 && p == p0 {
+			// The next corner counterclockwise leaves v towards b: it is the
+			// twin of the incoming edge b→v.
+			e := r.adj[pr]
+			p, pos, oa = twinOf(e), e&notTri, ob
+			if p == p0 {
 				break
 			}
 		}
 		if raySlot < 0 {
 			return -1 // L runs inside an edge that ends beyond t: it enters no face
 		}
-		lo, hi := r.faces.Off[rayRow], r.faces.Off[rayRow+1]
-		f, p = rayRow, next(raySlot, lo, hi)
+		p, pos = next(raySlot, rayLo, rayHi), notTri
+		if rayPos != notTri {
+			pos = p - rayLo
+		}
 		u := NodeID(r.faces.Dat[p])
 		w.addLeft(u, raySlot)
 		w.addRight(u, raySlot)
@@ -273,73 +308,57 @@ func sameDir(v, a, q geom.Point) bool {
 		(a.Y > v.Y) == (q.Y > v.Y) && (a.Y < v.Y) == (q.Y < v.Y) && q != v
 }
 
-// enterCorner enters row f at its corner on slot p, whose open wedge holds
-// t, and returns f when it is not a triangle. A triangle is left across the
-// edge opposite the corner, whose ends lie right (a) and left (b) of L: the
-// wedge of a counterclockwise triangle's corner is convex, so it holds t
-// only strictly between them.
-func (w *walk) enterCorner(f, p int32) int32 {
-	r := w.r
-	if !r.isTri(f) {
-		return f
-	}
-	w.sc.tris = append(w.sc.tris, f)
-	lo, hi := r.faces.Off[f], r.faces.Off[f+1]
-	pa, pb := next(p, lo, hi), prev(p, lo, hi)
-	a, b := NodeID(r.faces.Dat[pa]), NodeID(r.faces.Dat[pb])
-	w.addRight(a, p)
-	w.addLeft(b, pb)
-	if !w.reaches(a, b) {
-		return -1
-	}
-	return w.cross(pa, a, b)
+// enterCorner enters the walkable triangle at its corner on slot p, at
+// position pos, whose open wedge holds t. It leaves across the edge opposite
+// the corner, whose ends lie right (a) and left (b) of L: the wedge of a
+// counterclockwise triangle's corner is convex, so it holds t only strictly
+// between them.
+func (w *walk) enterCorner(p, pos int32) int32 {
+	lo := p - pos
+	w.sc.tris = append(w.sc.tris, lo)
+	pa, pb := lo+(pos+1)%3, lo+(pos+2)%3
+	w.addRight(NodeID(w.r.faces.Dat[pa]), p)
+	w.addLeft(NodeID(w.r.faces.Dat[pb]), pb)
+	return w.cross(pa)
 }
 
-// reaches reports whether L goes on past the edge a→b it is about to cross:
-// always, unless t lies apart and so may lie before the edge.
-func (w *walk) reaches(a, b NodeID) bool {
-	return !w.tApart || geom.Orient(w.r.g.Point(a), w.r.g.Point(b), w.pt) == geom.Clockwise
-}
-
-// cross follows L across the edge at slot p, from a (right of L) to b (left
-// of L), into the row across, and on through triangles: in a triangle
-// entered over b→a, the side of the third vertex c alone picks the edge L
-// leaves by, and c joins the chain on that side (both on L). So the left
-// chain always ends at b and the right one at a, and each step of a chain
-// runs along an edge of the triangle just crossed. It stops at a row that is
-// not a triangle, which it returns, at a vertex on L, which it leaves next
-// (onRow), or at t.
-func (w *walk) cross(p int32, a, b NodeID) int32 {
+// cross follows L across the edge at slot p, from its tail a (right of L) to
+// its head b (left of L), into the row across, and on through triangles. The
+// row across holds p's twin b→a; when it is a walkable triangle, the twin's
+// position gives the triangle's first slot, and from there its third vertex c
+// and both exit slots. The side of c alone picks the edge L leaves by, and c
+// joins the chain on that side (both on L). So the left chain always ends at
+// b and the right one at a, and each step of a chain runs along an edge of
+// the triangle just crossed. It stops at a row that is not a triangle, which
+// it returns, at a vertex on L, which it leaves next (onSlot), or at t.
+func (w *walk) cross(p int32) int32 {
 	r := w.r
 	for {
-		f := r.rowAcross(p)
-		if !r.isTri(f) {
-			return f
+		e := r.adj[p]
+		q, ib := twinOf(e), e&notTri
+		if ib == notTri {
+			return r.rowOf(q)
 		}
 		w.step()
-		w.sc.tris = append(w.sc.tris, f)
-		lo := r.faces.Off[f]
-		ib := r.locate(f, int32(b), int32(a)) - lo
-		ia, ic := (ib+1)%3, (ib+2)%3
-		c := NodeID(r.faces.Dat[lo+ic])
+		lo := q - ib
+		w.sc.tris = append(w.sc.tris, lo)
+		ia, ic := lo+(ib+1)%3, lo+(ib+2)%3
+		c := NodeID(r.faces.Dat[ic])
 		switch geom.Orient(w.L.A, w.L.B, r.g.Point(c)) {
 		case geom.CounterClockwise:
-			w.addLeft(c, lo+ic)
-			p, b = lo+ia, c // out over a→c
+			w.addLeft(c, ic)
+			p = ia // out over a→c
 		case geom.Clockwise:
-			w.addRight(c, lo+ia)
-			p, a = lo+ic, c // out over c→b
+			w.addRight(c, ia)
+			p = ic // out over c→b
 		default:
-			w.addLeft(c, lo+ic)
-			w.addRight(c, lo+ia)
+			w.addLeft(c, ic)
+			w.addRight(c, ia)
 			if c == w.t {
 				w.reached = true
-			} else if !w.tApart || geom.InSegmentBox(r.g.Point(c), w.L) {
-				w.onRow, w.onSlot = f, lo+ic
+			} else {
+				w.onSlot, w.onPos = ic, ic-lo
 			}
-			return -1
-		}
-		if !w.reaches(a, b) {
 			return -1
 		}
 	}

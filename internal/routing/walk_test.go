@@ -24,7 +24,8 @@ func checkWalk(r *Router, s, t NodeID) error {
 	}
 	L := geom.Seg(r.g.Point(s), r.g.Point(t))
 	crossed := make(map[int]bool, len(sc.tris))
-	for _, f := range sc.tris {
+	for _, lo := range sc.tris {
+		f := r.rowOf(lo)
 		if crossed[int(f)] {
 			return fmt.Errorf("walk %d→%d crosses triangle %d twice", s, t, f)
 		}
@@ -84,7 +85,7 @@ func FuzzWalk(f *testing.F) {
 // to its contract: the node between goes, and a CH(V) step that goes with it
 // no longer cuts the chain's path prefix, so later steps keep the chain a path.
 func TestExtendDropsDetour(t *testing.T) {
-	r := &Router{across: []int32{hullBit, 0}} // slot 0 is a CH(V) edge, slot 1 is not
+	r := &Router{adj: []int32{hullBit, 0}} // slot 0 is a CH(V) edge, slot 1 is not
 	chain, ok := []NodeID{1, 2}, math.MaxInt
 	chain, ok = r.extend(chain, ok, 3, 0)
 	if !slices.Equal(chain, []NodeID{1, 2, 3}) || ok != 2 {
@@ -95,4 +96,42 @@ func TestExtendDropsDetour(t *testing.T) {
 	if !slices.Equal(chain, []NodeID{1, 2, 4}) || ok != math.MaxInt {
 		t.Fatalf("after the detour 2, 3, 2 and a step to 4: %v with path prefix %d, want [1 2 4], all a path", chain, ok)
 	}
+}
+
+// TestAdjacencyEncoding recomputes every slot's adjacency entry without the
+// encoding: the twin is the slot of the reversed edge, found by a map over
+// all slots; its position counts only in a row of three slots turning
+// counterclockwise; and the hull bit marks exactly the edges of the face
+// table that g lacks.
+func TestAdjacencyEncoding(t *testing.T) {
+	eachDeployment(t, func(t *testing.T, _ string, r *Router, _ func() (NodeID, NodeID)) {
+		type edge struct{ u, v int32 }
+		slotOf := map[edge]int32{}
+		head := make([]int32, len(r.faces.Dat))
+		rowOf := make([]int, len(r.faces.Dat))
+		for f := 0; f < r.faces.Rows(); f++ {
+			row := r.faces.Row(f)
+			for i, u := range row {
+				p := r.faces.Off[f] + int32(i)
+				head[p], rowOf[p] = row[(i+1)%len(row)], f
+				slotOf[edge{u, head[p]}] = p
+			}
+		}
+		for p, e := range r.adj {
+			u, v := r.faces.Dat[p], head[p]
+			q, ok := slotOf[edge{v, u}]
+			if !ok {
+				t.Fatalf("slot %d (%d→%d) has no reversed edge", p, u, v)
+			}
+			pos, row := notTri, r.faces.Row(rowOf[q])
+			if len(row) == 3 && geom.Orient(r.point(row[0]), r.point(row[1]), r.point(row[2])) == geom.CounterClockwise {
+				pos = q - r.faces.Off[rowOf[q]]
+			}
+			hull := !r.g.HasEdge(NodeID(u), NodeID(v))
+			if twinOf(e) != q || e&notTri != pos || (e < 0) != hull {
+				t.Fatalf("slot %d (%d→%d) reads twin %d at position %d, hull %v; want %d at %d, hull %v",
+					p, u, v, twinOf(e), e&notTri, e < 0, q, pos, hull)
+			}
+		}
+	})
 }
