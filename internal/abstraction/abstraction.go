@@ -35,6 +35,11 @@ import (
 type Region struct {
 	Holes []int        // indices into the HoleSet's Holes
 	Poly  []geom.Point // convex region polygon, CCW
+	box   geom.Box     // bounding box of Poly
+}
+
+func newRegion(holes []int, poly []geom.Point) Region {
+	return Region{Holes: holes, Poly: poly, box: geom.BoundingBox(poly)}
 }
 
 // Abstraction is the pluggable hole pipeline: region geometry, crossing
@@ -93,10 +98,13 @@ func New(name string, holes *delaunay.HoleSet) (Abstraction, error) {
 	}
 }
 
-// regionAt is the shared strict-containment region lookup.
+// regionAt is the shared strict-containment region lookup. The box test
+// first is exact: a point outside a region's closed bounding box is not
+// strictly inside its polygon.
 func regionAt(regions []Region, p geom.Point) int {
 	for i := range regions {
-		if len(regions[i].Poly) >= 3 && geom.PointStrictlyInConvex(p, regions[i].Poly) {
+		r := &regions[i]
+		if r.box.Contains(p) && len(r.Poly) >= 3 && geom.PointStrictlyInConvex(p, r.Poly) {
 			return i
 		}
 	}

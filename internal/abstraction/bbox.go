@@ -65,7 +65,7 @@ func newBBox(holes *delaunay.HoleSet) *BBox {
 	for gi, members := range groups {
 		corners := boxes[gi].Corners()
 		poly := corners[:]
-		a.regions = append(a.regions, Region{Holes: members, Poly: poly})
+		a.regions = append(a.regions, newRegion(members, poly))
 		polys = append(polys, poly)
 	}
 	a.overlay = vis.NewOverlay(polys)

@@ -34,7 +34,7 @@ func newHull(holes *delaunay.HoleSet) *Hull {
 			pts = append(pts, holes.Holes[hi].Hull...)
 		}
 		poly := geom.ConvexHull(pts)
-		a.regions = append(a.regions, Region{Holes: members, Poly: poly})
+		a.regions = append(a.regions, newRegion(members, poly))
 		polys = append(polys, poly)
 	}
 	a.overlay = vis.NewOverlay(polys)

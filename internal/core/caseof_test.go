@@ -30,7 +30,7 @@ func prepTwoHoleScenario(t *testing.T) *Network {
 // caseOfSamples classifies every node of the network once so the table test
 // below can draw representatives of each position class.
 type caseOfSamples struct {
-	outside  []sim.NodeID         // groupAt < 0
+	outside  []sim.NodeID         // RegionAt < 0
 	interior map[int][]sim.NodeID // group -> nodes strictly inside, not in a bay
 	inBay    map[int][]sim.NodeID // bay index -> nodes inside that bay
 	bayGroup map[int]int          // bay index -> owning group
@@ -53,7 +53,7 @@ func classifyForCaseOf(nw *Network) caseOfSamples {
 	}
 	for v := 0; v < nw.G.N(); v++ {
 		p := nw.G.Point(sim.NodeID(v))
-		gi := nw.groupAt(p)
+		gi := nw.Abs.RegionAt(p)
 		if gi < 0 {
 			cs.outside = append(cs.outside, sim.NodeID(v))
 			continue
@@ -183,7 +183,7 @@ func TestCaseOfHullAndBayBoundaries(t *testing.T) {
 				continue
 			}
 			hullCorners++
-			if got := nw.groupAt(p); got == gi {
+			if got := nw.Abs.RegionAt(p); got == gi {
 				t.Errorf("hull corner node %d of group %d counts as inside its own hull; containment must be strict", v, gi)
 			}
 			// Against an outside node the pair is case 1 (or 2 if the corner
@@ -204,7 +204,7 @@ func TestCaseOfHullAndBayBoundaries(t *testing.T) {
 	for bi := range nw.Bays {
 		for _, v := range nw.Bays[bi].Interior {
 			p := nw.G.Point(v)
-			if nw.groupAt(p) < 0 {
+			if nw.Abs.RegionAt(p) < 0 {
 				continue
 			}
 			got := nw.bayIndexOf(p)

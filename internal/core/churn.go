@@ -26,8 +26,6 @@
 package core
 
 import (
-	"sync"
-
 	"hybridroute/internal/abstraction"
 	"hybridroute/internal/delaunay"
 	"hybridroute/internal/geom"
@@ -49,17 +47,16 @@ type RepairStats struct {
 // baseTopo is the pristine preprocessing-time topology, kept aside so the
 // Network can restore it exactly once every crashed node has recovered.
 type baseTopo struct {
-	ldel            *delaunay.PlanarGraph
-	holes           *delaunay.HoleSet
-	router          *routing.Router
-	abs             abstraction.Abstraction
-	overlay         *vis.Overlay
-	visDomain       *vis.Domain
-	groups          []HullGroup
-	bays            []Bay
-	hullNodeOf      map[geom.Point]sim.NodeID
-	groupDomains    []*vis.Domain
-	groupDomainInit []sync.Once
+	ldel         *delaunay.PlanarGraph
+	holes        *delaunay.HoleSet
+	router       *routing.Router
+	abs          abstraction.Abstraction
+	overlay      *vis.Overlay
+	visDomain    *lazyDomain
+	groups       []HullGroup
+	bays         []Bay
+	hullNodeOf   map[geom.Point]sim.NodeID
+	groupDomains []lazyDomain
 }
 
 // enableChurnRepair snapshots the pristine topology, builds the liveness
@@ -68,17 +65,16 @@ type baseTopo struct {
 // nothing (the snapshot shares every structure with the live fields).
 func (nw *Network) enableChurnRepair() {
 	nw.base = &baseTopo{
-		ldel:            nw.LDel,
-		holes:           nw.Holes,
-		router:          nw.Router,
-		abs:             nw.Abs,
-		overlay:         nw.Overlay,
-		visDomain:       nw.VisDomain,
-		groups:          nw.Groups,
-		bays:            nw.Bays,
-		hullNodeOf:      nw.hullNodeOf,
-		groupDomains:    nw.groupDomains,
-		groupDomainInit: nw.groupDomainInit,
+		ldel:         nw.LDel,
+		holes:        nw.Holes,
+		router:       nw.Router,
+		abs:          nw.Abs,
+		overlay:      nw.Overlay,
+		visDomain:    nw.visDomain,
+		groups:       nw.Groups,
+		bays:         nw.Bays,
+		hullNodeOf:   nw.hullNodeOf,
+		groupDomains: nw.groupDomains,
 	}
 	nw.dead = make(map[sim.NodeID]bool)
 	nw.Live = NewLiveness(nw.G.N())
@@ -118,10 +114,10 @@ func (nw *Network) repairTopology(v sim.NodeID, up bool) {
 	if len(nw.dead) == 0 {
 		b := nw.base
 		nw.LDel, nw.Holes, nw.Router = b.ldel, b.holes, b.router
-		nw.Abs, nw.Overlay, nw.VisDomain = b.abs, b.overlay, b.visDomain
+		nw.Abs, nw.Overlay, nw.visDomain = b.abs, b.overlay, b.visDomain
 		nw.Groups, nw.Bays = b.groups, b.bays
 		nw.hullNodeOf = b.hullNodeOf
-		nw.groupDomains, nw.groupDomainInit = b.groupDomains, b.groupDomainInit
+		nw.groupDomains = b.groupDomains
 		nw.repairs.Restores++
 		if nw.tracer != nil {
 			nw.tracer.Emit(trace.Event{Kind: trace.KindRepair, Round: nw.Sim.Rounds(), From: int(v), Plan: "restore", Value: len(nw.Holes.Holes)})

@@ -130,10 +130,9 @@ type Network struct {
 	Abs abstraction.Abstraction
 
 	// Overlay is the waypoint overlay of the abstraction's region corners
-	// (what every hull node stores after phase K); VisDomain is the
+	// (what every hull node stores after phase K); VisDomain returns the
 	// Section-3 variant over full hole boundary polygons.
-	Overlay   *vis.Overlay
-	VisDomain *vis.Domain
+	Overlay *vis.Overlay
 
 	Rings  map[int]map[sim.NodeID]*hyper.RingResult
 	Bays   []Bay
@@ -160,14 +159,15 @@ type Network struct {
 
 	hullNodeOf map[geom.Point]sim.NodeID
 	nodeAtPt   map[geom.Point]sim.NodeID
-	// groupDomains are built lazily but init-once (guarded by groupDomainInit)
-	// so concurrent queries — the batch Engine fires Route from many
-	// goroutines — see exactly one construction per group. Everything else a
-	// query touches is immutable after Preprocess returns.
-	groupDomains    []*vis.Domain
-	groupDomainInit []sync.Once
-	ringSnapshot    map[string]ringEpochInfo
-	reusedHoles     map[int]bool // holes whose ring results were carried over
+	// visDomain and groupDomains are built lazily but init-once, so
+	// concurrent queries — the batch Engine fires Route from many goroutines
+	// — see exactly one construction of each. The vis backends fill their
+	// corner rows on first use as well; everything else a query touches is
+	// immutable after Preprocess returns.
+	visDomain    *lazyDomain
+	groupDomains []lazyDomain
+	ringSnapshot map[string]ringEpochInfo
+	reusedHoles  map[int]bool // holes whose ring results were carried over
 
 	// Churn-repair state (churn.go): the pristine preprocessing-time topology,
 	// the currently dead nodes, the monotone repair generation plan caches key
@@ -214,19 +214,18 @@ func (nw *Network) buildAbstraction(name string) error {
 
 // buildDerived (re)builds every query-path structure downstream of (LDel,
 // Holes): the hole abstraction backend name with its group and overlay views,
-// the Section-3 visibility domain, the hull-node and position indexes, the
-// lazily built group domains and the bay areas. Preprocess, PreprocessStatic
-// and churn repair all call it. Node positions never change once a network
-// is built, so a repair keeps the position index.
+// the hull-node and position indexes, the lazily built Section-3 and group
+// visibility domains and the bay areas. Preprocess, PreprocessStatic and
+// churn repair all call it. Node positions never change once a network is
+// built, so a repair keeps the position index.
 func (nw *Network) buildDerived(name string) error {
 	if err := nw.buildAbstraction(name); err != nil {
 		return err
 	}
-	var boundaries [][]geom.Point
+	nw.visDomain = &lazyDomain{}
 	for _, h := range nw.Holes.Holes {
-		boundaries = append(boundaries, h.Polygon)
+		nw.visDomain.polys = append(nw.visDomain.polys, h.Polygon)
 	}
-	nw.VisDomain = vis.NewDomain(boundaries)
 	nw.hullNodeOf = make(map[geom.Point]sim.NodeID)
 	for _, h := range nw.Holes.Holes {
 		for _, v := range h.HullNodes {
@@ -239,38 +238,39 @@ func (nw *Network) buildDerived(name string) error {
 			nw.nodeAtPt[nw.G.Point(sim.NodeID(v))] = sim.NodeID(v)
 		}
 	}
-	nw.groupDomains = make([]*vis.Domain, len(nw.Groups))
-	nw.groupDomainInit = make([]sync.Once, len(nw.Groups))
+	nw.groupDomains = make([]lazyDomain, len(nw.Groups))
+	for gi, g := range nw.Groups {
+		for _, hi := range g.Holes {
+			nw.groupDomains[gi].polys = append(nw.groupDomains[gi].polys, nw.Holes.Holes[hi].Polygon)
+		}
+	}
 	nw.Bays = nil
 	nw.buildBays()
 	return nil
 }
 
-// groupDomain returns (building lazily, exactly once, race-free) the
-// visibility domain over the member hole boundary polygons of group gi, used
-// for geodesics inside the group's merged hull (bay areas and inter-hole
-// corridors).
-func (nw *Network) groupDomain(gi int) *vis.Domain {
-	nw.groupDomainInit[gi].Do(func() {
-		var polys [][]geom.Point
-		for _, hi := range nw.Groups[gi].Holes {
-			polys = append(polys, nw.Holes.Holes[hi].Polygon)
-		}
-		nw.groupDomains[gi] = vis.NewDomain(polys)
-	})
-	return nw.groupDomains[gi]
+// lazyDomain is the visibility domain over polys, built on first use,
+// exactly once and race-free.
+type lazyDomain struct {
+	once  sync.Once
+	polys [][]geom.Point
+	d     *vis.Domain
 }
 
-// groupAt returns the index of the group whose merged hull strictly
-// contains p, or -1.
-func (nw *Network) groupAt(p geom.Point) int {
-	for i := range nw.Groups {
-		if len(nw.Groups[i].Hull) >= 3 && geom.PointStrictlyInConvex(p, nw.Groups[i].Hull) {
-			return i
-		}
-	}
-	return -1
+func (l *lazyDomain) get() *vis.Domain {
+	l.once.Do(func() { l.d = vis.NewDomain(l.polys) })
+	return l.d
 }
+
+// VisDomain returns the Section-3 visibility domain over every hole boundary
+// polygon, the structure RouteVisibility plans over, building it on first
+// use.
+func (nw *Network) VisDomain() *vis.Domain { return nw.visDomain.get() }
+
+// groupDomain returns the visibility domain over the member hole boundary
+// polygons of group gi, used for geodesics inside the group's merged hull
+// (bay areas and inter-hole corridors).
+func (nw *Network) groupDomain(gi int) *vis.Domain { return nw.groupDomains[gi].get() }
 
 // Preprocess runs the full pipeline on a deployment.
 func Preprocess(g *udg.Graph, cfg Config) (*Network, error) {

@@ -63,7 +63,7 @@ func TestRouteSelfQueryCostsNothing(t *testing.T) {
 		"Route":             nw.Route(v, v),
 		"RouteVisibility":   nw.RouteVisibility(v, v),
 		"RouteWithOverlay":  nw.RouteWithOverlay(v, v, nw.Overlay),
-		"RouteWithObstacle": nw.RouteWithObstacles(v, v, nw.VisDomain),
+		"RouteWithObstacle": nw.RouteWithObstacles(v, v, nw.VisDomain()),
 	}
 	for name, out := range outcomes {
 		if !out.Reached {

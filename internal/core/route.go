@@ -37,7 +37,7 @@ type Outcome struct {
 // bayIndexOf returns the index of the bay containing p (a point strictly
 // inside some group hull), or -1.
 func (nw *Network) bayIndexOf(p geom.Point) int {
-	gi := nw.groupAt(p)
+	gi := nw.Abs.RegionAt(p)
 	if gi < 0 {
 		return -1
 	}
@@ -56,8 +56,8 @@ func (nw *Network) bayIndexOf(p geom.Point) int {
 // hull (different bays or the inter-hole region) case 4; different groups
 // case 3; exactly one inside case 2; both outside case 1.
 func (nw *Network) caseOf(s, t sim.NodeID) (int, int, int) {
-	gs := nw.groupAt(nw.G.Point(s))
-	gt := nw.groupAt(nw.G.Point(t))
+	gs := nw.Abs.RegionAt(nw.G.Point(s))
+	gt := nw.Abs.RegionAt(nw.G.Point(t))
 	switch {
 	case gs < 0 && gt < 0:
 		return 1, gs, gt
@@ -106,7 +106,7 @@ func (nw *Network) Route(s, t sim.NodeID) Outcome {
 // flow, but hole nodes store the full Visibility Graph of all hole boundary
 // nodes (larger storage, 17.7-competitive versus ≤ 35.37).
 func (nw *Network) RouteVisibility(s, t sim.NodeID) Outcome {
-	return nw.routeSection3(s, t, nw.VisDomain.ShortestPath)
+	return nw.routeSection3(s, t, nw.VisDomain().ShortestPath)
 }
 
 func (nw *Network) route(src planSource, s, t sim.NodeID) Outcome {
@@ -178,7 +178,7 @@ func (nw *Network) routeOutside(src planSource, s, t sim.NodeID, out Outcome) Ou
 	out.LongRange++ // h0 consults its stored overlay graph (local) and the plan travels with the message
 	var wps []sim.NodeID
 	var ok bool
-	if g0 := nw.groupAt(nw.G.Point(h0)); g0 >= 0 {
+	if g0 := nw.Abs.RegionAt(nw.G.Point(h0)); g0 >= 0 {
 		// The hit node sits inside its group's merged hull (bay area or
 		// inter-hole region): exit first.
 		head, exitNode, exOK := src.exitPlan(g0, h0, nw.G.Point(t))

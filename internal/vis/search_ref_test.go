@@ -125,14 +125,18 @@ func domainSearcher(name string, d *Domain) searcher {
 
 // checkMatchesEager fails t unless the backend's path from s to tt equals
 // the eager reference's: the same ok, the same points by ==, and a length
-// with the same bits.
+// with the same bits. It asks the backend twice, so an endpoint at a corner
+// is checked with the corner's row both as the search fills it and once
+// filled.
 func checkMatchesEager(t testing.TB, b searcher, s, tt geom.Point) {
 	t.Helper()
-	got, gotLen, gotOK := b.path(s, tt)
 	want, wantLen, wantOK := eagerShortestPath(b.o, b.base, s, tt)
-	if gotOK != wantOK || math.Float64bits(gotLen) != math.Float64bits(wantLen) || !slices.Equal(got, want) {
-		t.Fatalf("%s: ShortestPath(%v, %v) = %v, %v, %v; eager %v, %v, %v",
-			b.name, s, tt, got, gotLen, gotOK, want, wantLen, wantOK)
+	for run := 1; run <= 2; run++ {
+		got, gotLen, gotOK := b.path(s, tt)
+		if gotOK != wantOK || math.Float64bits(gotLen) != math.Float64bits(wantLen) || !slices.Equal(got, want) {
+			t.Fatalf("%s: ShortestPath(%v, %v), run %d = %v, %v, %v; eager %v, %v, %v",
+				b.name, s, tt, run, got, gotLen, gotOK, want, wantLen, wantOK)
+		}
 	}
 }
 
@@ -150,11 +154,12 @@ func unitSquares() [][]geom.Point {
 }
 
 // TestShortestPathMatchesEager checks the lazy search against the eager
-// reference, point for point and bit for bit, on three kinds of input: the
-// holes-cold layout's hulls (Overlay) and hole boundaries (Domain) with
-// corner–corner and corner–node pairs, a half-integer lattice among unit
-// squares, whose many exact ties expose any change in heap order, and seeded
-// random pairs among random convex obstacles.
+// reference, point for point and bit for bit, on freshly built backends
+// whose corner rows fill as the pairs reach them. It has three kinds of
+// input: the holes-cold layout's hulls (Overlay) and hole boundaries
+// (Domain) with corner–corner and corner–node pairs, a half-integer lattice
+// among unit squares, whose many exact ties expose any change in heap order,
+// and seeded random pairs among random convex obstacles.
 func TestShortestPathMatchesEager(t *testing.T) {
 	nodes, _, holes := holesColdLayout(t)
 	var boundaries, hulls [][]geom.Point
@@ -253,18 +258,22 @@ func TestTargetLinksLazy(t *testing.T) {
 }
 
 // FuzzShortestPath checks the lazy search against the eager reference for
-// fuzzed endpoints among the lattice obstacles, under both backends.
-// Coordinates beyond 10⁶ in magnitude lie outside the range the visibility
-// cull is sized for, and NaN or ±Inf make the exact orientation fallback
-// panic, so they are skipped.
+// fuzzed endpoints among the lattice obstacles, under both backends, each
+// built afresh for the input so a corner endpoint's row starts unfilled.
+// Seeds put an endpoint at the corner (0, 0) written with -0, which the
+// corner index matches to the +0 corner's row. Coordinates beyond 10⁶ in
+// magnitude lie outside the range the visibility cull is sized for, and NaN
+// or ±Inf make the exact orientation fallback panic, so they are skipped.
 func FuzzShortestPath(f *testing.F) {
 	for _, c := range edgeCases() {
 		f.Add(c[0].X, c[0].Y, c[1].X, c[1].Y)
 	}
 	f.Add(-4.0, -4.0, 7.0, 6.0)
 	f.Add(2.5, -1.0, 2.5, 6.0)
-	overlay := overlaySearcher("fuzz overlay", NewOverlay(latticeObstacles))
-	domain := domainSearcher("fuzz domain", NewDomain(latticeObstacles))
+	negZero := math.Copysign(0, -1)
+	f.Add(negZero, 0.0, 7.0, 6.0)
+	f.Add(7.0, 6.0, 0.0, negZero)
+	f.Add(negZero, negZero, 4.0, 2.0)
 	f.Fuzz(func(t *testing.T, sx, sy, tx, ty float64) {
 		for _, v := range []float64{sx, sy, tx, ty} {
 			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e6 {
@@ -272,15 +281,17 @@ func FuzzShortestPath(f *testing.F) {
 			}
 		}
 		s, tt := geom.Pt(sx, sy), geom.Pt(tx, ty)
-		checkMatchesEager(t, overlay, s, tt)
-		checkMatchesEager(t, domain, s, tt)
+		checkMatchesEager(t, overlaySearcher("fuzz overlay", NewOverlay(latticeObstacles)), s, tt)
+		checkMatchesEager(t, domainSearcher("fuzz domain", NewDomain(latticeObstacles)), s, tt)
 	})
 }
 
 // TestConcurrentSearches runs the same searches from four goroutines over
 // one shared Overlay and one shared Domain, as the engine's workers do, and
-// requires every answer to equal the sequential one; under -race it also
-// checks that a search writes nothing the backends share.
+// requires every answer to equal the one a backend of its own gives. The
+// shared backends are fresh, and many endpoints are square corners, so the
+// goroutines race to fill the same corner rows; under -race it checks that
+// filling them is synchronised.
 func TestConcurrentSearches(t *testing.T) {
 	squares := unitSquares()
 	var pairs [][2]geom.Point
@@ -289,13 +300,14 @@ func TestConcurrentSearches(t *testing.T) {
 			pairs = append(pairs, [2]geom.Point{geom.Pt(x, y), geom.Pt(8-y, x+0.5)})
 		}
 	}
-	for _, b := range []searcher{
-		overlaySearcher("overlay", NewOverlay(squares)),
-		domainSearcher("domain", NewDomain(squares)),
+	for _, build := range []func() searcher{
+		func() searcher { return overlaySearcher("overlay", NewOverlay(squares)) },
+		func() searcher { return domainSearcher("domain", NewDomain(squares)) },
 	} {
+		ref, b := build(), build()
 		want := make([][]geom.Point, len(pairs))
 		for i, p := range pairs {
-			want[i], _, _ = b.path(p[0], p[1])
+			want[i], _, _ = ref.path(p[0], p[1])
 		}
 		var wg sync.WaitGroup
 		for w := 0; w < 4; w++ {

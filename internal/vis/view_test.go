@@ -23,6 +23,24 @@ func checkLinks(t testing.TB, name string, o *obstacleSet, p geom.Point) {
 	}
 }
 
+// checkRows fails t unless the index finds every corner of o by position
+// and the corner's row answers Visible(corner, corners[i]) in bit i.
+func checkRows(t testing.TB, name string, o *obstacleSet) {
+	t.Helper()
+	for _, p := range o.corners {
+		c, ok := o.index[p]
+		if !ok {
+			t.Fatalf("%s: corner %v missing from the index", name, p)
+		}
+		r := o.row(c)
+		for i, q := range o.corners {
+			if got, want := r.has(i), o.Visible(p, q); got != want {
+				t.Fatalf("%s: row of %v, bit %d (%v) = %v, Visible %v", name, p, i, q, got, want)
+			}
+		}
+	}
+}
+
 // withUlps returns p and the four points one ulp from it along the axes.
 func withUlps(p geom.Point) []geom.Point {
 	up, down := math.Inf(1), math.Inf(-1)
@@ -80,6 +98,15 @@ var touchingObstacles = [][]geom.Point{
 	{geom.Pt(0.5, 1), geom.Pt(1.5, 2), geom.Pt(-0.5, 2)},
 }
 
+// needleObstacle is a strictly convex sliver about 2×10⁻⁹ wide. The
+// midpoint probe of the chord between its ends lies within rounding of
+// boundaryTol from the long edges, and the two ends round it differently,
+// so the sampled predicate answers that chord one way from each end.
+var needleObstacle = []geom.Point{
+	geom.Pt(1.6126635872441966, 1.7462559142429337), geom.Pt(0.8466040356791957, 4.327628207780911),
+	geom.Pt(0.08054448219684346, 6.909000500749887), geom.Pt(0.8466040337618443, 4.327628207211909),
+}
+
 // hitSearches returns the holes-cold layout's nodes, its hull overlay and
 // the searches TestTargetLinksLazy makes on it: from the hull corner where
 // Chew's walk from a random node toward a random target hits a hole, to
@@ -111,7 +138,8 @@ func hitSearches(t testing.TB) ([]geom.Point, *Overlay, [][2]geom.Point) {
 }
 
 // TestLinksMatchVisible requires the view's link test to answer
-// Visible(p, corner) for every corner, on:
+// Visible(p, corner) for every corner, and every corner's row to answer
+// Visible(corner, corners[i]) in bit i, on:
 //   - the holes-cold hulls (Overlay, all strictly convex) from every hull
 //     corner, points on and one ulp off every hull edge and corner, a
 //     stride of nodes and the hit nodes of TestTargetLinksLazy's searches;
@@ -120,7 +148,9 @@ func hitSearches(t testing.TB) ([]geom.Point, *Overlay, [][2]geom.Point) {
 //     half-integer lattice, the vertex pass among them, random convex
 //     obstacles from random
 //     points, the clockwise copies of all of these, and all of it
-//     translated by 10⁵ and 9×10⁵, near the premise's 10⁶ edge.
+//     translated by 10⁵ and 9×10⁵, near the premise's 10⁶ edge;
+//   - the needle, whose chord the predicate answers one way from each end,
+//     so a row filled from Visible(corners[i], corner) fails.
 func TestLinksMatchVisible(t *testing.T) {
 	nodes, overlay, searches := hitSearches(t)
 	var endpoints []geom.Point
@@ -138,6 +168,7 @@ func TestLinksMatchVisible(t *testing.T) {
 	for _, p := range endpoints {
 		checkLinks(t, "holes-cold hulls", &overlay.obstacleSet, p)
 	}
+	checkRows(t, "holes-cold hulls", &overlay.obstacleSet)
 	_, _, holes := holesColdLayout(t)
 	var boundaries [][]geom.Point
 	for _, h := range holes.Holes {
@@ -151,6 +182,7 @@ func TestLinksMatchVisible(t *testing.T) {
 	for i := 0; i < len(nodes); i += 499 {
 		checkLinks(t, "holes-cold boundaries", &domain.obstacleSet, nodes[i])
 	}
+	checkRows(t, "holes-cold boundaries", &domain.obstacleSet)
 
 	var lattice []geom.Point
 	for x := -1.0; x <= 8; x += 0.5 {
@@ -182,9 +214,20 @@ func TestLinksMatchVisible(t *testing.T) {
 				for _, p := range nearBoundary(o.polys) {
 					checkLinks(t, set.name, &o, p)
 				}
+				checkRows(t, set.name, &o)
 			}
 		}
 	}
+
+	needle := newObstacleSet([][]geom.Point{needleObstacle})
+	a, b := needle.corners[0], needle.corners[2]
+	if needle.Visible(a, b) == needle.Visible(b, a) {
+		t.Fatal("the needle's chord is seen alike from both ends")
+	}
+	for _, p := range nearBoundary(needle.polys) {
+		checkLinks(t, "needle", &needle, p)
+	}
+	checkRows(t, "needle", &needle)
 
 	// The vertex pass: (-10,-10) to (1,1) enters the unit square at (0,0)
 	// and leaves at (1,1). The sampled predicate calls it visible, and the

@@ -10,6 +10,7 @@ package vis
 
 import (
 	"math"
+	"sync/atomic"
 
 	"hybridroute/internal/delaunay"
 	"hybridroute/internal/geom"
@@ -33,6 +34,10 @@ type obstacleSet struct {
 	owner   []int  // corners[i] is a corner of polys[owner[i]]
 	first   []int  // corners[first[i]] is polys[i][0]
 	convex  []bool // polys[i] is strictly convex and counterclockwise
+	// index maps a corner position to its first index in corners, and
+	// rows[c], once filled, holds Links(corners[c]) as one bit per corner.
+	index map[geom.Point]int
+	rows  []atomic.Pointer[row]
 }
 
 func newObstacleSet(polys [][]geom.Point) obstacleSet {
@@ -55,6 +60,11 @@ func newObstacleSet(polys [][]geom.Point) obstacleSet {
 			o.owner = append(o.owner, i)
 		}
 	}
+	o.index = make(map[geom.Point]int, len(o.corners))
+	for c := len(o.corners) - 1; c >= 0; c-- { // backwards: the first index wins
+		o.index[o.corners[c]] = c
+	}
+	o.rows = make([]atomic.Pointer[row], len(o.corners))
 	return o
 }
 
@@ -125,8 +135,44 @@ func (o *obstacleSet) shortestPath(base [][]int, s, t geom.Point) ([]geom.Point,
 	if o.Visible(s, t) {
 		return []geom.Point{s, t}, s.Dist(t), true
 	}
-	return Search(o.corners, base, s, t, o.Links(s), o.Links(t))
+	return Search(o.corners, base, s, t, o.links(s), o.links(t))
 }
+
+// links is the link test shortestPath hands Search for endpoint p: the row
+// of the corner at p, filled on first use, or Links(p) when p is no corner.
+// The index matches positions by ==, so an endpoint written with -0 finds
+// the row of the +0 corner; the sign of a zero changes no answer of the
+// predicates Links runs.
+func (o *obstacleSet) links(p geom.Point) func(i int) bool {
+	if c, ok := o.index[p]; ok {
+		return o.row(c).has
+	}
+	return o.Links(p)
+}
+
+// row returns corner c's row, filling it from Links(corners[c]) the first
+// time. Goroutines that fill one row at once compute the same bits, and the
+// compare-and-swap keeps the first to finish, so every caller reads one row.
+func (o *obstacleSet) row(c int) row {
+	if r := o.rows[c].Load(); r != nil {
+		return *r
+	}
+	links := o.Links(o.corners[c])
+	r := make(row, (len(o.corners)+63)/64)
+	for i := range o.corners {
+		if links(i) {
+			r[i/64] |= 1 << (i % 64)
+		}
+	}
+	o.rows[c].CompareAndSwap(nil, &r)
+	return *o.rows[c].Load()
+}
+
+// row is a bitset over corner indexes: bit i answers Links(p)(i) for the
+// corner p the row belongs to.
+type row []uint64
+
+func (r row) has(i int) bool { return r[i/64]&(1<<(i%64)) != 0 }
 
 // Search runs Euclidean Dijkstra from s to t over the corner graph base
 // (corner i at corners[i], base[i] its neighbours) plus a link from s to
