@@ -265,7 +265,7 @@ func BenchmarkEngineBatchCold(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineBatch reuses one engine across ops (warm plan cache): the
+// BenchmarkEngineBatch reuses one engine across ops (warm answer cache): the
 // acceptance configuration, expected ≥ 2x over BenchmarkRouteSequential on a
 // multi-core runner.
 func BenchmarkEngineBatch(b *testing.B) {
@@ -338,9 +338,9 @@ func BenchmarkChurnRepair(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineBatchChurned measures plan-cache invalidation overhead: a
+// BenchmarkEngineBatchChurned measures cache invalidation overhead: a
 // crash+recover cycle between batches bumps the topology generation twice,
-// so every plan fragment of the warm cache becomes unaddressable and the op
+// so every answer of the warm cache becomes unaddressable and the op
 // replans the whole batch. Compare against BenchmarkEngineBatchStable below
 // (same network and batch, no churn) to price the invalidation.
 func BenchmarkEngineBatchChurned(b *testing.B) {

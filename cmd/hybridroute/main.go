@@ -79,7 +79,7 @@ func main() {
 	abstraction := flag.String("abstraction", "", "hole abstraction backend: hull (default, convex hulls) or bbox (bounding-box overlay, tolerates intersecting hulls)")
 	batch := flag.Bool("batch", false, "answer queries through the concurrent batch engine")
 	workers := flag.Int("workers", 0, "batch engine worker pool size (0 = GOMAXPROCS)")
-	cacheSize := flag.Int("cache", 0, "batch engine plan cache entries (0 = default 4096, negative = disabled)")
+	cacheSize := flag.Int("cache", 0, "batch engine plan cache size in whole answers (0 = default 4096, negative = disabled)")
 	loss := flag.Float64("loss", 0, "message loss probability per link class; > 0 adds a fault-injected delivery run")
 	crash := flag.Int("crash", 0, "number of crashed nodes to inject into the delivery run")
 	churn := flag.Int("churn", 0, "number of seeded crash+recover cycles replayed while the delivery run is in flight")
@@ -194,8 +194,6 @@ func main() {
 
 	var outcomes []core.Outcome
 	switch {
-	case *batch && *router == "visibility":
-		log.Fatal("-batch currently supports the hull router only")
 	case *batch:
 		eng := core.NewEngine(nw, core.EngineConfig{Workers: *workers, CacheSize: *cacheSize})
 		eng.SetTracer(tracer)
@@ -334,8 +332,12 @@ func validateNameFlags(scenario, router, abs string) error {
 }
 
 // validateServeFlags rejects serve-mode combinations whose one-shot semantics
-// do not carry over, instead of silently ignoring the flag.
+// do not carry over, instead of silently ignoring the flag, and the one-shot
+// -batch run with a router the engine does not serve.
 func validateServeFlags(serveMode, static, batch bool, churn int, loss float64, crash int, traceFile, router string) error {
+	if batch && router == "visibility" {
+		return fmt.Errorf("-batch supports the hull router only (got -router %q)", router)
+	}
 	if !serveMode {
 		return nil
 	}

@@ -176,6 +176,7 @@ func TestValidateServeFlags(t *testing.T) {
 		{name: "serve crash", serve: true, crash: 2, router: "hull", wantErr: "-loss/-crash"},
 		{name: "serve trace", serve: true, traceFile: "out.json", router: "hull", wantErr: "-serve-export"},
 		{name: "serve visibility", serve: true, router: "visibility", wantErr: "-router"},
+		{name: "batch visibility", batch: true, router: "visibility", wantErr: "-batch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

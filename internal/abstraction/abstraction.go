@@ -48,8 +48,9 @@ func newRegion(holes []int, poly []geom.Point) Region {
 type Abstraction interface {
 	// Name is the backend's registry name ("hull", "bbox").
 	Name() string
-	// ID is a stable one-byte backend identifier, mixed into plan-cache keys
-	// so fragments planned under one abstraction are never served to another.
+	// ID is a stable one-byte backend identifier, mixed into the engine's
+	// cache keys so answers planned under one abstraction are never served
+	// to another.
 	ID() uint8
 	// Regions returns the disjoint merged obstacle regions in deterministic
 	// order (by smallest member hole index).

@@ -13,7 +13,7 @@
 //   - Sharding: a query's region is the grid cell of its source node; the
 //     region's replica set is R consecutive backends (region + r mod N), so
 //     every backend owns an equal share of regions as primary and as
-//     standby, and repeated queries for a region hit the same plan caches.
+//     standby, and repeated queries for a region hit the same answer caches.
 //   - Health-checked failover: a poller maintains each backend's live bit
 //     from /readyz (not /healthz — a backend that is alive but still warming
 //     or draining must not receive traffic), and requests only consider live

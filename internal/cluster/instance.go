@@ -1,5 +1,5 @@
 // In-process serve backends: each Instance is a full serve.Server (its own
-// engine and plan cache over the shared read-only Network) listening on its
+// engine and answer cache over the shared read-only Network) listening on its
 // own loopback socket, wrapped in a chaos shim that can kill, pause/resume or
 // slow the instance without the server's cooperation — the faults arrive at
 // the process boundary, exactly where a real deployment's would.
@@ -51,7 +51,7 @@ type Instance struct {
 
 // SpawnInstances builds and starts n backends over one shared preprocessed
 // network (the network is read-only on the query path, so instances share it
-// safely; each has a private engine and plan cache). Instance IDs are
+// safely; each has a private engine and answer cache). Instance IDs are
 // "i0".."iN-1"; each listens on its own 127.0.0.1 ephemeral port.
 func SpawnInstances(nw *core.Network, n int, opt InstanceOptions) ([]*Instance, error) {
 	if n <= 0 {

@@ -69,7 +69,7 @@ func TestForgedAckDoesNotCompleteProbation(t *testing.T) {
 	for i := 0; i <= probationAcks; i++ {
 		rep := &TransportReport{Outcome: plan}
 		rep.Outcome.Path = append([]sim.NodeID(nil), plan.Path...)
-		nw.deliverReliable(nw, s, d, TransportOptions{PayloadWords: 8, TimeoutRounds: 4000}, rep, false, "network")
+		nw.deliverReliable(s, d, TransportOptions{PayloadWords: 8, TimeoutRounds: 4000}, rep, false, planHybrid)
 	}
 	if !nw.Live.Suspected(forger) {
 		t.Fatal("forged hop acks completed probation for an unverified forwarder")

@@ -84,8 +84,8 @@ func (nw *Network) enableChurnRepair() {
 }
 
 // TopoGeneration returns the number of membership-triggered topology repairs
-// so far: a monotone counter the engine mixes into plan-cache keys so a
-// fragment cached under one topology is never served after a membership
+// so far: a monotone counter the engine mixes into its cache keys so an
+// answer cached under one topology is never served after a membership
 // change. It mirrors LinkStats.Generation and reads atomically — batch
 // workers stamp it into keys while only the (serialized) repair path writes.
 func (nw *Network) TopoGeneration() uint64 { return nw.topoGen.Load() }

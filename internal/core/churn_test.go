@@ -121,8 +121,8 @@ func TestChurnRepairIncrementalReuse(t *testing.T) {
 	}
 }
 
-// TestEngineCacheVersionedByTopoGeneration pins the acceptance criterion: a
-// plan fragment cached under one topology generation is never served after a
+// TestEngineCacheVersionedByTopoGeneration pins the acceptance criterion: an
+// answer cached under one topology generation is never served after a
 // membership change — the key's generation advances, so the stale entry stops
 // being addressable and the engine replans against the patched topology.
 func TestEngineCacheVersionedByTopoGeneration(t *testing.T) {
@@ -163,7 +163,7 @@ func TestEngineCacheVersionedByTopoGeneration(t *testing.T) {
 	if out.Reached {
 		for _, v := range out.Path {
 			if v == victim {
-				t.Fatalf("cached fragment served across a membership change: plan %v routes through dead node %d", out.Path, victim)
+				t.Fatalf("cached answer served across a membership change: plan %v routes through dead node %d", out.Path, victim)
 			}
 		}
 	}

@@ -3,21 +3,17 @@
 // graphs, visibility domains) is read-only, so a node can answer many
 // queries from stored state — the serving model the paper's abstraction
 // exists to amortize. Engine exploits that: it answers query batches on a
-// worker pool over one shared Network and keeps the expensive reusable
-// sub-results of plan construction (per-group geodesics, hull exit plans,
-// overlay waypoint paths) in a bounded, sharded LRU cache so repeated and
-// clustered queries skip recomputation.
+// worker pool over one shared Network and keeps whole answers in a bounded,
+// sharded LRU cache so a repeated query skips planning altogether.
 
 package core
 
 import (
 	"container/list"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
-	"hybridroute/internal/geom"
 	"hybridroute/internal/mem"
 	"hybridroute/internal/sim"
 	"hybridroute/internal/trace"
@@ -32,16 +28,17 @@ type Query struct {
 type EngineConfig struct {
 	// Workers is the routing worker pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// CacheSize bounds the total number of cached plan entries across all
+	// CacheSize bounds the total number of cached answers across all
 	// shards; 0 means the default (4096), negative disables caching (the
 	// pool still routes concurrently).
 	CacheSize int
-	// Shards is the number of cache shards (each with its own lock); <= 0
-	// means the default (16). More shards reduce lock contention.
-	Shards int
 }
 
-// CacheStats reports plan-cache effectiveness.
+// cacheShards is the number of cache shards, each with its own lock, clamped
+// to the cache size.
+const cacheShards = 16
+
+// CacheStats reports answer-cache effectiveness.
 type CacheStats struct {
 	Hits, Misses, Evictions uint64
 	Entries                 int
@@ -59,7 +56,7 @@ func (s CacheStats) HitRate() float64 {
 // Engine answers routing queries over a preprocessed Network concurrently.
 // The Network (and everything reachable from it on the query path) is
 // treated as shared read-only state; the engine's only mutable state is the
-// sharded plan cache. An Engine is safe for concurrent use and multiple
+// sharded LRU of answers. An Engine is safe for concurrent use and multiple
 // engines may share one Network.
 type Engine struct {
 	nw      *Network
@@ -69,7 +66,7 @@ type Engine struct {
 	// path without per-call heap allocation.
 	scratch sync.Pool
 	// tracer is the installed event recorder (nil: tracing disabled). The
-	// engine emits cache hit/miss/evict events per plan-fragment lookup and
+	// engine emits cache hit/miss/evict events per answer lookup and
 	// worker-queue depth events while draining a batch.
 	tracer *trace.Tracer
 	// inflight counts Route calls currently executing, across every caller
@@ -100,13 +97,7 @@ func NewEngine(nw *Network, cfg EngineConfig) *Engine {
 		return &routeScratch{ids: mem.NewArena[sim.NodeID](0)}
 	}
 	if size > 0 {
-		shards := cfg.Shards
-		if shards <= 0 {
-			shards = 16
-		}
-		if shards > size {
-			shards = size
-		}
+		shards := min(cacheShards, size)
 		per := (size + shards - 1) / shards
 		e.shards = make([]cacheShard, shards)
 		for i := range e.shards {
@@ -135,31 +126,28 @@ func (e *Engine) InFlight() int { return int(e.inflight.Load()) }
 // simulator events. Tracing never changes outcomes or cache behaviour.
 func (e *Engine) SetTracer(tr *trace.Tracer) { e.tracer = tr }
 
-// label names the cached planner in trace events.
-func (e *Engine) label() string { return "engine" }
-
-// Route answers a single query through the plan cache. The outcome is
+// Route answers a single query through the answer cache. The outcome is
 // identical to Network.Route on the same pair. A repeated query is served
-// from the whole-outcome cache: the cached Outcome is copied out through a
-// pooled arena, so the warm path performs zero per-call heap allocations
-// while the caller still receives private Path/Waypoints slices.
+// from the cache: the cached Outcome is copied out through a pooled arena,
+// so the warm path performs zero per-call heap allocations while the caller
+// still receives private Path/Waypoints slices.
 func (e *Engine) Route(s, t sim.NodeID) Outcome {
 	e.inflight.Add(1)
 	defer e.inflight.Add(-1)
-	k := planKey{kind: kindOutcome, abs: e.absID(), a: s, b: t, gen: e.linkGen(), topo: e.topoGen()}
+	k := planKey{abs: e.absID(), a: s, b: t, gen: e.linkGen(), topo: e.topoGen()}
 	if v, hit := e.lookup(k); hit {
 		sc := e.scratch.Get().(*routeScratch)
-		out := *v.out
-		out.Path = sc.ids.Copy(v.out.Path)
-		out.Waypoints = sc.ids.Copy(v.out.Waypoints)
+		out := *v
+		out.Path = sc.ids.Copy(v.Path)
+		out.Waypoints = sc.ids.Copy(v.Waypoints)
 		e.scratch.Put(sc)
 		return out
 	}
-	out := e.nw.route(e, s, t)
+	out := e.nw.Route(s, t)
 	stored := out
 	stored.Path = copyIDs(out.Path)
 	stored.Waypoints = copyIDs(out.Waypoints)
-	e.store(k, planValue{out: &stored})
+	e.store(k, &stored)
 	return out
 }
 
@@ -228,42 +216,27 @@ func (e *Engine) Stats() CacheStats {
 	return st
 }
 
-// --- planSource implementation: cache-through to the Network ---
-
-var _ planSource = (*Engine)(nil)
-
-const (
-	kindGroupPath = iota
-	kindExitPlan
-	kindOverlay
-	kindOutcome // whole routing outcome for a (s, t) pair
-)
-
-// planKey identifies one cacheable sub-result. Exit plans additionally
-// depend on the continuous "toward" point, carried as raw coordinates.
-// gen is the LinkStats generation the fragment was computed under: when
-// link-quality estimates shift, the generation advances and stale cached
-// fragments simply stop being addressable (they age out of the LRU). On a
-// lossless run the generation stays 0 forever, so caching is unchanged.
-// topo is the Network's topology-repair generation: a membership change
-// (crash or recovery) advances it, so every fragment planned over the old
-// topology dies with the change instead of misrouting traffic into a dead
-// node — same invalidation-by-unaddressability scheme, same zero cost while
-// the membership is static. abs is the hole abstraction backend ID: plan
-// fragments computed under one abstraction are never served to another
-// (a repair can swap the Abstraction instance, and engines may share a
-// Network whose backend differs from what a stale key assumed).
+// planKey identifies one cached answer: the query pair plus everything the
+// answer was planned under. gen is the LinkStats generation: when
+// link-quality estimates shift, the generation advances and stale answers
+// simply stop being addressable (they age out of the LRU). On a lossless run
+// the generation stays 0 forever, so caching is unchanged. topo is the
+// Network's topology-repair generation: a membership change (crash or
+// recovery) advances it, so every answer planned over the old topology dies
+// with the change instead of misrouting traffic into a dead node — same
+// invalidation-by-unaddressability scheme, same zero cost while the
+// membership is static. abs is the hole abstraction backend ID: answers
+// planned under one abstraction are never served to another (a repair can
+// swap the Abstraction instance, and engines may share a Network whose
+// backend differs from what a stale key assumed).
 type planKey struct {
-	kind int8
 	abs  uint8
-	gi   int32
 	a, b sim.NodeID
-	x, y float64
 	gen  uint64
 	topo uint64
 }
 
-// linkGen is the current link-quality generation to stamp into plan keys.
+// linkGen is the current link-quality generation to stamp into cache keys.
 func (e *Engine) linkGen() uint64 {
 	if e.nw.Link == nil {
 		return 0
@@ -271,56 +244,17 @@ func (e *Engine) linkGen() uint64 {
 	return e.nw.Link.Generation()
 }
 
-// topoGen is the current topology-repair generation to stamp into plan keys.
+// topoGen is the current topology-repair generation to stamp into cache keys.
 func (e *Engine) topoGen() uint64 { return e.nw.TopoGeneration() }
 
-// absID is the hole abstraction backend identifier to stamp into plan keys.
+// absID is the hole abstraction backend identifier to stamp into cache keys.
 func (e *Engine) absID() uint8 { return e.nw.Abs.ID() }
 
-// planValue is a cached plan fragment. Failures (ok=false) are cached too:
-// a pair that falls back once will fall back every time. Whole-outcome
-// entries (kindOutcome) carry the Outcome instead; its Path/Waypoints are
-// private deep copies, never handed out directly.
-type planValue struct {
-	wps  []sim.NodeID
-	exit sim.NodeID
-	ok   bool
-	out  *Outcome
-}
-
-func (e *Engine) groupPathNodes(gi int, s, t sim.NodeID) ([]sim.NodeID, bool) {
-	k := planKey{kind: kindGroupPath, abs: e.absID(), gi: int32(gi), a: s, b: t, gen: e.linkGen(), topo: e.topoGen()}
-	if v, hit := e.lookup(k); hit {
-		return copyIDs(v.wps), v.ok
-	}
-	wps, ok := e.nw.groupPathNodes(gi, s, t)
-	e.store(k, planValue{wps: copyIDs(wps), ok: ok})
-	return wps, ok
-}
-
-func (e *Engine) exitPlan(gi int, v sim.NodeID, toward geom.Point) ([]sim.NodeID, sim.NodeID, bool) {
-	k := planKey{kind: kindExitPlan, abs: e.absID(), gi: int32(gi), a: v, x: toward.X, y: toward.Y, gen: e.linkGen(), topo: e.topoGen()}
-	if c, hit := e.lookup(k); hit {
-		return copyIDs(c.wps), c.exit, c.ok
-	}
-	wps, exit, ok := e.nw.exitPlan(gi, v, toward)
-	e.store(k, planValue{wps: copyIDs(wps), exit: exit, ok: ok})
-	return wps, exit, ok
-}
-
-func (e *Engine) overlayWaypoints(a, b sim.NodeID) ([]sim.NodeID, bool) {
-	k := planKey{kind: kindOverlay, abs: e.absID(), a: a, b: b, gen: e.linkGen(), topo: e.topoGen()}
-	if v, hit := e.lookup(k); hit {
-		return copyIDs(v.wps), v.ok
-	}
-	wps, ok := e.nw.overlayWaypoints(a, b)
-	e.store(k, planValue{wps: copyIDs(wps), ok: ok})
-	return wps, ok
-}
-
-func (e *Engine) lookup(k planKey) (planValue, bool) {
+// lookup returns the cached answer for k. Its Path and Waypoints are the
+// cache's private copies, never handed out directly.
+func (e *Engine) lookup(k planKey) (*Outcome, bool) {
 	if len(e.shards) == 0 {
-		return planValue{}, false
+		return nil, false
 	}
 	v, hit := e.shards[shardOf(k, len(e.shards))].get(k)
 	if e.tracer != nil {
@@ -333,7 +267,7 @@ func (e *Engine) lookup(k planKey) (planValue, bool) {
 	return v, hit
 }
 
-func (e *Engine) store(k planKey, v planValue) {
+func (e *Engine) store(k planKey, v *Outcome) {
 	if len(e.shards) == 0 {
 		return
 	}
@@ -344,7 +278,7 @@ func (e *Engine) store(k planKey, v planValue) {
 }
 
 // copyIDs returns a defensive copy: cached slices must never share backing
-// arrays with values handed to route(), which appends to plan fragments.
+// arrays with an Outcome handed to the caller, who may write to it.
 func copyIDs(ids []sim.NodeID) []sim.NodeID {
 	if ids == nil {
 		return nil
@@ -356,13 +290,9 @@ func copyIDs(ids []sim.NodeID) []sim.NodeID {
 // closure-free so the warm routing path stays allocation-free.
 func shardOf(k planKey, shards int) int {
 	h := uint64(14695981039346656037)
-	h = fnvMix(h, uint64(k.kind))
 	h = fnvMix(h, uint64(k.abs))
-	h = fnvMix(h, uint64(uint32(k.gi)))
 	h = fnvMix(h, uint64(k.a))
 	h = fnvMix(h, uint64(k.b))
-	h = fnvMix(h, math.Float64bits(k.x))
-	h = fnvMix(h, math.Float64bits(k.y))
 	h = fnvMix(h, k.gen)
 	h = fnvMix(h, k.topo)
 	return int(h % uint64(shards))
@@ -382,16 +312,16 @@ type cacheShard struct {
 
 type cacheItem struct {
 	key planKey
-	val planValue
+	val *Outcome
 }
 
-func (s *cacheShard) get(k planKey) (planValue, bool) {
+func (s *cacheShard) get(k planKey) (*Outcome, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	el, ok := s.entries[k]
 	if !ok {
 		s.misses++
-		return planValue{}, false
+		return nil, false
 	}
 	s.hits++
 	s.order.MoveToFront(el)
@@ -400,7 +330,7 @@ func (s *cacheShard) get(k planKey) (planValue, bool) {
 
 // put stores a value and returns how many entries the LRU evicted to make
 // room (so the caller can trace evictions without re-locking).
-func (s *cacheShard) put(k planKey, v planValue) int {
+func (s *cacheShard) put(k planKey, v *Outcome) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.entries[k]; ok {

@@ -43,7 +43,7 @@ func TestEngineMatchesSequential(t *testing.T) {
 		want[i] = nw.Route(q.S, q.T)
 	}
 
-	eng := NewEngine(nw, EngineConfig{Workers: 4, CacheSize: 1024, Shards: 8})
+	eng := NewEngine(nw, EngineConfig{Workers: 4, CacheSize: 1024})
 	for pass, label := range []string{"cold", "warm"} {
 		got := eng.RouteBatch(queries)
 		for i := range got {
@@ -62,6 +62,42 @@ func TestEngineMatchesSequential(t *testing.T) {
 	}
 	t.Logf("cache: %d hits, %d misses (rate %.2f), %d entries, %d evictions",
 		st.Hits, st.Misses, st.HitRate(), st.Entries, st.Evictions)
+}
+
+// TestEngineCachesAnswersOnly pins that the cache holds whole answers and
+// nothing else: k distinct pairs through an engine with room for all of them
+// leave exactly k entries after k misses, and a second pass answers all k
+// from the cache.
+func TestEngineCachesAnswersOnly(t *testing.T) {
+	nw := prepScenario(t, 0.55, 8, 8, 1.8)
+	rng := rand.New(rand.NewSource(45))
+	seen := map[Query]bool{}
+	var queries []Query
+	planned := 0
+	for len(queries) < 80 {
+		q := Query{S: sim.NodeID(rng.Intn(nw.G.N())), T: sim.NodeID(rng.Intn(nw.G.N()))}
+		if seen[q] {
+			continue
+		}
+		seen[q] = true
+		queries = append(queries, q)
+		if len(nw.Route(q.S, q.T).Waypoints) > 0 {
+			planned++
+		}
+	}
+	if planned == 0 {
+		t.Fatal("no pair routes around the hole; the batch does not exercise planning")
+	}
+	k := uint64(len(queries))
+	eng := NewEngine(nw, EngineConfig{Workers: 4})
+	eng.RouteBatch(queries)
+	if st := eng.Stats(); st.Misses != k || st.Hits != 0 || st.Entries != len(queries) || st.Evictions != 0 {
+		t.Fatalf("cold pass over %d distinct pairs (%d planned around the hole): %+v, want %d misses and %d entries", k, planned, st, k, k)
+	}
+	eng.RouteBatch(queries)
+	if st := eng.Stats(); st.Hits != k || st.Misses != k || st.Entries != len(queries) {
+		t.Fatalf("warm pass: %+v, want %d hits, %d misses and %d entries", st, k, k, k)
+	}
 }
 
 // TestEngineCacheDisabled checks that a negative CacheSize disables caching
@@ -86,7 +122,7 @@ func TestEngineCacheDisabled(t *testing.T) {
 // rather than grow.
 func TestEngineLRUEviction(t *testing.T) {
 	nw := prepScenario(t, 0.55, 8, 8, 1.8)
-	eng := NewEngine(nw, EngineConfig{Workers: 1, CacheSize: 4, Shards: 1})
+	eng := NewEngine(nw, EngineConfig{Workers: 1, CacheSize: 4})
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 80; i++ {
 		q := Query{S: sim.NodeID(rng.Intn(nw.G.N())), T: sim.NodeID(rng.Intn(nw.G.N()))}
@@ -106,7 +142,7 @@ func TestEngineLRUEviction(t *testing.T) {
 // entries — must be the sum over all shards, with more than one shard active.
 func TestEngineStatsAggregatesShards(t *testing.T) {
 	nw := prepScenario(t, 0.55, 8, 8, 1.8)
-	eng := NewEngine(nw, EngineConfig{Workers: 1, CacheSize: 8, Shards: 4})
+	eng := NewEngine(nw, EngineConfig{Workers: 1, CacheSize: 8})
 	rng := rand.New(rand.NewSource(61))
 	for i := 0; i < 120; i++ {
 		s := sim.NodeID(rng.Intn(nw.G.N()))

@@ -110,16 +110,16 @@ func TestEngineCacheHitReturnsPrivateSlices(t *testing.T) {
 }
 
 // TestShardOfDistribution pins that the key mixer spreads realistic keys
-// evenly: over a grid of (kind, a, b) keys no shard may receive more than
+// evenly: over a grid of (gen, a, b) keys no shard may receive more than
 // twice the mean load.
 func TestShardOfDistribution(t *testing.T) {
-	const shards = 16
+	const shards = cacheShards
 	counts := make([]int, shards)
 	total := 0
-	for kind := int8(kindGroupPath); kind <= kindOutcome; kind++ {
+	for gen := uint64(0); gen < 4; gen++ {
 		for a := 0; a < 64; a++ {
 			for b := 0; b < 64; b++ {
-				k := planKey{kind: kind, a: sim.NodeID(a), b: sim.NodeID(b)}
+				k := planKey{a: sim.NodeID(a), b: sim.NodeID(b), gen: gen}
 				counts[shardOf(k, shards)]++
 				total++
 			}
@@ -134,22 +134,22 @@ func TestShardOfDistribution(t *testing.T) {
 }
 
 // TestPlanKeyAbstractionIsolation pins that keys differing only in the
-// abstraction backend ID address different cache entries: a fragment stored
+// abstraction backend ID address different cache entries: an answer stored
 // under one backend must never be served to another.
 func TestPlanKeyAbstractionIsolation(t *testing.T) {
 	nw := prepScenario(t, 0.55, 6, 6, 1.2)
 	eng := NewEngine(nw, EngineConfig{})
-	k1 := planKey{kind: kindOverlay, abs: 1, a: 3, b: 9}
-	k2 := planKey{kind: kindOverlay, abs: 2, a: 3, b: 9}
+	k1 := planKey{abs: 1, a: 3, b: 9}
+	k2 := planKey{abs: 2, a: 3, b: 9}
 	if k1 == k2 {
 		t.Fatal("keys differing only in abs compare equal")
 	}
-	eng.store(k1, planValue{wps: []sim.NodeID{3, 5, 9}, ok: true})
+	eng.store(k1, &Outcome{Waypoints: []sim.NodeID{3, 5, 9}})
 	if _, hit := eng.lookup(k2); hit {
-		t.Fatal("fragment stored under backend 1 served to backend 2")
+		t.Fatal("answer stored under backend 1 served to backend 2")
 	}
-	if v, hit := eng.lookup(k1); !hit || !v.ok {
-		t.Fatal("fragment stored under backend 1 lost")
+	if v, hit := eng.lookup(k1); !hit || len(v.Waypoints) != 3 {
+		t.Fatal("answer stored under backend 1 lost")
 	}
 }
 
@@ -159,6 +159,11 @@ func TestPlanKeyAbstractionIsolation(t *testing.T) {
 func TestEngineRouteZeroAllocsWarm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate is not short")
+	}
+	if raceDetector {
+		// The race runtime's sync.Pool drops a share of Puts on purpose, so
+		// the warm path re-makes its pooled scratch arena at random.
+		t.Skip("allocation gate needs sync.Pool without the race detector")
 	}
 	nw := prepScenario(t, 0.55, 8, 8, 1.8)
 	s, tt := findWaypointPair(t, nw)

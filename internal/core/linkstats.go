@@ -33,8 +33,8 @@ type linkKey struct {
 
 // LinkStats aggregates per-directed-link loss estimates. It is safe for
 // concurrent use; the generation counter advances exactly when some estimate
-// changes, so plan caches keyed by it never serve a plan computed from stale
-// link quality — and stay byte-stable as long as every observation is a
+// changes, so the engine's answer cache, keyed by it, never serves a plan
+// computed from stale link quality — and stay byte-stable as long as every observation is a
 // clean first-attempt success (the lossless regime).
 type LinkStats struct {
 	mu    sync.RWMutex
@@ -110,8 +110,8 @@ func (ls *LinkStats) ETX(from, to sim.NodeID) float64 {
 	return 1 / (1 - p)
 }
 
-// Generation returns the number of estimate changes so far. Plan caches mix
-// it into their keys so estimate shifts invalidate affected entries.
+// Generation returns the number of estimate changes so far. The engine mixes
+// it into its cache keys so an estimate shift invalidates every cached answer.
 func (ls *LinkStats) Generation() uint64 {
 	ls.mu.RLock()
 	defer ls.mu.RUnlock()

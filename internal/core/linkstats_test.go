@@ -86,14 +86,14 @@ func TestLinkStatsSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// TestEngineCacheVersionedByLinkGeneration pins the tentpole's cache rule: a
-// cached plan fragment computed under one link-quality generation is not
-// served after the estimates shift.
+// TestEngineCacheVersionedByLinkGeneration pins the cache rule: an answer
+// cached under one link-quality generation is not served after the
+// estimates shift.
 func TestEngineCacheVersionedByLinkGeneration(t *testing.T) {
 	nw := prepScenario(t, 0.55, 7, 7, 1.5)
 	eng := NewEngine(nw, EngineConfig{Workers: 1})
 	var q Query
-	// Find a pair whose plan consults the planSource (waypoints present).
+	// Find a pair whose plan has waypoints.
 	found := false
 	for s := 0; s < nw.G.N() && !found; s++ {
 		for d := 0; d < nw.G.N(); d++ {
@@ -115,7 +115,7 @@ func TestEngineCacheVersionedByLinkGeneration(t *testing.T) {
 		t.Fatalf("repeat query must hit the cache: %+v", st)
 	}
 	// Shift the link-quality estimates: the generation advances and the next
-	// lookup must miss (stale fragments are no longer addressable).
+	// lookup must miss (stale answers are no longer addressable).
 	nw.Link.Observe(q.S, q.T, 3, false)
 	if nw.Link.Generation() == 0 {
 		t.Fatal("observation must advance the generation")

@@ -170,8 +170,8 @@ type Network struct {
 	reusedHoles  map[int]bool // holes whose ring results were carried over
 
 	// Churn-repair state (churn.go): the pristine preprocessing-time topology,
-	// the currently dead nodes, the monotone repair generation plan caches key
-	// on, and the repair statistics. All written only from the (serialized)
+	// the currently dead nodes, the monotone repair generation the engine's
+	// cache keys on, and the repair statistics. All written only from the (serialized)
 	// membership listener; topoGen alone is read concurrently and is atomic.
 	base    *baseTopo
 	dead    map[sim.NodeID]bool

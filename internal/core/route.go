@@ -75,23 +75,6 @@ func (nw *Network) caseOf(s, t sim.NodeID) (int, int, int) {
 	}
 }
 
-// planSource supplies the expensive reusable sub-results of route planning:
-// per-group geodesics, hull exit plans and overlay waypoint paths. Network
-// itself is the uncached source; Engine layers a sharded LRU cache on top of
-// the same Network so batched and repeated queries skip recomputation.
-// Implementations must be safe for concurrent use and must return slices the
-// caller may append to. label names the implementation in trace events so a
-// traced query shows which planner produced each leg.
-type planSource interface {
-	groupPathNodes(gi int, s, t sim.NodeID) ([]sim.NodeID, bool)
-	exitPlan(gi int, v sim.NodeID, toward geom.Point) ([]sim.NodeID, sim.NodeID, bool)
-	overlayWaypoints(a, b sim.NodeID) ([]sim.NodeID, bool)
-	label() string
-}
-
-// label names the uncached planner in trace events.
-func (nw *Network) label() string { return "network" }
-
 // Route answers a query with the convex-hull-abstraction protocol of
 // Section 4.3: the source learns the target position over a long-range
 // link, sends via Chew's algorithm, and on hitting a hole boundary the hit
@@ -99,17 +82,6 @@ func (nw *Network) label() string { return "network" }
 // Graph; bay-area endpoints are routed via the extreme-point strategy of
 // Section 4.4.
 func (nw *Network) Route(s, t sim.NodeID) Outcome {
-	return nw.route(nw, s, t)
-}
-
-// RouteVisibility answers a query with the Section-3 protocol: identical
-// flow, but hole nodes store the full Visibility Graph of all hole boundary
-// nodes (larger storage, 17.7-competitive versus ≤ 35.37).
-func (nw *Network) RouteVisibility(s, t sim.NodeID) Outcome {
-	return nw.routeSection3(s, t, nw.VisDomain().ShortestPath)
-}
-
-func (nw *Network) route(src planSource, s, t sim.NodeID) Outcome {
 	out := Outcome{}
 	c, gs, gt := nw.caseOf(s, t)
 	out.Case = c
@@ -123,12 +95,12 @@ func (nw *Network) route(src planSource, s, t sim.NodeID) Outcome {
 
 	switch c {
 	case 1:
-		return nw.routeOutside(src, s, t, out)
+		return nw.routeOutside(s, t, out)
 	case 4, 5:
 		// Same merged hull: geodesic inside the group around its hole
 		// boundaries (Section 4.4's extreme-point routing; the geodesic's
 		// interior vertices are exactly the extreme points).
-		wps, ok := src.groupPathNodes(gs, s, t)
+		wps, ok := nw.groupPathNodes(gs, s, t)
 		if !ok {
 			return nw.globalFallback(s, t, out)
 		}
@@ -137,17 +109,17 @@ func (nw *Network) route(src planSource, s, t sim.NodeID) Outcome {
 		out.Result = nw.Router.ChewVia(wps)
 		return out
 	default: // cases 2 and 3: exit/enter merged hulls via hull corners
-		head, exitNode, ok := src.exitPlan(gs, s, nw.G.Point(t))
+		head, exitNode, ok := nw.exitPlan(gs, s, nw.G.Point(t))
 		if !ok {
 			return nw.globalFallback(s, t, out)
 		}
-		tailRev, enterNode, ok := src.exitPlan(gt, t, nw.G.Point(s))
+		tailRev, enterNode, ok := nw.exitPlan(gt, t, nw.G.Point(s))
 		if !ok {
 			return nw.globalFallback(s, t, out)
 		}
 		var mid []sim.NodeID
 		if exitNode != enterNode {
-			m, ok := src.overlayWaypoints(exitNode, enterNode)
+			m, ok := nw.overlayWaypoints(exitNode, enterNode)
 			if !ok {
 				return nw.globalFallback(s, t, out)
 			}
@@ -162,10 +134,17 @@ func (nw *Network) route(src planSource, s, t sim.NodeID) Outcome {
 	}
 }
 
+// RouteVisibility answers a query with the Section-3 protocol: identical
+// flow, but hole nodes store the full Visibility Graph of all hole boundary
+// nodes (larger storage, 17.7-competitive versus ≤ 35.37).
+func (nw *Network) RouteVisibility(s, t sim.NodeID) Outcome {
+	return nw.routeSection3(s, t, nw.VisDomain().ShortestPath)
+}
+
 // routeOutside implements case 1 faithfully: Chew toward t; if a hole is
 // hit, the hit node inserts t into its Overlay Delaunay Graph, computes a
 // shortest path, and the message follows the hull-node waypoints.
-func (nw *Network) routeOutside(src planSource, s, t sim.NodeID, out Outcome) Outcome {
+func (nw *Network) routeOutside(s, t sim.NodeID, out Outcome) Outcome {
 	first := nw.Router.Chew(s, t)
 	if first.Reached {
 		out.Result = first
@@ -181,18 +160,18 @@ func (nw *Network) routeOutside(src planSource, s, t sim.NodeID, out Outcome) Ou
 	if g0 := nw.Abs.RegionAt(nw.G.Point(h0)); g0 >= 0 {
 		// The hit node sits inside its group's merged hull (bay area or
 		// inter-hole region): exit first.
-		head, exitNode, exOK := src.exitPlan(g0, h0, nw.G.Point(t))
+		head, exitNode, exOK := nw.exitPlan(g0, h0, nw.G.Point(t))
 		if !exOK {
 			return nw.globalFallback(s, t, out)
 		}
-		mid, mOK := src.overlayWaypoints(exitNode, t)
+		mid, mOK := nw.overlayWaypoints(exitNode, t)
 		if !mOK {
 			return nw.globalFallback(s, t, out)
 		}
 		wps = appendWaypoints(head, mid)
 		ok = true
 	} else {
-		wps, ok = src.overlayWaypoints(h0, t)
+		wps, ok = nw.overlayWaypoints(h0, t)
 	}
 	if !ok {
 		return nw.globalFallback(s, t, out)
@@ -478,8 +457,8 @@ func appendWaypoints(dst, src []sim.NodeID) []sim.NodeID {
 }
 
 // reverseIDs reverses in place and returns the same slice. Every caller owns
-// its argument exclusively (plan sources return private copies), so no fresh
-// allocation is needed.
+// its argument exclusively (each plan is computed fresh per query), so no
+// fresh allocation is needed.
 func reverseIDs(ids []sim.NodeID) []sim.NodeID {
 	for i, j := 0, len(ids)-1; i < j; i, j = i+1, j-1 {
 		ids[i], ids[j] = ids[j], ids[i]

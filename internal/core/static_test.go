@@ -83,7 +83,6 @@ func TestStaticNetworkRejectsSimulatorQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.SetTracer(trace.New(0))
-	eng := NewEngine(nw, EngineConfig{})
 	s, d := sim.NodeID(0), sim.NodeID(nw.G.N()-1)
 	want := nw.Route(s, d)
 	opt := TransportOptions{PayloadWords: 8, Reliable: true}
@@ -93,10 +92,7 @@ func TestStaticNetworkRejectsSimulatorQueries(t *testing.T) {
 	}{
 		{"Network.RouteOnSim", func() (*TransportReport, error) { return nw.RouteOnSim(s, d, 8) }},
 		{"Network.RouteOnSimOpt", func() (*TransportReport, error) { return nw.RouteOnSimOpt(s, d, opt) }},
-		{"Engine.RouteOnSim", func() (*TransportReport, error) { return eng.RouteOnSim(s, d, 8) }},
-		{"Engine.RouteOnSimOpt", func() (*TransportReport, error) { return eng.RouteOnSimOpt(s, d, opt) }},
 		{"Network.TraceQuery", func() (*TransportReport, error) { _, rep, err := nw.TraceQuery(s, d, opt); return rep, err }},
-		{"Engine.TraceQuery", func() (*TransportReport, error) { _, rep, err := eng.TraceQuery(s, d, opt); return rep, err }},
 	} {
 		rep, err := c.call()
 		if !errors.Is(err, ErrNoSimulator) {
@@ -107,7 +103,7 @@ func TestStaticNetworkRejectsSimulatorQueries(t *testing.T) {
 		}
 	}
 	for name, batch := range map[string]func([]Query, TransportOptions) ([]*TraceReport, error){
-		"Network.TraceBatch": nw.TraceBatch, "Engine.TraceBatch": eng.TraceBatch,
+		"Network.TraceBatch": nw.TraceBatch,
 	} {
 		reports, err := batch([]Query{{S: s, T: d}, {S: d, T: s}}, opt)
 		if err != nil || len(reports) != 2 {

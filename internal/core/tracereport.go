@@ -70,21 +70,12 @@ type TraceReport struct {
 // still assembled from whatever happened before the failure. The network
 // must have a tracer installed (SetTracer).
 func (nw *Network) TraceQuery(s, t sim.NodeID, opt TransportOptions) (*TraceReport, *TransportReport, error) {
-	return nw.traceQuery(nw, s, t, opt)
-}
-
-// TraceQuery is Network.TraceQuery planning through the engine's plan cache.
-func (e *Engine) TraceQuery(s, t sim.NodeID, opt TransportOptions) (*TraceReport, *TransportReport, error) {
-	return e.nw.traceQuery(e, s, t, opt)
-}
-
-func (nw *Network) traceQuery(planner planSource, s, t sim.NodeID, opt TransportOptions) (*TraceReport, *TransportReport, error) {
 	tr := nw.tracer
 	if tr == nil {
 		return nil, nil, fmt.Errorf("core: TraceQuery needs a tracer installed (Network.SetTracer)")
 	}
 	start := tr.Len()
-	rep, err := nw.routeOnSim(planner, s, t, opt)
+	rep, err := nw.RouteOnSimOpt(s, t, opt)
 	report := nw.buildTraceReport(s, t, rep, tr.Since(start))
 	return report, rep, err
 }
@@ -96,21 +87,12 @@ func (nw *Network) traceQuery(planner planSource, s, t sim.NodeID, opt Transport
 // partial trace with Err recording the reason, and the batch continues. The
 // network must have a tracer installed (SetTracer).
 func (nw *Network) TraceBatch(queries []Query, opt TransportOptions) ([]*TraceReport, error) {
-	return nw.traceBatch(nw, queries, opt)
-}
-
-// TraceBatch is Network.TraceBatch planning through the engine's plan cache.
-func (e *Engine) TraceBatch(queries []Query, opt TransportOptions) ([]*TraceReport, error) {
-	return e.nw.traceBatch(e, queries, opt)
-}
-
-func (nw *Network) traceBatch(planner planSource, queries []Query, opt TransportOptions) ([]*TraceReport, error) {
 	if nw.tracer == nil {
 		return nil, fmt.Errorf("core: TraceBatch needs a tracer installed (Network.SetTracer)")
 	}
 	out := make([]*TraceReport, len(queries))
 	for i, q := range queries {
-		report, _, err := nw.traceQuery(planner, q.S, q.T, opt)
+		report, _, err := nw.TraceQuery(q.S, q.T, opt)
 		if err != nil {
 			report.Err = err.Error()
 		}

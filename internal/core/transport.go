@@ -8,9 +8,9 @@
 //     budget and a query-level round deadline. When a hop exhausts its
 //     budget, the stranded holder notifies the source over a long-range link
 //     and the source replans around the dead hop — through the same
-//     planSource path (Network or Engine plan cache) that built the original
-//     plan — then hands the new remaining path back to the holder. Engaged
-//     automatically when fault injection is active, or on request.
+//     Network.Route that built the original plan — then hands the new
+//     remaining path back to the holder. Engaged automatically when fault
+//     injection is active, or on request.
 //
 // Payload words never ride a long-range link in either mode: only position
 // queries, failure notices and replanned waypoint lists do.
@@ -27,10 +27,11 @@ import (
 	"hybridroute/internal/trace"
 )
 
-// Plan-source labels for trace events: the hybrid planners name themselves
-// (planSource.label — "network" or "engine"); the LDel² escape paths used
-// when the geometric plan is unavailable or loss-detoured carry these.
+// Plan labels for trace events: planHybrid names a plan of the hybrid
+// protocol (Network.Route); the LDel² escape paths used when the geometric
+// plan is unavailable or loss-detoured carry the others.
 const (
+	planHybrid       = "network"
 	planLDelAvoid    = "ldel-avoid"
 	planLDelETX      = "ldel-etx"
 	planLDelFallback = "ldel-fallback"
@@ -207,27 +208,12 @@ type TransportReport struct {
 // rounds and per-link-class message counts. If the simulator has fault
 // injection active, the reliable ack/retry/replan protocol is used.
 func (nw *Network) RouteOnSim(s, t sim.NodeID, payloadWords int) (*TransportReport, error) {
-	return nw.routeOnSim(nw, s, t, TransportOptions{PayloadWords: payloadWords})
+	return nw.RouteOnSimOpt(s, t, TransportOptions{PayloadWords: payloadWords})
 }
 
 // RouteOnSimOpt is RouteOnSim with explicit transport options.
 func (nw *Network) RouteOnSimOpt(s, t sim.NodeID, opt TransportOptions) (*TransportReport, error) {
-	return nw.routeOnSim(nw, s, t, opt)
-}
-
-// RouteOnSim executes the query on the simulator like Network.RouteOnSim but
-// plans (and replans, under faults) through the engine's plan cache.
-func (e *Engine) RouteOnSim(s, t sim.NodeID, payloadWords int) (*TransportReport, error) {
-	return e.nw.routeOnSim(e, s, t, TransportOptions{PayloadWords: payloadWords})
-}
-
-// RouteOnSimOpt is Engine.RouteOnSim with explicit transport options.
-func (e *Engine) RouteOnSimOpt(s, t sim.NodeID, opt TransportOptions) (*TransportReport, error) {
-	return e.nw.routeOnSim(e, s, t, opt)
-}
-
-func (nw *Network) routeOnSim(planner planSource, s, t sim.NodeID, opt TransportOptions) (*TransportReport, error) {
-	plan := nw.route(planner, s, t)
+	plan := nw.Route(s, t)
 	rep := &TransportReport{Outcome: plan}
 	if nw.Sim == nil {
 		return rep, ErrNoSimulator
@@ -249,7 +235,7 @@ func (nw *Network) routeOnSim(planner planSource, s, t sim.NodeID, opt Transport
 	// The paper's standing assumption: (s, t) ∈ E.
 	nw.Sim.Teach(s, t)
 
-	initialPlan := planner.label()
+	initialPlan := planHybrid
 	if rep.PlanFallback {
 		initialPlan = planLDelFallback
 	}
@@ -278,7 +264,7 @@ func (nw *Network) routeOnSim(planner planSource, s, t sim.NodeID, opt Transport
 				}
 			}
 		}
-		return nw.deliverReliable(planner, s, t, opt, rep, lossAware, initialPlan)
+		return nw.deliverReliable(s, t, opt, rep, lossAware, initialPlan)
 	}
 	return nw.deliverLossless(s, t, opt.PayloadWords, rep, initialPlan)
 }
@@ -512,7 +498,6 @@ func (nw *Network) suspectDetourPath(s, t sim.NodeID, avoid map[sim.NodeID]bool,
 // ladder in replanFrom.
 type rquery struct {
 	nw          *Network
-	planner     planSource
 	tr          *trace.Tracer
 	rep         *TransportReport
 	pr          counterProbe
@@ -564,9 +549,9 @@ type rquery struct {
 
 // deliverReliable runs the ack/retry/replan protocol for one query: an
 // rquery stepped on the simulator until it quiesces.
-func (nw *Network) deliverReliable(planner planSource, s, t sim.NodeID, opt TransportOptions, rep *TransportReport, lossAware bool, initialPlan string) (*TransportReport, error) {
+func (nw *Network) deliverReliable(s, t sim.NodeID, opt TransportOptions, rep *TransportReport, lossAware bool, initialPlan string) (*TransportReport, error) {
 	q := &rquery{
-		nw: nw, planner: planner, tr: nw.tracer, rep: rep, s: s, t: t,
+		nw: nw, tr: nw.tracer, rep: rep, s: s, t: t,
 		payload: opt.PayloadWords, retries: opt.Retries, timeout: opt.TimeoutRounds,
 		initialPlan: initialPlan, verif: nw.Sim.AdversaryActive(), lossAware: lossAware,
 		st:        make([]rnode, nw.G.N()),
@@ -944,8 +929,8 @@ func (q *rquery) replanAround(round int, holder, dead sim.NodeID, endpointsImmun
 
 // replanFrom computes a fresh hop path holder→t around the dead set, the
 // liveness table's current suspects and, around a relaunch, the failed
-// launch's corridor. It asks the hybrid planner first (Network or Engine plan
-// cache; loss-detoured in loss-aware mode). If that plan crosses an avoided
+// launch's corridor. It asks the hybrid planner first (Network.Route;
+// loss-detoured in loss-aware mode). If that plan crosses an avoided
 // node it climbs a ladder of LDel² searches over shrinking avoid sets:
 // dead+suspects; the dead alone (mid-query replans never probe a suspect,
 // but suspicion is soft and readmitted when no path clears it); and, under
@@ -956,9 +941,9 @@ func (q *rquery) replanAround(round int, holder, dead sim.NodeID, endpointsImmun
 func (q *rquery) replanFrom(holder sim.NodeID) ([]sim.NodeID, string, bool) {
 	suspects := mergeAvoid(q.nw.Live.AvoidSet(holder, q.t), q.extraAvoid)
 	avoid := mergeAvoid(q.dead, suspects)
-	out := q.nw.route(q.planner, holder, q.t)
+	out := q.nw.Route(holder, q.t)
 	if out.Reached && !pathHitsAny(out.Path, avoid) {
-		plan := q.planner.label()
+		plan := planHybrid
 		if out.PlanFallback {
 			plan = planLDelFallback
 		}

@@ -242,9 +242,9 @@ func TestMisroutedPlanNamesTheNode(t *testing.T) {
 		rep.Outcome.Path = truncated
 		var err error
 		if reliable {
-			_, err = nw.deliverReliable(nw, s, d, TransportOptions{PayloadWords: 8}, rep, false, "network")
+			_, err = nw.deliverReliable(s, d, TransportOptions{PayloadWords: 8}, rep, false, planHybrid)
 		} else {
-			_, err = nw.deliverLossless(s, d, 8, rep, "network")
+			_, err = nw.deliverLossless(s, d, 8, rep, planHybrid)
 		}
 		if err == nil {
 			t.Fatalf("reliable=%v: truncated plan must fail", reliable)
@@ -389,36 +389,6 @@ func TestLossAwareLosslessByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineRouteOnSimUnderLoss routes on-sim through the batch engine's plan
-// cache (the replanning path the issue calls for) and checks outcomes match
-// the Network planner exactly.
-func TestEngineRouteOnSimUnderLoss(t *testing.T) {
-	nwA := prepScenario(t, 0.55, 8, 8, 1.8)
-	nwB := prepScenario(t, 0.55, 8, 8, 1.8)
-	for _, nw := range []*Network{nwA, nwB} {
-		if err := nw.Sim.SetFaults(sim.FaultConfig{AdHocLoss: 0.04, LongLoss: 0.04, Seed: 12}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng := NewEngine(nwB, EngineConfig{Workers: 2})
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 8; trial++ {
-		s := sim.NodeID(rng.Intn(nwA.G.N()))
-		d := sim.NodeID(rng.Intn(nwA.G.N()))
-		ra, errA := nwA.RouteOnSim(s, d, 32)
-		rb, errB := eng.RouteOnSim(s, d, 32)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("%d->%d: error mismatch %v vs %v", s, d, errA, errB)
-		}
-		if !transportReportsEqual(ra, rb) {
-			t.Fatalf("%d->%d: engine transport diverged:\n%+v\n%+v", s, d, ra, rb)
-		}
-	}
-	if st := eng.Stats(); st.Misses == 0 {
-		t.Error("engine planner must have been consulted")
-	}
-}
-
 // TestReliableTransportParallelSim runs the fault paths on a parallel-stepped
 // simulator (the race-detector coverage the issue requires) and checks the
 // reports match sequential stepping bit-for-bit.
@@ -521,7 +491,7 @@ func TestReplanLadder(t *testing.T) {
 	if !ok {
 		t.Fatal("plan too short")
 	}
-	hybrid := nw.label()
+	hybrid := planHybrid
 	if plan.PlanFallback {
 		hybrid = planLDelFallback
 	}
@@ -546,7 +516,7 @@ func TestReplanLadder(t *testing.T) {
 		for _, v := range c.suspects {
 			nw.Live.Suspect(v)
 		}
-		q := &rquery{nw: nw, planner: nw, s: s, t: d, verif: c.verif, lossAware: c.lossAware, dead: map[sim.NodeID]bool{}}
+		q := &rquery{nw: nw, s: s, t: d, verif: c.verif, lossAware: c.lossAware, dead: map[sim.NodeID]bool{}}
 		for _, v := range c.dead {
 			q.dead[v] = true
 		}

@@ -13,7 +13,7 @@ import (
 
 // engineWorkload draws a query batch with a hot set: half the queries repeat
 // a small set of popular pairs (the serving-traffic shape the batch engine's
-// plan cache targets), half are fresh random pairs.
+// answer cache targets), half are fresh random pairs.
 func engineWorkload(rng *rand.Rand, n, q int) []core.Query {
 	hot := make([]core.Query, 12)
 	for i := range hot {
@@ -32,7 +32,7 @@ func engineWorkload(rng *rand.Rand, n, q int) []core.Query {
 
 // E15 measures the concurrent batch-routing engine: the same query workload
 // answered (a) sequentially via Network.Route, (b) by the engine with a cold
-// plan cache, and (c) by the engine warm. The paper's preprocessing exists
+// answer cache, and (c) by the engine warm. The paper's preprocessing exists
 // so that per-query work is cheap and reusable; the engine realizes that as
 // a serving-shaped system, and this experiment checks it changes only the
 // speed, never the answers.

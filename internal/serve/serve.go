@@ -12,8 +12,8 @@
 //     client from occupying the whole queue (ErrSourceShare).
 //   - Live churn under traffic: membership changes (crash/recover) are
 //     applied while workers keep serving. A topology RWMutex serializes the
-//     repair against in-flight queries, and the engine's plan cache fences
-//     stale plans by keying on the topology generation — a query admitted
+//     repair against in-flight queries, and the engine's answer cache fences
+//     stale answers by keying on the topology generation — a query admitted
 //     before a repair and routed after it plans on the patched topology.
 //   - Deadline propagation: a request deadline sheds expired work at dequeue
 //     time and, for on-simulator deliveries, becomes the reliable transport's
@@ -415,7 +415,7 @@ func (s *Server) deliver(req Request) (*core.TransportReport, error) {
 	defer s.topo.RUnlock()
 	s.simMu.Lock()
 	defer s.simMu.Unlock()
-	return s.eng.RouteOnSimOpt(req.S, req.T, opt)
+	return s.nw.RouteOnSimOpt(req.S, req.T, opt)
 }
 
 // Churn applies one live membership change while traffic continues: it takes

@@ -36,8 +36,8 @@ const (
 	KindDetour   // loss-aware planning substituted an ETX detour for the geometric plan
 
 	// Batch-engine events.
-	KindCacheHit   // plan-cache lookup hit
-	KindCacheMiss  // plan-cache lookup miss
+	KindCacheHit   // engine answer-cache lookup hit (From, To = the query pair)
+	KindCacheMiss  // engine answer-cache lookup miss (From, To = the query pair)
 	KindCacheEvict // LRU eviction(s) during a store (Value = entries evicted)
 	KindQueueDepth // outstanding queries (unclaimed + in-flight) when a worker finished one (Value = depth)
 
