@@ -106,8 +106,8 @@ func BenchmarkE17LossAware(b *testing.B) { benchExperiment(b, expt.E17) }
 func BenchmarkE18Trace(b *testing.B) { benchExperiment(b, expt.E18) }
 
 // BenchmarkE19Churn runs the churn robustness sweep (seeded crash/recover
-// schedule against a traced query batch, with incremental repair and
-// suspect failover).
+// schedule against a traced query batch, with topology repair and suspect
+// failover).
 func BenchmarkE19Churn(b *testing.B) { benchExperiment(b, expt.E19) }
 
 // BenchmarkE20Abstraction runs the hole-abstraction backend comparison
@@ -322,8 +322,8 @@ func benchChurnSetup(b *testing.B) (*core.Network, []core.Query) {
 }
 
 // BenchmarkChurnRepair measures topology-repair latency: one op is a full
-// crash+recover cycle of one node, i.e. one incremental (or full) repair
-// plus one pristine restore, both advancing the topology generation.
+// crash+recover cycle of one node, i.e. one repair plus one pristine
+// restore, both advancing the topology generation.
 func BenchmarkChurnRepair(b *testing.B) {
 	nw, _ := benchChurnSetup(b)
 	victim := sim.NodeID(nw.G.N() / 2)

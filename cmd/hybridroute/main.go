@@ -668,8 +668,8 @@ func runFaultedDelivery(nw *core.Network, pairs []core.Query, loss float64, cras
 	fmt.Printf("retransmissions %d, source replans %d\n", retrans, replans)
 	if churn > 0 {
 		rs := nw.RepairReport()
-		fmt.Printf("churn: topology generation %d, repairs %d (%d incremental, %d full, %d restores)\n",
-			nw.TopoGeneration(), rs.Repairs, rs.Incremental, rs.Full, rs.Restores)
+		fmt.Printf("churn: topology generation %d, repairs %d (%d restores)\n",
+			nw.TopoGeneration(), rs.Repairs, rs.Restores)
 		fmt.Printf("suspect failover: %d next hops suspected, %d suspect detours\n", suspected, suspectDetours)
 	}
 	if advFrac > 0 {

@@ -32,14 +32,7 @@ func mkHole(id, firstNode int, poly []geom.Point) *delaunay.Hole {
 }
 
 func holeSet(holes ...*delaunay.Hole) *delaunay.HoleSet {
-	hs := &delaunay.HoleSet{NodeHoles: map[udg.NodeID][]int{}}
-	hs.Holes = holes
-	for i, h := range holes {
-		for _, v := range h.Ring {
-			hs.NodeHoles[v] = append(hs.NodeHoles[v], i)
-		}
-	}
-	return hs
+	return &delaunay.HoleSet{Holes: holes}
 }
 
 // conformanceCases is the shared geometry table: every backend must satisfy

@@ -46,7 +46,7 @@ func TestChurnRepairCrashRecover(t *testing.T) {
 		t.Errorf("dead node keeps %d LDel edges", nw.LDel.Degree(victim))
 	}
 	st := nw.RepairReport()
-	if st.Repairs != 1 || st.Incremental+st.Full != 1 {
+	if st.Repairs != 1 || st.Restores != 0 {
 		t.Errorf("repair stats after one crash: %+v", st)
 	}
 	during := nw.Route(s, d)
@@ -78,46 +78,6 @@ func TestChurnRepairCrashRecover(t *testing.T) {
 		if after.Path[i] != before.Path[i] {
 			t.Fatalf("healed plan differs from baseline: %v vs %v", after.Path, before.Path)
 		}
-	}
-}
-
-// TestChurnRepairIncrementalReuse checks that a crash far away from the hole
-// repairs incrementally and carries the untouched hole geometry over.
-func TestChurnRepairIncrementalReuse(t *testing.T) {
-	nw := prepScenario(t, 0.55, 8, 8, 1.8)
-	// Find a victim on no hole boundary whose neighbours are also unencumbered.
-	victim := sim.NodeID(-1)
-	for v := 0; v < nw.G.N() && victim < 0; v++ {
-		id := sim.NodeID(v)
-		if len(nw.Holes.NodeHoles[id]) > 0 || nw.LDel.Degree(id) < 3 {
-			continue
-		}
-		clean := true
-		for _, w := range nw.LDel.Neighbors(id) {
-			if len(nw.Holes.NodeHoles[w]) > 0 {
-				clean = false
-				break
-			}
-		}
-		if clean {
-			victim = id
-		}
-	}
-	if victim < 0 {
-		t.Skip("no hole-free victim in this scenario")
-	}
-	if err := nw.Sim.Crash(victim); err != nil {
-		t.Fatal(err)
-	}
-	st := nw.RepairReport()
-	if st.Incremental != 1 || st.Full != 0 {
-		t.Fatalf("hole-free crash must repair incrementally: %+v", st)
-	}
-	if len(nw.Holes.Holes) > 0 && st.HolesReused == 0 {
-		t.Errorf("incremental repair reused no hole geometry: %+v", st)
-	}
-	if err := nw.Sim.Recover(victim); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -44,8 +44,6 @@ type Config struct {
 	Parallel bool
 	// Seed feeds the randomized dominating set protocol.
 	Seed uint64
-	// SkipDomSets skips phase L (useful for benchmarks of earlier phases).
-	SkipDomSets bool
 	// Abstraction selects the hole abstraction backend: "hull" (default,
 	// the paper's convex-hull abstraction) or "bbox" (the bounding-box
 	// overlay, which stays competitive when hole hulls intersect or nest).
@@ -116,27 +114,15 @@ type HullGroup struct {
 
 // Network is a preprocessed hybrid network ready to answer routing queries.
 type Network struct {
-	G      *udg.Graph
-	LDel   *delaunay.PlanarGraph
-	Holes  *delaunay.HoleSet
-	Router *routing.Router
-	Sim    *sim.Sim
-	Tree   *overlaytree.Tree
+	G    *udg.Graph
+	Sim  *sim.Sim
+	Tree *overlaytree.Tree
 
-	// Abs is the pluggable hole abstraction (hull groups + waypoint overlay
-	// under the default backend, merged bounding boxes under "bbox"); Groups
-	// and Overlay are its region and overlay views, kept as fields because
-	// the whole query path reads them.
-	Abs abstraction.Abstraction
-
-	// Overlay is the waypoint overlay of the abstraction's region corners
-	// (what every hull node stores after phase K); VisDomain returns the
-	// Section-3 variant over full hole boundary polygons.
-	Overlay *vis.Overlay
+	// topology holds LDel, Holes, Router, Abs, Overlay, Groups and Bays, the
+	// fields churn repair replaces.
+	topology
 
 	Rings  map[int]map[sim.NodeID]*hyper.RingResult
-	Bays   []Bay
-	Groups []HullGroup
 	Report Report
 
 	// Link holds the per-directed-link loss estimates the reliable transport
@@ -149,7 +135,8 @@ type Network struct {
 	// Live is the suspected-node table fed by the same ack telemetry as Link:
 	// a next hop that exhausts its retry budget is suspected and planned
 	// around until a probation of clean acks readmits it. Like Link it stays
-	// inert (empty) on clean runs.
+	// inert (empty) on clean runs; a PreprocessStatic network, which has no
+	// transport, leaves it nil.
 	Live *Liveness
 
 	// tracer is the installed event recorder (nil: tracing disabled). The
@@ -157,15 +144,7 @@ type Network struct {
 	// simulator so one recorder sees the whole stack.
 	tracer *trace.Tracer
 
-	hullNodeOf map[geom.Point]sim.NodeID
-	nodeAtPt   map[geom.Point]sim.NodeID
-	// visDomain and groupDomains are built lazily but init-once, so
-	// concurrent queries — the batch Engine fires Route from many goroutines
-	// — see exactly one construction of each. The vis backends fill their
-	// corner rows on first use as well; everything else a query touches is
-	// immutable after Preprocess returns.
-	visDomain    *lazyDomain
-	groupDomains []lazyDomain
+	nodeAtPt     map[geom.Point]sim.NodeID
 	ringSnapshot map[string]ringEpochInfo
 	reusedHoles  map[int]bool // holes whose ring results were carried over
 
@@ -173,10 +152,41 @@ type Network struct {
 	// the currently dead nodes, the monotone repair generation the engine's
 	// cache keys on, and the repair statistics. All written only from the (serialized)
 	// membership listener; topoGen alone is read concurrently and is atomic.
-	base    *baseTopo
+	base    topology
 	dead    map[sim.NodeID]bool
 	topoGen atomic.Uint64
 	repairs RepairStats
+}
+
+// topology is the live LDel² and everything derived from it: what a build
+// sets once and a churn repair replaces whole.
+type topology struct {
+	LDel   *delaunay.PlanarGraph
+	Holes  *delaunay.HoleSet
+	Router *routing.Router
+
+	// Abs is the pluggable hole abstraction (hull groups + waypoint overlay
+	// under the default backend, merged bounding boxes under "bbox"); Groups
+	// and Overlay are its region and overlay views, kept as fields because
+	// the whole query path reads them.
+	Abs abstraction.Abstraction
+
+	// Overlay is the waypoint overlay of the abstraction's region corners
+	// (what every hull node stores after phase K); VisDomain returns the
+	// Section-3 variant over full hole boundary polygons.
+	Overlay *vis.Overlay
+
+	Groups []HullGroup
+	Bays   []Bay
+
+	hullNodeOf map[geom.Point]sim.NodeID
+	// visDomain and groupDomains are built lazily but init-once, so
+	// concurrent queries — the batch Engine fires Route from many goroutines
+	// — see exactly one construction of each. The vis backends fill their
+	// corner rows on first use as well; everything else a query touches is
+	// immutable after Preprocess returns.
+	visDomain    *lazyDomain
+	groupDomains []lazyDomain
 }
 
 // ringEpochInfo remembers one ring's identity and result for the
@@ -210,6 +220,22 @@ func (nw *Network) buildAbstraction(name string) error {
 	nw.Overlay = abs.Overlay()
 	nw.Report.Abstraction = abs.Name()
 	return nil
+}
+
+// setLDel installs ldel as the live LDel² and derives the router and the hole
+// set from it. Both only read the graph (each overlays CH(V) on a Clone's
+// copy-on-write rows), so they run side by side. Preprocess,
+// PreprocessStatic and churn repair all call it before buildDerived.
+func (nw *Network) setLDel(ldel *delaunay.PlanarGraph) {
+	nw.LDel = ldel
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		nw.Router = routing.New(ldel)
+	}()
+	nw.Holes = delaunay.DetectHoles(ldel, nw.G.Radius())
+	wg.Wait()
 }
 
 // buildDerived (re)builds every query-path structure downstream of (LDel,
@@ -324,11 +350,10 @@ func preprocess(g *udg.Graph, cfg Config, tree *overlaytree.Tree, prev *Network)
 		return nil, fmt.Errorf("core: LDel phase: %w", err)
 	}
 	nw.Report.Rounds.LDel = nw.Sim.Rounds()
-	nw.LDel = ldel
-	nw.Router = routing.New(nw.LDel)
 
-	// Phase D (local): hole detection via the rotation system.
-	nw.Holes = delaunay.DetectHoles(nw.LDel, g.Radius())
+	// Phase D (local): hole detection via the rotation system, beside the
+	// router's face table.
+	nw.setLDel(ldel)
 	nw.Report.NumHoles = len(nw.Holes.Holes)
 	nw.Report.HullsIntersect = nw.Holes.HullsIntersect()
 
@@ -370,10 +395,8 @@ func preprocess(g *udg.Graph, cfg Config, tree *overlaytree.Tree, prev *Network)
 	}
 
 	// Phase L: the bay areas' dominating sets.
-	if !cfg.SkipDomSets {
-		if err := nw.runDomSetPhase(cfg.Seed); err != nil {
-			return nil, fmt.Errorf("core: dominating sets: %w", err)
-		}
+	if err := nw.runDomSetPhase(cfg.Seed); err != nil {
+		return nil, fmt.Errorf("core: dominating sets: %w", err)
 	}
 
 	nw.accountStorage()
@@ -383,7 +406,7 @@ func preprocess(g *udg.Graph, cfg Config, tree *overlaytree.Tree, prev *Network)
 	nw.Report.MaxWords = max.TotalWords()
 
 	// Subscribe to dynamic membership changes: from here on a sim.Crash /
-	// Recover (or a ChurnSchedule event) triggers incremental topology repair.
+	// Recover (or a ChurnSchedule event) triggers topology repair.
 	nw.enableChurnRepair()
 	return nw, nil
 }

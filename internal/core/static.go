@@ -6,9 +6,9 @@
 //
 //   - LDel² via the grid-accelerated LDel2Fast (provably equal to the
 //     distributed construction's output, both pinned by tests),
-//   - the router and hole detection, run concurrently over the frozen LDel²,
-//   - the hole abstraction, visibility domains, bays and storage
-//     accounting exactly as Preprocess does,
+//   - the router, the holes, the hole abstraction, visibility domains, bays
+//     and storage accounting exactly as Preprocess does (setLDel runs the
+//     router and hole detection side by side, then buildDerived),
 //   - a synthetic balanced overlay tree in place of phase J (the query path
 //     never reads the tree; only storage accounting does),
 //
@@ -22,11 +22,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"hybridroute/internal/delaunay"
 	"hybridroute/internal/overlaytree"
-	"hybridroute/internal/routing"
 	"hybridroute/internal/udg"
 )
 
@@ -40,8 +38,9 @@ var ErrNoSimulator = errors.New("core: network has no simulator (built by Prepro
 // Config fields other than Abstraction are ignored (there is no
 // communication to make strict, parallel, or seeded). The returned network
 // answers Route/Engine queries exactly like a Preprocess-built one;
-// simulator-bound features (RouteOnSim transports, churn schedules,
-// round/message accounting) are unavailable — nw.Sim is nil.
+// simulator-bound features (RouteOnSim transports, churn schedules and the
+// repair that answers them, the liveness table, round/message accounting)
+// are unavailable — nw.Sim and nw.Live are nil.
 func PreprocessStatic(g *udg.Graph, cfg Config) (*Network, error) {
 	if g.N() == 0 {
 		return nil, fmt.Errorf("core: empty deployment")
@@ -52,18 +51,7 @@ func PreprocessStatic(g *udg.Graph, cfg Config) (*Network, error) {
 	nw := &Network{G: g}
 	nw.Link = NewLinkStats(0)
 
-	nw.LDel = delaunay.LDel2Fast(g)
-	// The router and hole detection only read the frozen LDel² (routing.New
-	// adds its hull edges to a Clone's copy-on-write rows), so they run side
-	// by side.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		nw.Router = routing.New(nw.LDel)
-	}()
-	nw.Holes = delaunay.DetectHoles(nw.LDel, g.Radius())
-	wg.Wait()
+	nw.setLDel(delaunay.LDel2Fast(g))
 	nw.Report.NumHoles = len(nw.Holes.Holes)
 	nw.Report.HullsIntersect = nw.Holes.HullsIntersect()
 
@@ -74,6 +62,5 @@ func PreprocessStatic(g *udg.Graph, cfg Config) (*Network, error) {
 		return nil, err
 	}
 	nw.accountStorage()
-	nw.enableChurnRepair()
 	return nw, nil
 }

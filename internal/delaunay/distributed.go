@@ -24,9 +24,9 @@ import (
 //	         it, which makes the decision equivalent to emptiness over the
 //	         union of the three 2-hop neighbourhoods.
 //
-// The result provably equals the centralized LDelK(g, 2) (each node sees
-// every 2-hop witness that the definition quantifies over), which the tests
-// assert; core's pipeline uses this protocol for its phase A–C metering.
+// The result provably equals the centralized LDel2Fast(g) and the
+// definitional LDel²(V) (each node sees every 2-hop witness that the
+// definition quantifies over), which the tests assert; core's pipeline uses this protocol for its phase A–C metering.
 
 // nbrInfo is one neighbour entry carried by the gossip messages.
 type nbrInfo struct {

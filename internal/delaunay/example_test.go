@@ -20,7 +20,7 @@ func ExampleTriangulate() {
 	// edges: 8
 }
 
-func ExampleLDelK() {
+func ExampleLDel2Fast() {
 	// A 3x3 grid with unit radio range: every edge of the 2-localized
 	// Delaunay graph respects the transmission range.
 	var pts []geom.Point
@@ -30,7 +30,7 @@ func ExampleLDelK() {
 		}
 	}
 	g := udg.Build(pts, 1)
-	ld := delaunay.LDelK(g, 2)
+	ld := delaunay.LDel2Fast(g)
 	ok := true
 	for _, e := range ld.Edges() {
 		if g.Point(udg.NodeID(e[0])).Dist(g.Point(udg.NodeID(e[1]))) > 1 {

@@ -50,15 +50,72 @@ func (h *Hole) SegmentCrossesBoundary(s geom.Segment) bool {
 	return geom.SegmentIntersectsPolygon(s, h.Polygon)
 }
 
-// HoleSet is the collection of radio holes of a 2-localized Delaunay graph,
-// with reverse indices used by the routing layer.
+// HoleSet is the collection of radio holes of a 2-localized Delaunay graph.
 type HoleSet struct {
 	Holes []*Hole
-	// NodeHoles maps each node to the holes whose boundary it lies on.
-	NodeHoles map[udg.NodeID][]int
 	// OuterBoundary is the cycle of the unbounded face of LDel²(V), i.e. the
 	// outer boundary ring of the whole network (clockwise as traced).
 	OuterBoundary []udg.NodeID
+}
+
+// DetectHoles finds all radio holes of the planar graph ldel (assumed to be
+// LDel²(V) or a planar supergraph of it) for transmission radius r. A
+// crashed node keeps its point but has no edges (RemoveNodeEdges), so churn
+// repair detects the holes of the patched graph with the same call.
+//
+// Inner holes are bounded faces with ≥ 4 distinct nodes. For outer holes,
+// the convex hull CH(V) of the nodes with edges is overlaid (Definition 2.5,
+// WithHull) and bounded faces of the combined graph with ≥ 3 nodes
+// containing a hull edge longer than r are reported.
+func DetectHoles(ldel *PlanarGraph, r float64) *HoleSet {
+	hs := &HoleSet{}
+	faces := ldel.Faces()
+	outer := ldel.OuterFaceIndex(&faces)
+	for i := 0; i < faces.Rows(); i++ {
+		cycle := faces.Row(i)
+		if i == outer {
+			hs.OuterBoundary = nodeIDs(cycle)
+			continue
+		}
+		// Removing a cut node can disconnect the embedding, giving each
+		// component its own clockwise unbounded face; only one is the global
+		// outer face, so both passes skip every face of negative area rather
+		// than report the rest as (spurious) holes.
+		if ldel.cycleArea(cycle) >= 0 && DistinctNodes(cycle) >= 4 {
+			hs.addHole(ldel, nodeIDs(cycle), false)
+		}
+	}
+
+	// Outer holes: the bounded faces of the CH(V) overlay with a hull edge
+	// longer than r. Every such edge is one g lacks, since LDel² edges are
+	// no longer than r.
+	gbar, added := ldel.WithHull()
+	type hedge struct{ a, b udg.NodeID }
+	longHull := make(map[hedge]bool)
+	for _, e := range added {
+		if ldel.Point(e[0]).Dist(ldel.Point(e[1])) > r {
+			longHull[hedge{e[0], e[1]}] = true
+			longHull[hedge{e[1], e[0]}] = true
+		}
+	}
+	if len(longHull) > 0 {
+		bfaces := gbar.Faces()
+		bouter := gbar.OuterFaceIndex(&bfaces)
+		for i := 0; i < bfaces.Rows(); i++ {
+			cycle := bfaces.Row(i)
+			if i == bouter || DistinctNodes(cycle) < 3 || gbar.cycleArea(cycle) < 0 {
+				continue
+			}
+			n := len(cycle)
+			for j := 0; j < n; j++ {
+				if longHull[hedge{udg.NodeID(cycle[j]), udg.NodeID(cycle[(j+1)%n])}] {
+					hs.addHole(ldel, nodeIDs(cycle), true)
+					break
+				}
+			}
+		}
+	}
+	return hs
 }
 
 // HullNodeSet returns the union of all hull nodes over all holes.

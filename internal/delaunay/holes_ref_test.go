@@ -17,7 +17,7 @@ import (
 // the collinear ones, and maps each corner back to a node through a map; it
 // skips no face for its area.
 func refDetectHoles(ldel *PlanarGraph, r float64) *HoleSet {
-	hs := &HoleSet{NodeHoles: make(map[udg.NodeID][]int)}
+	hs := &HoleSet{}
 	faces := ldel.Faces()
 	outer := ldel.OuterFaceIndex(&faces)
 	for i := 0; i < faces.Rows(); i++ {
@@ -67,12 +67,6 @@ func refDetectHoles(ldel *PlanarGraph, r float64) *HoleSet {
 			}
 		}
 	}
-
-	for i, h := range hs.Holes {
-		for _, v := range h.Ring {
-			hs.NodeHoles[v] = append(hs.NodeHoles[v], i)
-		}
-	}
 	return hs
 }
 
@@ -103,7 +97,7 @@ func exactLinesPoints(k int, spacing float64, obstacle []geom.Point) []geom.Poin
 
 // TestDetectHolesMatchesReference holds DetectHoles to refDetectHoles, hole
 // for hole (ring and ring order, polygon, hull, hull nodes, box), with the
-// outer boundary and the node index, on the static deployments the delaunay
+// outer boundary, on the static deployments the delaunay
 // and routing tests build for hole detection and routing, and on the cold
 // benchmark layouts. On the bordered grids the two overlays differ, the
 // reference's hull edges lying over the collinear border paths, yet neither

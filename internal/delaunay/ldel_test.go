@@ -268,28 +268,6 @@ func TestDetectOuterHole(t *testing.T) {
 	}
 }
 
-func TestNodeHolesIndex(t *testing.T) {
-	g := gridWithHole(0.6, 6, 6, 1.5)
-	if !g.Connected() {
-		t.Skip("UDG disconnected")
-	}
-	ld := LDelK(g, 2)
-	hs := DetectHoles(ld, g.Radius())
-	for i, h := range hs.Holes {
-		for _, v := range h.Ring {
-			found := false
-			for _, hi := range hs.NodeHoles[v] {
-				if hi == i {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("node %d missing hole %d in NodeHoles index", v, i)
-			}
-		}
-	}
-}
-
 func TestHullsIntersectDetection(t *testing.T) {
 	mk := func(ring []geom.Point) *Hole {
 		return &Hole{Polygon: ring, Hull: geom.ConvexHull(ring)}

@@ -1,7 +1,7 @@
-// LDel2Fast is the scale-path construction of the 2-localized Delaunay graph.
-// LDelK materializes every node's k-hop neighbourhood up front — O(n·Δ^k)
-// memory and a hash set per triangle — which is fine at n=10³ and hopeless at
-// n=10⁶. LDel2Fast computes the identical graph (same Definition 2.2/2.3
+// LDel2Fast is the centralized construction of the 2-localized Delaunay graph.
+// The definitional evaluation (LDelK, now a test oracle) materializes every
+// node's k-hop neighbourhood up front — O(n·Δ^k) memory and a hash set per
+// triangle — which is fine at n=10³ and hopeless at n=10⁶. LDel2Fast computes the identical graph (same Definition 2.2/2.3
 // predicates, same exact-arithmetic InCircle tests) from purely local
 // geometry:
 //
@@ -37,8 +37,9 @@ import (
 	"hybridroute/internal/udg"
 )
 
-// LDel2Fast computes LDel²(V) of the unit disk graph g, producing the same
-// graph as LDelK(g, 2) in near-linear time and memory.
+// LDel2Fast computes LDel²(V) of the unit disk graph g (Definition 2.3: the
+// Gabriel edges plus the edges of 2-localized triangles) in near-linear time
+// and memory.
 func LDel2Fast(g *udg.Graph) *PlanarGraph {
 	n := g.N()
 	workers := runtime.GOMAXPROCS(0)
@@ -192,7 +193,7 @@ func ldel2Range(g *udg.Graph, lo, hi int) []uint64 {
 		pu := g.Point(udg.NodeID(u))
 		nbrs := g.Neighbors(udg.NodeID(u))
 
-		// Gabriel edges — identical predicate and scan order to LDelK.
+		// Gabriel edges — identical predicate and scan order to the oracle.
 		for _, v := range nbrs {
 			if int(v) < u {
 				continue

@@ -140,7 +140,7 @@ func e19Artifacts(dir string, rowsOut []map[string]interface{}, heavy *e19Outcom
 
 // E19 measures routing under churn: a seeded schedule crashes and recovers
 // nodes while a traced query batch is in flight, exercising the full
-// robustness stack — incremental topology repair on every membership change,
+// robustness stack — topology repair on every membership change,
 // plan-cache invalidation through the topology generation, and suspect-based
 // failover for queries already past planning when a crash lands. The sweep
 // reports query survival and competitive ratio against the churn intensity.
@@ -154,7 +154,7 @@ func E19(opt Options) (*Result, error) {
 	res := &Result{
 		ID:    "E19",
 		Title: "Churn: delivery and competitive ratio under crash/recovery",
-		Claim: "incremental repair + topology-generation cache invalidation + suspect failover sustain >= 90% delivery of endpoint-safe queries under mid-batch churn, with zero misrouted-plan silent failures; churn 0 is byte-identical to a never-faulted network",
+		Claim: "topology repair + topology-generation cache invalidation + suspect failover sustain >= 90% delivery of endpoint-safe queries under mid-batch churn, with zero misrouted-plan silent failures; churn 0 is byte-identical to a never-faulted network",
 	}
 	n, q := 420, 48
 	crashCounts := []int{2, 4, 8}
@@ -280,13 +280,13 @@ func E19(opt Options) (*Result, error) {
 
 	res.note("churn-0 row byte-identical (per-hop) to a never-faulted network: %v", identical)
 	res.note("misrouted-plan silent failures across all rows: %d", silentTotal)
-	res.note("heaviest row: topology generation %d; repairs %d (%d incremental, %d full, %d restores, %d hole recomputations reused)",
+	res.note("heaviest row: topology generation %d; repairs %d (%d restores)",
 		func() uint64 {
 			if heavy == nil {
 				return 0
 			}
 			return heavy.nw.TopoGeneration()
-		}(), rep.Repairs, rep.Incremental, rep.Full, rep.Restores, rep.HolesReused)
+		}(), rep.Repairs, rep.Restores)
 	res.Pass = identical && churnOK && silentTotal == 0 && exercised
 
 	if opt.TraceDir != "" && heavy != nil {

@@ -369,7 +369,7 @@ func E9(opt Options) (*Result, error) {
 			return nil, err
 		}
 		g := sc.Build()
-		ld := delaunay.LDelK(g, 2)
+		ld := delaunay.LDel2Fast(g)
 		hs := delaunay.DetectHoles(ld, g.Radius())
 		var hole *delaunay.Hole
 		for _, h := range hs.Holes {
@@ -403,7 +403,7 @@ func E10(opt Options) (*Result, error) {
 		return nil, err
 	}
 	g := sc.Build()
-	ld := delaunay.LDelK(g, 2)
+	ld := delaunay.LDel2Fast(g)
 	router := routing.New(ld)
 	rng := rand.New(rand.NewSource(opt.seed() + 3))
 

@@ -26,7 +26,7 @@ func Example() {
 		}
 	}
 	g := udg.Build(pts, 1)
-	r := routing.New(delaunay.LDelK(g, 2))
+	r := routing.New(delaunay.LDel2Fast(g))
 
 	// Source on the west edge, target on the east edge, hole in between.
 	s, t := nearest(g, geom.Pt(0, 3)), nearest(g, geom.Pt(6, 3))

@@ -28,7 +28,7 @@ func mazeRouter(t testing.TB) (*udg.Graph, *Router, NodeID, NodeID) {
 	if !g.Connected() {
 		t.Fatal("maze disconnected")
 	}
-	r := New(delaunay.LDelK(g, 2))
+	r := New(delaunay.LDel2Fast(g))
 	s := nodeNear(g, geom.Pt(4.5, 1))
 	d := nodeNear(g, geom.Pt(8, 1))
 	return g, r, s, d

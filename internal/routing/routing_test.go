@@ -29,7 +29,7 @@ func buildScenario(t testing.TB, spacing, w, h, holeR float64) (*udg.Graph, *Rou
 	if !g.Connected() {
 		t.Fatal("scenario UDG disconnected")
 	}
-	ld := delaunay.LDelK(g, 2)
+	ld := delaunay.LDel2Fast(g)
 	r := New(ld)
 	hs := delaunay.DetectHoles(ld, g.Radius())
 	return g, r, hs

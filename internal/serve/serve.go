@@ -420,7 +420,7 @@ func (s *Server) deliver(req Request) (*core.TransportReport, error) {
 
 // Churn applies one live membership change while traffic continues: it takes
 // the topology write lock (excluding every in-flight query for the duration
-// of the repair), fires the simulator's membership listener — the incremental
+// of the repair), fires the simulator's membership listener — the topology
 // repair path — and lets the engine's topology-generation cache keys fence
 // every plan computed before the change.
 func (s *Server) Churn(node sim.NodeID, up bool) error {

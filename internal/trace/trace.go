@@ -45,7 +45,7 @@ const (
 	KindCrash   // a node left the network (From = node, Round = sim round)
 	KindRecover // a crashed node rejoined (From = node, Round = sim round)
 	KindSuspect // ack telemetry marked a next hop suspected (From = observer, To = suspect)
-	KindRepair  // the overlay was repaired after a membership change (From = node, Plan = "incremental"/"full", Value = holes recomputed)
+	KindRepair  // the topology was rebuilt after a membership change (From = node, Plan = "patch" or, when the dead set emptied, "restore"; Value = holes after it)
 
 	// Byzantine adversary events (From/To as in Send for the simulator-side
 	// kinds; transport-side kinds carry the detecting node).
