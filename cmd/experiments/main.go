@@ -49,31 +49,19 @@ func main() {
 	}
 
 	opt := expt.Options{Quick: *quick, Seed: *seed, Workers: *workers, TraceDir: *traceDir, Churn: *churn, Abstraction: *abstraction}
-	fns := map[string]func(expt.Options) (*expt.Result, error){
-		"E1": expt.E1, "E2": expt.E2, "E3": expt.E3, "E4": expt.E4, "E5": expt.E5,
-		"E6": expt.E6, "E7": expt.E7, "E8": expt.E8, "E9": expt.E9, "E10": expt.E10,
-		"E11": expt.E11, "E12": expt.E12, "E13": expt.E13, "E14": expt.E14,
-		"E15": expt.E15, "E16": expt.E16, "E17": expt.E17, "E18": expt.E18, "E19": expt.E19,
-		"E20": expt.E20, "E22": expt.E22, "E23": expt.E23,
-	}
-
 	var results []*expt.Result
-	if *only != "" {
-		fn, ok := fns[*only]
-		if !ok {
-			log.Fatalf("unknown experiment %q", *only)
+	for _, e := range expt.Experiments {
+		if *only != "" && e.ID != *only {
+			continue
 		}
-		r, err := fn(opt)
+		r, err := e.Run(opt)
 		if err != nil {
-			log.Fatalf("%s: %v", *only, err)
+			log.Fatalf("%s: %v", e.ID, err)
 		}
 		results = append(results, r)
-	} else {
-		all, err := expt.All(opt)
-		if err != nil {
-			log.Fatalf("experiments: %v (after %d results)", err, len(all))
-		}
-		results = all
+	}
+	if len(results) == 0 {
+		log.Fatalf("unknown experiment %q", *only)
 	}
 
 	if *csvDir != "" {

@@ -43,6 +43,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -52,9 +53,11 @@ import (
 	"os"
 	"os/signal"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -70,58 +73,13 @@ import (
 )
 
 func main() {
-	n := flag.Int("n", 600, "number of nodes")
-	holes := flag.Int("holes", 3, "number of convex obstacles (uniform scenario)")
-	queries := flag.Int("queries", 200, "routing queries to run")
-	seed := flag.Int64("seed", 1, "random seed")
-	scenario := flag.String("scenario", "uniform", "scenario: uniform, city, maze or grid (bordered grid with O(1) holes; use with -static for large -n)")
-	router := flag.String("router", "hull", "routing variant: hull (Sec. 4) or visibility (Sec. 3)")
-	abstraction := flag.String("abstraction", "", "hole abstraction backend: hull (default, convex hulls) or bbox (bounding-box overlay, tolerates intersecting hulls)")
-	batch := flag.Bool("batch", false, "answer queries through the concurrent batch engine")
-	workers := flag.Int("workers", 0, "batch engine worker pool size (0 = GOMAXPROCS)")
-	cacheSize := flag.Int("cache", 0, "batch engine plan cache size in whole answers (0 = default 4096, negative = disabled)")
-	loss := flag.Float64("loss", 0, "message loss probability per link class; > 0 adds a fault-injected delivery run")
-	crash := flag.Int("crash", 0, "number of crashed nodes to inject into the delivery run")
-	churn := flag.Int("churn", 0, "number of seeded crash+recover cycles replayed while the delivery run is in flight")
-	retries := flag.Int("retries", core.DefaultRetries, "per-hop retry budget for fault-injected delivery")
-	adversary := flag.String("adversary", "", "Byzantine adversaries in the delivery run: FRAC[,BEHAVIORS] e.g. 0.2 or 0.2,misroute+forge (behaviors: misroute, drop, forge, lie, all; default all); engages end-to-end verified delivery")
-	traceFile := flag.String("trace", "", "record stack-wide trace events; write metrics + a traced sample query as JSON to this file")
-	pprofFile := flag.String("pprof", "", "write a CPU profile of the run to this file")
-	static := flag.Bool("static", false, "build the network with the simulator-free static pipeline (identical routing state, no protocol rounds; enables much larger -n)")
-	serveMode := flag.Bool("serve", false, "run as a long-running query service (HTTP/JSON API + /metrics) instead of a one-shot batch")
-	addr := flag.String("addr", ":8080", "serve mode: HTTP listen address")
-	serveExport := flag.String("serve-export", "", "serve mode: append OTLP-style JSON metric batches to this file")
-	clusterN := flag.Int("cluster", 0, "serve mode: shard queries across this many backend instances behind a gateway (0 = single server)")
-	replicas := flag.Int("replicas", 2, "cluster mode: replica factor R — backends owning each spatial region")
-	chaosSpec := flag.String("chaos", "", "cluster mode: instance fault schedule, e.g. \"kill@5s:1,slow@10s:2:50ms,pause@15s:0,resume@20s:0\"")
-	hedge := flag.Duration("hedge", 0, "cluster mode: hedge a request to the standby replica after this delay (0 = off)")
-	flag.Parse()
-
-	advFrac, advBehaviors, err := parseAdversaryFlag(*adversary)
+	o, err := parseOptions(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		log.Fatalf("flags: %v", err)
 	}
-	if err := validateFlags(*loss, *crash, *churn, *retries); err != nil {
-		log.Fatalf("flags: %v", err)
-	}
-	if err := validateNameFlags(*scenario, *router, *abstraction); err != nil {
-		log.Fatalf("flags: %v", err)
-	}
-	if *static && (*loss > 0 || *crash > 0 || (*churn > 0 && !*serveMode) || advFrac > 0 || *traceFile != "") {
-		log.Fatal("flags: -static builds no simulator; -loss/-crash/-churn/-adversary/-trace need the distributed pipeline")
-	}
-	if *serveMode && advFrac > 0 {
-		log.Fatal("flags: -adversary configures the one-shot delivery run; serve mode does not inject adversaries")
-	}
-	if err := validateServeFlags(*serveMode, *static, *batch, *churn, *loss, *crash, *traceFile, *router); err != nil {
-		log.Fatalf("flags: %v", err)
-	}
-	if err := validateClusterFlags(*serveMode, *clusterN, *replicas, *chaosSpec, *hedge, *churn, *serveExport); err != nil {
-		log.Fatalf("flags: %v", err)
-	}
 	stopProfile := func() {}
-	if *pprofFile != "" {
-		f, err := os.Create(*pprofFile)
+	if o.pprofFile != "" {
+		f, err := os.Create(o.pprofFile)
 		if err != nil {
 			log.Fatalf("pprof: %v", err)
 		}
@@ -132,7 +90,7 @@ func main() {
 	}
 	defer stopProfile()
 
-	sc, err := buildScenario(*scenario, *seed, *n, *holes)
+	sc, err := buildScenario(o.scenario, o.seed, o.n, o.holes)
 	if err != nil {
 		log.Fatalf("scenario: %v", err)
 	}
@@ -141,22 +99,21 @@ func main() {
 
 	g := sc.Build()
 	var nw *core.Network
-	var err2 error
-	if *static {
-		nw, err2 = core.PreprocessStatic(g, core.Config{Abstraction: *abstraction})
+	if o.static {
+		nw, err = core.PreprocessStatic(g, core.Config{Abstraction: o.abstraction})
 	} else {
-		nw, err2 = core.Preprocess(g, core.Config{Strict: true, Seed: uint64(*seed), Abstraction: *abstraction})
+		nw, err = core.Preprocess(g, core.Config{Strict: true, Seed: uint64(o.seed), Abstraction: o.abstraction})
 	}
-	if err2 != nil {
-		log.Fatalf("preprocess: %v", err2)
+	if err != nil {
+		log.Fatalf("preprocess: %v", err)
 	}
 	var tracer *trace.Tracer
-	if *traceFile != "" {
+	if o.traceFile != "" {
 		tracer = trace.New(0)
 		nw.SetTracer(tracer)
 	}
 	r := nw.Report
-	if *static {
+	if o.static {
 		fmt.Println("\npreprocessing: static pipeline (no protocol rounds simulated)")
 	} else {
 		fmt.Printf("\npreprocessing: %d rounds total (LDel %d, rings %d, tree %d, flood %d, domset %d)\n",
@@ -171,20 +128,20 @@ func main() {
 		fmt.Println("WARNING: hole hulls intersect; the paper's competitiveness assumption is violated")
 	}
 
-	if *serveMode {
-		if *clusterN > 0 {
-			if err := runCluster(nw, *addr, *clusterN, *replicas, *chaosSpec, *hedge, *workers, *cacheSize, *seed); err != nil {
+	if o.serve {
+		if o.clusterN > 0 {
+			if err := runCluster(nw, o); err != nil {
 				log.Fatalf("cluster: %v", err)
 			}
-		} else if err := runServe(nw, *addr, *serveExport, *workers, *cacheSize, *churn, *seed); err != nil {
+		} else if err := runServe(nw, o); err != nil {
 			log.Fatalf("serve: %v", err)
 		}
 		return
 	}
 
-	rng := rand.New(rand.NewSource(*seed + 99))
+	rng := rand.New(rand.NewSource(o.seed + 99))
 	var pairs []core.Query
-	for len(pairs) < *queries {
+	for len(pairs) < o.queries {
 		s := sim.NodeID(rng.Intn(g.N()))
 		t := sim.NodeID(rng.Intn(g.N()))
 		if s != t {
@@ -194,8 +151,8 @@ func main() {
 
 	var outcomes []core.Outcome
 	switch {
-	case *batch:
-		eng := core.NewEngine(nw, core.EngineConfig{Workers: *workers, CacheSize: *cacheSize})
+	case o.batch:
+		eng := core.NewEngine(nw, core.EngineConfig{Workers: o.workers, CacheSize: o.cache})
 		eng.SetTracer(tracer)
 		start := time.Now()
 		outcomes = eng.RouteBatch(pairs)
@@ -208,7 +165,7 @@ func main() {
 	default:
 		outcomes = make([]core.Outcome, len(pairs))
 		for i, p := range pairs {
-			if *router == "visibility" {
+			if o.router == "visibility" {
 				outcomes[i] = nw.RouteVisibility(p.S, p.T)
 			} else {
 				outcomes[i] = nw.Route(p.S, p.T)
@@ -233,7 +190,7 @@ func main() {
 		}
 	}
 	sum := stats.Summarize(stretches)
-	fmt.Printf("\nrouting %d queries: delivered %d, plan fallbacks %d\n", *queries, delivered, fallbacks)
+	fmt.Printf("\nrouting %d queries: delivered %d, plan fallbacks %d\n", o.queries, delivered, fallbacks)
 	fmt.Printf("position cases (Sec 4.3): %v\n", cases)
 	fmt.Printf("stretch vs UDG shortest path: mean %.3f, p95 %.3f, max %.3f (paper bound 35.37)\n",
 		sum.Mean, sum.P95, sum.Max)
@@ -245,15 +202,165 @@ func main() {
 
 	// Fault-injected delivery run: only when requested, so the default output
 	// stays byte-identical to earlier releases.
-	if *loss > 0 || *crash > 0 || *churn > 0 || advFrac > 0 {
-		runFaultedDelivery(nw, pairs, *loss, *crash, *churn, *retries, *seed, advFrac, advBehaviors)
+	if o.faulted() {
+		runFaultedDelivery(nw, pairs, o)
 	}
 
 	if tracer != nil {
-		if err := writeTraceOutput(*traceFile, nw, tracer, pairs); err != nil {
+		if err := writeTraceOutput(o.traceFile, nw, tracer, pairs); err != nil {
 			log.Fatalf("trace: %v", err)
 		}
 	}
+}
+
+// options is the command line: every flag, plus the -adversary and -chaos
+// values validate parses once for the run.
+type options struct {
+	n, holes, queries     int
+	seed                  int64
+	scenario, router      string
+	abstraction           string
+	batch, static, serve  bool
+	workers, cache        int
+	loss                  float64
+	crash, churn, retries int
+	adversary             string
+	traceFile, pprofFile  string
+	addr, serveExport     string
+	clusterN, replicas    int
+	chaosSpec             string
+	hedge                 time.Duration
+	advFrac               float64
+	advBehaviors          sim.AdversaryBehavior
+	chaos                 cluster.ChaosSchedule
+}
+
+// parseOptions defines every flag on fs, parses args and validates the
+// result. main passes flag.CommandLine, which prints usage and exits 2 on a
+// flag it cannot parse; a rejected value or combination is the returned
+// error.
+func parseOptions(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	fs.IntVar(&o.n, "n", 600, "number of nodes")
+	fs.IntVar(&o.holes, "holes", 3, "number of convex obstacles (uniform scenario)")
+	fs.IntVar(&o.queries, "queries", 200, "routing queries to run")
+	fs.Int64Var(&o.seed, "seed", 1, "random seed")
+	fs.StringVar(&o.scenario, "scenario", "uniform", "scenario: uniform, city, maze or grid (bordered grid with O(1) holes; use with -static for large -n)")
+	fs.StringVar(&o.router, "router", "hull", "routing variant: hull (Sec. 4) or visibility (Sec. 3)")
+	fs.StringVar(&o.abstraction, "abstraction", "", "hole abstraction backend: hull (default, convex hulls) or bbox (bounding-box overlay, tolerates intersecting hulls)")
+	fs.BoolVar(&o.batch, "batch", false, "answer queries through the concurrent batch engine")
+	fs.IntVar(&o.workers, "workers", 0, "batch engine worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.cache, "cache", 0, "batch engine plan cache size in whole answers (0 = default 4096, negative = disabled)")
+	fs.Float64Var(&o.loss, "loss", 0, "message loss probability per link class; > 0 adds a fault-injected delivery run")
+	fs.IntVar(&o.crash, "crash", 0, "number of crashed nodes to inject into the delivery run")
+	fs.IntVar(&o.churn, "churn", 0, "number of seeded crash+recover cycles replayed while the delivery run is in flight")
+	fs.IntVar(&o.retries, "retries", core.DefaultRetries, "per-hop retry budget for fault-injected delivery")
+	fs.StringVar(&o.adversary, "adversary", "", "Byzantine adversaries in the delivery run: FRAC[,BEHAVIORS] e.g. 0.2 or 0.2,misroute+forge (behaviors: misroute, drop, forge, lie, all; default all); engages end-to-end verified delivery")
+	fs.StringVar(&o.traceFile, "trace", "", "record stack-wide trace events; write metrics + a traced sample query as JSON to this file")
+	fs.StringVar(&o.pprofFile, "pprof", "", "write a CPU profile of the run to this file")
+	fs.BoolVar(&o.static, "static", false, "build the network with the simulator-free static pipeline (identical routing state, no protocol rounds; enables much larger -n)")
+	fs.BoolVar(&o.serve, "serve", false, "run as a long-running query service (HTTP/JSON API + /metrics) instead of a one-shot batch")
+	fs.StringVar(&o.addr, "addr", ":8080", "serve mode: HTTP listen address")
+	fs.StringVar(&o.serveExport, "serve-export", "", "serve mode: append OTLP-style JSON metric batches to this file")
+	fs.IntVar(&o.clusterN, "cluster", 0, "serve mode: shard queries across this many backend instances behind a gateway (0 = single server)")
+	fs.IntVar(&o.replicas, "replicas", 2, "cluster mode: replica factor R — backends owning each spatial region")
+	fs.StringVar(&o.chaosSpec, "chaos", "", "cluster mode: instance fault schedule, e.g. \"kill@5s:1,slow@10s:2:50ms,pause@15s:0,resume@20s:0\"")
+	fs.DurationVar(&o.hedge, "hedge", 0, "cluster mode: hedge a request to the standby replica after this delay (0 = off)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q: every option is a flag", fs.Arg(0))
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := o.validate(set); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// faulted reports whether the one-shot run adds the fault-injected delivery
+// run.
+func (o *options) faulted() bool {
+	return o.loss > 0 || o.crash > 0 || o.churn > 0 || o.advFrac > 0
+}
+
+// validate rejects, before any work starts, a value out of range, an unknown
+// name, two modes that exclude each other, and a flag given explicitly (set,
+// from fs.Visit) that the selected mode never reads. It parses -adversary and
+// -chaos for the run.
+func (o *options) validate(set map[string]bool) error {
+	var err error
+	if o.advFrac, o.advBehaviors, err = parseAdversaryFlag(o.adversary); err != nil {
+		return err
+	}
+	switch {
+	case o.n < 2:
+		return fmt.Errorf("-n %d must be >= 2: a query needs two distinct nodes", o.n)
+	case o.holes < 0:
+		return fmt.Errorf("-holes %d must be >= 0", o.holes)
+	case o.queries < 0:
+		return fmt.Errorf("-queries %d must be >= 0", o.queries)
+	case !(o.loss >= 0 && o.loss <= 1): // negated so NaN is rejected too
+		return fmt.Errorf("-loss %v is not a probability in [0, 1]", o.loss)
+	case o.crash < 0:
+		return fmt.Errorf("-crash %d must be >= 0", o.crash)
+	case o.churn < 0:
+		return fmt.Errorf("-churn %d must be >= 0", o.churn)
+	case o.retries < 0:
+		return fmt.Errorf("-retries %d must be >= 0 (0 means the default of %d)", o.retries, core.DefaultRetries)
+	case o.clusterN < 0:
+		return fmt.Errorf("-cluster must be >= 0, got %d", o.clusterN)
+	case o.hedge < 0:
+		return fmt.Errorf("-hedge must be >= 0, got %v", o.hedge)
+	case !slices.Contains([]string{"uniform", "city", "maze", "grid"}, o.scenario):
+		return fmt.Errorf("unknown -scenario %q (want uniform, city, maze or grid)", o.scenario)
+	case o.router != "hull" && o.router != "visibility":
+		return fmt.Errorf("unknown -router %q (want hull or visibility)", o.router)
+	case o.abstraction != "" && !slices.Contains(abstraction.Names(), o.abstraction):
+		return fmt.Errorf("unknown -abstraction %q (want one of %v)", o.abstraction, abstraction.Names())
+	case o.static && (o.faulted() || o.traceFile != ""):
+		return errors.New("-static builds no simulator; -loss/-crash/-churn/-adversary/-trace need the distributed pipeline")
+	case (o.batch || o.serve) && o.router != "hull":
+		return fmt.Errorf("-batch and -serve answer through the engine, which supports the hull router only (got -router %q)", o.router)
+	case o.serve && o.batch:
+		return errors.New("-serve already routes through the batch engine; drop -batch")
+	case o.serve && (o.loss > 0 || o.crash > 0 || o.advFrac > 0):
+		return errors.New("-loss/-crash/-adversary configure the one-shot delivery run; serve mode supports live churn only (-churn)")
+	case o.serve && o.traceFile != "":
+		return errors.New("-trace writes a post-run dump; serve mode streams metrics instead (use -serve-export)")
+	case o.clusterN > 0 && !o.serve:
+		return errors.New("-cluster shards the query service; it needs -serve")
+	case o.clusterN > 0 && (o.replicas < 1 || o.replicas > o.clusterN):
+		return fmt.Errorf("-replicas must be in [1, %d] (the -cluster size), got %d", o.clusterN, o.replicas)
+	case o.clusterN > 0 && o.churn > 0:
+		return errors.New("-churn drives a single server's live membership; cluster mode injects faults with -chaos instead")
+	}
+	for _, m := range []struct {
+		flag  string
+		on    bool
+		needs string
+	}{
+		{"addr", o.serve, "-serve"},
+		{"serve-export", o.serve && o.clusterN == 0, "-serve without -cluster (the gateway serves its rollup on /metrics)"},
+		{"replicas", o.clusterN > 0, "-cluster"},
+		{"chaos", o.clusterN > 0, "-cluster"},
+		{"hedge", o.clusterN > 0, "-cluster"},
+		{"retries", o.faulted() && !o.serve, "a one-shot delivery run with -loss, -crash, -churn or -adversary"},
+		{"workers", o.batch || o.serve, "-batch or -serve"},
+		{"cache", o.batch || o.serve, "-batch or -serve"},
+	} {
+		if set[m.flag] && !m.on {
+			return fmt.Errorf("-%s takes effect only with %s", m.flag, m.needs)
+		}
+	}
+	if o.chaosSpec != "" {
+		if o.chaos, err = cluster.ParseChaosSpec(o.chaosSpec, o.clusterN); err != nil {
+			return fmt.Errorf("-chaos: %w", err)
+		}
+	}
+	return nil
 }
 
 // parseAdversaryFlag parses -adversary's "FRAC[,BEHAVIORS]" form: a node
@@ -281,137 +388,48 @@ func parseAdversaryFlag(s string) (float64, sim.AdversaryBehavior, error) {
 	return frac, behaviors, nil
 }
 
-// validateFlags rejects fault-model flag values that would otherwise run
-// silently with surprising semantics: probabilities outside [0, 1] (NaN
-// included) and negative counts.
-func validateFlags(loss float64, crash, churn, retries int) error {
-	if !(loss >= 0 && loss <= 1) {
-		return fmt.Errorf("-loss %v is not a probability in [0, 1]", loss)
-	}
-	if crash < 0 {
-		return fmt.Errorf("-crash %d must be >= 0", crash)
-	}
-	if churn < 0 {
-		return fmt.Errorf("-churn %d must be >= 0", churn)
-	}
-	if retries < 0 {
-		return fmt.Errorf("-retries %d must be >= 0 (0 means the default of %d)", retries, core.DefaultRetries)
-	}
-	return nil
-}
-
-// validateNameFlags rejects unknown enum-valued flags up front. These used to
-// be accepted silently: an unknown -scenario fell through to uniform, an
-// unknown -router fell through to hull, and an unknown -abstraction only
-// failed deep inside preprocessing — so a typo like -scenario=mase ran the
-// wrong experiment without a word.
-func validateNameFlags(scenario, router, abs string) error {
-	switch scenario {
-	case "uniform", "city", "maze", "grid":
-	default:
-		return fmt.Errorf("unknown -scenario %q (want uniform, city, maze or grid)", scenario)
-	}
-	switch router {
-	case "hull", "visibility":
-	default:
-		return fmt.Errorf("unknown -router %q (want hull or visibility)", router)
-	}
-	if abs != "" {
-		known := false
-		for _, name := range abstraction.Names() {
-			if abs == name {
-				known = true
-				break
-			}
+// serveHTTP serves h on addr until SIGINT or SIGTERM, which it reports with
+// "received SIG, " and note, then closes the listener, letting in-flight
+// requests finish, and runs drain; one 30 s budget bounds both. A listener
+// error returns at once.
+func serveHTTP(addr string, h http.Handler, note string, drain func(context.Context) error) error {
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	hs := &http.Server{Addr: addr, Handler: h}
+	errCh := make(chan error, 1)
+	go func() {
+		if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			errCh <- err
 		}
-		if !known {
-			return fmt.Errorf("unknown -abstraction %q (want one of %v)", abs, abstraction.Names())
-		}
+	}()
+	select {
+	case sig := <-sigCh:
+		fmt.Printf("received %v, %s\n", sig, note)
+	case err := <-errCh:
+		return err
 	}
-	return nil
-}
-
-// validateServeFlags rejects serve-mode combinations whose one-shot semantics
-// do not carry over, instead of silently ignoring the flag, and the one-shot
-// -batch run with a router the engine does not serve.
-func validateServeFlags(serveMode, static, batch bool, churn int, loss float64, crash int, traceFile, router string) error {
-	if batch && router == "visibility" {
-		return fmt.Errorf("-batch supports the hull router only (got -router %q)", router)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := hs.Shutdown(ctx); err != nil {
+		return err
 	}
-	if !serveMode {
-		return nil
-	}
-	if batch {
-		return fmt.Errorf("-serve already routes through the batch engine; drop -batch")
-	}
-	if static && churn > 0 {
-		return fmt.Errorf("-serve with -churn needs the simulator pipeline; drop -static")
-	}
-	if loss > 0 || crash > 0 {
-		return fmt.Errorf("-loss/-crash configure the one-shot delivery run; serve mode supports live churn only (-churn)")
-	}
-	if traceFile != "" {
-		return fmt.Errorf("-trace writes a post-run dump; serve mode streams metrics instead (use -serve-export)")
-	}
-	if router != "hull" {
-		return fmt.Errorf("-serve supports the hull router only (got -router %q)", router)
-	}
-	return nil
-}
-
-// validateClusterFlags rejects cluster-mode combinations: the gateway tier
-// rides on serve mode, and the per-instance features that assume a single
-// server (live churn, streaming export) are not plumbed through it.
-func validateClusterFlags(serveMode bool, clusterN, replicas int, chaosSpec string, hedge time.Duration, churn int, serveExport string) error {
-	if clusterN == 0 {
-		if chaosSpec != "" {
-			return fmt.Errorf("-chaos injects instance faults; it needs -cluster")
-		}
-		if hedge != 0 {
-			return fmt.Errorf("-hedge races replicas; it needs -cluster")
-		}
-		return nil
-	}
-	if clusterN < 0 {
-		return fmt.Errorf("-cluster must be >= 0, got %d", clusterN)
-	}
-	if !serveMode {
-		return fmt.Errorf("-cluster shards the query service; it needs -serve")
-	}
-	if replicas < 1 || replicas > clusterN {
-		return fmt.Errorf("-replicas must be in [1, %d] (the -cluster size), got %d", clusterN, replicas)
-	}
-	if hedge < 0 {
-		return fmt.Errorf("-hedge must be >= 0, got %v", hedge)
-	}
-	if churn > 0 {
-		return fmt.Errorf("-churn drives a single server's live membership; cluster mode injects faults with -chaos instead")
-	}
-	if serveExport != "" {
-		return fmt.Errorf("-serve-export streams one instance's metrics; cluster mode serves the gateway rollup on /metrics instead")
-	}
-	if chaosSpec != "" {
-		if _, err := cluster.ParseChaosSpec(chaosSpec, clusterN); err != nil {
-			return fmt.Errorf("-chaos: %w", err)
-		}
-	}
-	return nil
+	return drain(ctx)
 }
 
 // runCluster runs the preprocessed network as a resilient multi-instance
-// service: n in-process backends behind the sharding gateway, an optional
-// chaos schedule replayed against them, until SIGINT/SIGTERM. The drain
+// service: -cluster in-process backends behind the sharding gateway, the
+// -chaos schedule replayed against them, until SIGINT/SIGTERM. The drain
 // rollup prints per-instance accepted/completed and pins the no-loss
 // invariant ("lost 0") that CI greps for.
-func runCluster(nw *core.Network, addr string, n, replicas int, chaosSpec string, hedge time.Duration, workers, cacheSize int, seed int64) error {
-	instances, err := cluster.SpawnInstances(nw, n, cluster.InstanceOptions{Workers: workers, CacheSize: cacheSize})
+func runCluster(nw *core.Network, o *options) error {
+	instances, err := cluster.SpawnInstances(nw, o.clusterN, cluster.InstanceOptions{Workers: o.workers, CacheSize: o.cache})
 	if err != nil {
 		return err
 	}
 	g, err := cluster.NewGateway(nw, cluster.FromInstances(instances), cluster.Config{
-		Replicas:   replicas,
-		HedgeDelay: hedge,
-		Seed:       uint64(seed),
+		Replicas:   o.replicas,
+		HedgeDelay: o.hedge,
+		Seed:       uint64(o.seed),
 	})
 	if err != nil {
 		return err
@@ -419,103 +437,71 @@ func runCluster(nw *core.Network, addr string, n, replicas int, chaosSpec string
 	g.Start()
 	defer g.Close()
 
-	chaosStop := make(chan struct{})
-	chaosDone := make(chan struct{})
-	if chaosSpec != "" {
-		sch, err := cluster.ParseChaosSpec(chaosSpec, n)
-		if err != nil {
-			return err
-		}
-		go func() { defer close(chaosDone); sch.Apply(chaosStop, instances) }()
-	} else {
-		close(chaosDone)
-	}
+	chaosStop, chaosDone := make(chan struct{}), make(chan struct{})
+	go func() { defer close(chaosDone); o.chaos.Apply(chaosStop, instances) }()
+	stopChaos := sync.OnceFunc(func() { close(chaosStop); <-chaosDone })
+	defer stopChaos()
 
-	hs := &http.Server{Addr: addr, Handler: g.Handler()}
-	errCh := make(chan error, 1)
-	go func() {
-		if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			errCh <- err
-		}
-	}()
-	fmt.Printf("\ncluster gateway on %s: %d backends, R=%d, hedge %v, chaos %q\n", addr, n, replicas, hedge, chaosSpec)
+	fmt.Printf("\ncluster gateway on %s: %d backends, R=%d, hedge %v, chaos %q\n", o.addr, o.clusterN, o.replicas, o.hedge, o.chaosSpec)
 	for _, in := range instances {
 		fmt.Printf("  backend %s at %s\n", in.ID, in.URL())
 	}
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		fmt.Printf("received %v, draining cluster\n", sig)
-	case err := <-errCh:
-		close(chaosStop)
-		<-chaosDone
-		return err
-	}
-	close(chaosStop)
-	<-chaosDone
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		return err
-	}
-	var accepted, completed uint64
-	survivors := 0
-	for _, in := range instances {
-		killed := in.Killed()
-		if !killed {
-			if err := in.Drain(ctx); err != nil {
-				return fmt.Errorf("drain %s: %w", in.ID, err)
+	return serveHTTP(o.addr, g.Handler(), "draining cluster", func(ctx context.Context) error {
+		stopChaos()
+		var accepted, completed uint64
+		survivors := 0
+		for _, in := range instances {
+			killed := in.Killed()
+			if !killed {
+				if err := in.Drain(ctx); err != nil {
+					return fmt.Errorf("drain %s: %w", in.ID, err)
+				}
+				survivors++
 			}
-			survivors++
+			st := in.Server.ServerStats()
+			state := "drained"
+			if killed {
+				state = "killed"
+			}
+			fmt.Printf("  backend %s %s: accepted %d, completed %d\n", in.ID, state, st.Accepted, st.Completed)
+			if !killed {
+				accepted += st.Accepted
+				completed += st.Completed
+			}
 		}
-		st := in.Server.ServerStats()
-		state := "drained"
-		if killed {
-			state = "killed"
-		}
-		fmt.Printf("  backend %s %s: accepted %d, completed %d\n", in.ID, state, st.Accepted, st.Completed)
-		if !killed {
-			accepted += st.Accepted
-			completed += st.Completed
-		}
-	}
-	gst := g.Stats()
-	fmt.Printf("cluster drained: %d/%d backends survived; requests %d, answered %d, degraded %d, shed %d, failovers %d, hedge wins %d, lost %d\n",
-		survivors, n, gst.Requests, gst.Answered, gst.Degraded, gst.Shed, gst.Failovers, gst.HedgeWins, accepted-completed)
-	return nil
+		gst := g.Stats()
+		fmt.Printf("cluster drained: %d/%d backends survived; requests %d, answered %d, degraded %d, shed %d, failovers %d, hedge wins %d, lost %d\n",
+			survivors, o.clusterN, gst.Requests, gst.Answered, gst.Degraded, gst.Shed, gst.Failovers, gst.HedgeWins, accepted-completed)
+		return nil
+	})
 }
 
 // runServe runs the preprocessed network as a long-running query service until
-// SIGINT/SIGTERM, then drains. churn > 0 schedules that many live
-// crash+recover cycles (one crash every 15s, recovery 5s later) applied while
-// traffic is served.
-func runServe(nw *core.Network, addr, exportPath string, workers, cacheSize, churn int, seed int64) error {
+// SIGINT/SIGTERM, then drains. -churn schedules that many live crash+recover
+// cycles (one crash every 15s, recovery 5s later) applied while traffic is
+// served.
+func runServe(nw *core.Network, o *options) error {
 	tracer := trace.New(0)
 	nw.SetTracer(tracer)
-	eng := core.NewEngine(nw, core.EngineConfig{Workers: workers, CacheSize: cacheSize})
+	eng := core.NewEngine(nw, core.EngineConfig{Workers: o.workers, CacheSize: o.cache})
 	eng.SetTracer(tracer)
 
 	cfg := serve.Config{Tracer: tracer}
-	if exportPath != "" {
-		f, err := os.OpenFile(exportPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if o.serveExport != "" {
+		f, err := os.OpenFile(o.serveExport, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
 		cfg.Export = f
 	}
-	if churn > 0 {
-		rng := rand.New(rand.NewSource(seed + 7))
-		for i := 0; i < churn; i++ {
-			v := sim.NodeID(rng.Intn(nw.G.N()))
-			at := time.Duration(i+1) * 15 * time.Second
-			cfg.Churn = append(cfg.Churn,
-				serve.ChurnEvent{After: at, Node: v},
-				serve.ChurnEvent{After: at + 5*time.Second, Node: v, Up: true})
-		}
+	rng := rand.New(rand.NewSource(o.seed + 7))
+	for i := 0; i < o.churn; i++ {
+		v := sim.NodeID(rng.Intn(nw.G.N()))
+		at := time.Duration(i+1) * 15 * time.Second
+		cfg.Churn = append(cfg.Churn,
+			serve.ChurnEvent{After: at, Node: v},
+			serve.ChurnEvent{After: at + 5*time.Second, Node: v, Up: true})
 	}
 	srv, err := serve.New(eng, cfg)
 	if err != nil {
@@ -523,37 +509,17 @@ func runServe(nw *core.Network, addr, exportPath string, workers, cacheSize, chu
 	}
 	srv.Start()
 
-	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
-	errCh := make(chan error, 1)
-	go func() {
-		if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			errCh <- err
-		}
-	}()
 	fmt.Printf("\nserving on %s (POST /route, GET /metrics, /healthz, /stats); %d live churn cycles scheduled\n",
-		addr, churn)
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		fmt.Printf("received %v, draining\n", sig)
-	case err := <-errCh:
-		return err
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
-	}
-	if err := hs.Shutdown(ctx); err != nil {
-		return err
-	}
-	st := srv.ServerStats()
-	fmt.Printf("drained: accepted %d, completed %d, shed %d (full) + %d (fairness), expired %d, churn events %d, topology generation %d\n",
-		st.Accepted, st.Completed, st.ShedFull, st.ShedFair, st.Expired, st.ChurnEvents, st.TopoGeneration)
-	return nil
+		o.addr, o.churn)
+	return serveHTTP(o.addr, srv.Handler(), "draining", func(ctx context.Context) error {
+		if err := srv.Shutdown(ctx); err != nil {
+			return fmt.Errorf("drain: %w", err)
+		}
+		st := srv.ServerStats()
+		fmt.Printf("drained: accepted %d, completed %d, shed %d (full) + %d (fairness), expired %d, churn events %d, topology generation %d\n",
+			st.Accepted, st.Completed, st.ShedFull, st.ShedFair, st.Expired, st.ChurnEvents, st.TopoGeneration)
+		return nil
+	})
 }
 
 // writeTraceOutput runs one traced sample query (the first workload pair),
@@ -591,19 +557,19 @@ func writeTraceOutput(path string, nw *core.Network, tracer *trace.Tracer, pairs
 // survive message loss, crashed nodes, mid-run churn and Byzantine
 // adversaries through retries, replanning, loss-aware detours, topology
 // repair, suspect failover and verified delivery.
-func runFaultedDelivery(nw *core.Network, pairs []core.Query, loss float64, crash, churn, retries int, seed int64, advFrac float64, advBehaviors sim.AdversaryBehavior) {
-	rng := rand.New(rand.NewSource(seed + 7))
-	crashed := make([]sim.NodeID, 0, crash)
+func runFaultedDelivery(nw *core.Network, pairs []core.Query, o *options) {
+	rng := rand.New(rand.NewSource(o.seed + 7))
+	crashed := make([]sim.NodeID, 0, o.crash)
 	isCrashed := make(map[sim.NodeID]bool)
-	for len(crashed) < crash && len(crashed) < nw.G.N()/2 {
+	for len(crashed) < o.crash && len(crashed) < nw.G.N()/2 {
 		v := sim.NodeID(rng.Intn(nw.G.N()))
 		if !isCrashed[v] {
 			isCrashed[v] = true
 			crashed = append(crashed, v)
 		}
 	}
-	cfg := sim.FaultConfig{AdHocLoss: loss, LongLoss: loss, Seed: uint64(seed) + 7, Crashed: crashed}
-	if advFrac > 0 {
+	cfg := sim.FaultConfig{AdHocLoss: o.loss, LongLoss: o.loss, Seed: uint64(o.seed) + 7, Crashed: crashed}
+	if o.advFrac > 0 {
 		// Query endpoints are exempt from the election so the workload stays
 		// answerable — adversarial sources/destinations are the collusion
 		// scenario E22 demonstrates, not this run's subject.
@@ -611,21 +577,21 @@ func runFaultedDelivery(nw *core.Network, pairs []core.Query, loss float64, cras
 		for _, p := range pairs {
 			exempt = append(exempt, p.S, p.T)
 		}
-		cfg.Adversary = sim.AdversaryConfig{Fraction: advFrac, Behaviors: advBehaviors, Exempt: exempt}
+		cfg.Adversary = sim.AdversaryConfig{Fraction: o.advFrac, Behaviors: o.advBehaviors, Exempt: exempt}
 	}
-	if churn > 0 {
+	if o.churn > 0 {
 		// Protect static crash victims (already skipped as endpoints) and
 		// every query endpoint, so churn never makes a pair undeliverable.
 		protect := append([]sim.NodeID{}, crashed...)
 		for _, p := range pairs {
 			protect = append(protect, p.S, p.T)
 		}
-		cfg.Churn = sim.GenerateChurn(uint64(seed)+7, nw.G.N(), len(pairs)*10, churn, 30, protect)
+		cfg.Churn = sim.GenerateChurn(uint64(o.seed)+7, nw.G.N(), len(pairs)*10, o.churn, 30, protect)
 	}
 	if err := nw.Sim.SetFaults(cfg); err != nil {
 		log.Fatalf("faults: %v", err)
 	}
-	topt := core.TransportOptions{PayloadWords: 32, Retries: retries, Reliable: true}
+	topt := core.TransportOptions{PayloadWords: 32, Retries: o.retries, Reliable: true}
 	delivered, attempted, retrans, replans, detours, skipped := 0, 0, 0, 0, 0, 0
 	suspected, suspectDetours := 0, 0
 	verified, e2eResends, misrouteDet := 0, 0, 0
@@ -658,24 +624,24 @@ func runFaultedDelivery(nw *core.Network, pairs []core.Query, loss float64, cras
 		misrouteDet += rep.MisrouteDetected
 	}
 	advNote := ""
-	if advFrac > 0 {
-		advNote = fmt.Sprintf(", %.0f%% adversarial", 100*advFrac)
+	if o.advFrac > 0 {
+		advNote = fmt.Sprintf(", %.0f%% adversarial", 100*o.advFrac)
 	}
 	fmt.Printf("\nfault-injected delivery (loss %.3f, %d crashed, %d churn cycles, %d retries/hop%s):\n",
-		loss, len(crashed), churn, retries, advNote)
+		o.loss, len(crashed), o.churn, o.retries, advNote)
 	fmt.Printf("delivered %d/%d (%.1f%%), skipped %d with crashed endpoints\n",
 		delivered, attempted, 100*float64(delivered)/float64(max(attempted, 1)), skipped)
 	fmt.Printf("retransmissions %d, source replans %d\n", retrans, replans)
-	if churn > 0 {
+	if o.churn > 0 {
 		rs := nw.RepairReport()
 		fmt.Printf("churn: topology generation %d, repairs %d (%d restores)\n",
 			nw.TopoGeneration(), rs.Repairs, rs.Restores)
 		fmt.Printf("suspect failover: %d next hops suspected, %d suspect detours\n", suspected, suspectDetours)
 	}
-	if advFrac > 0 {
+	if o.advFrac > 0 {
 		adv := nw.Sim.AdversaryCounters()
 		fmt.Printf("adversaries (%.0f%% of nodes, behaviors %s): %d misroutes, %d forged acks, %d selective drops\n",
-			100*advFrac, advBehaviors, adv.Misrouted, adv.ForgedAcks, adv.SelectiveDrops)
+			100*o.advFrac, o.advBehaviors, adv.Misrouted, adv.ForgedAcks, adv.SelectiveDrops)
 		fmt.Printf("verified delivery: %d/%d confirmed end to end, %d e2e relaunches, %d misroutes detected\n",
 			verified, delivered, e2eResends, misrouteDet)
 	}

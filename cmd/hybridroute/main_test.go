@@ -1,56 +1,179 @@
 package main
 
 import (
-	"math"
+	"flag"
+	"io"
 	"strings"
 	"testing"
-	"time"
 
 	"hybridroute/internal/sim"
 )
 
-func TestValidateFlags(t *testing.T) {
-	cases := []struct {
-		name    string
-		loss    float64
-		crash   int
-		churn   int
-		retries int
-		wantErr string // empty means valid
-	}{
-		{name: "defaults", retries: 3},
-		{name: "faulted run", loss: 0.05, crash: 2, retries: 3},
-		{name: "loss only", loss: 0.05, retries: 3},
-		{name: "crash only", crash: 1, retries: 3},
-		{name: "churn only", churn: 4, retries: 3},
-		{name: "churn with loss", loss: 0.02, churn: 2, retries: 3},
-		{name: "loss boundary 1", loss: 1, retries: 3},
-		{name: "zero retries means default", loss: 0.01},
-		{name: "negative loss", loss: -0.1, wantErr: "-loss"},
-		{name: "loss above 1", loss: 1.5, wantErr: "-loss"},
-		{name: "NaN loss", loss: math.NaN(), wantErr: "-loss"},
-		{name: "infinite loss", loss: math.Inf(1), wantErr: "-loss"},
-		{name: "negative crash", crash: -1, wantErr: "-crash"},
-		{name: "negative churn", churn: -1, wantErr: "-churn"},
-		{name: "negative retries", loss: 0.05, retries: -2, wantErr: "-retries"},
-	}
-	for _, tc := range cases {
+// optionCases is the one table of command lines parseOptions must accept
+// (wantErr empty) or reject with an error that mentions wantErr. group names
+// the rules a row exercises; each group runs as its own test below.
+var optionCases = []struct {
+	group, name, argv, wantErr string
+}{
+	// Fault-model values.
+	{"fault", "defaults", "", ""},
+	{"fault", "faulted run", "-loss 0.05 -crash 2 -retries 3", ""},
+	{"fault", "loss only", "-loss 0.05 -retries 3", ""},
+	{"fault", "crash only", "-crash 1 -retries 3", ""},
+	{"fault", "churn only", "-churn 4 -retries 3", ""},
+	{"fault", "churn with loss", "-loss 0.02 -churn 2 -retries 3", ""},
+	{"fault", "loss boundary 1", "-loss 1 -retries 3", ""},
+	{"fault", "zero retries means default", "-loss 0.01 -retries 0", ""},
+	{"fault", "negative loss", "-loss -0.1", "-loss"},
+	{"fault", "loss above 1", "-loss 1.5", "-loss"},
+	{"fault", "NaN loss", "-loss NaN", "-loss"},
+	{"fault", "infinite loss", "-loss Inf", "-loss"},
+	{"fault", "negative crash", "-crash -1", "-crash"},
+	{"fault", "negative churn", "-churn -1", "-churn"},
+	{"fault", "negative retries", "-loss 0.05 -retries -2", "-retries"},
+
+	// Enum-valued flags: an unknown -scenario or -router used to fall
+	// through to the default, and an unknown -abstraction only failed at
+	// preprocess.
+	{"name", "defaults", "-scenario uniform -router hull", ""},
+	{"name", "all named", "-scenario maze -router visibility -abstraction bbox", ""},
+	{"name", "grid hull abstraction", "-scenario grid -router hull -abstraction hull", ""},
+	{"name", "scenario typo", "-scenario mase", "-scenario"},
+	{"name", "empty scenario", "-scenario=", "-scenario"},
+	{"name", "router typo", "-router hulls", "-router"},
+	{"name", "abstraction typo", "-abstraction box", "-abstraction"},
+
+	// Serve mode, and the engine's router.
+	{"serve", "off ignores everything", "-batch -loss 0.5 -trace x", ""},
+	{"serve", "plain serve", "-serve", ""},
+	{"serve", "serve with churn", "-serve -churn 3", ""},
+	{"serve", "serve static no churn", "-serve -static", ""},
+	{"serve", "serve batch", "-serve -batch", "-batch"},
+	{"serve", "serve static churn", "-serve -static -churn 1", "-static"},
+	{"serve", "serve loss", "-serve -loss 0.1", "-loss"},
+	{"serve", "serve crash", "-serve -crash 2", "-loss/-crash"},
+	{"serve", "serve trace", "-serve -trace out.json", "-serve-export"},
+	{"serve", "serve visibility", "-serve -router visibility", "-router"},
+	{"serve", "batch visibility", "-batch -router visibility", "-batch"},
+
+	// Cluster mode.
+	{"cluster", "cluster off", "-cluster 0", ""},
+	{"cluster", "plain cluster", "-serve -cluster 3 -replicas 2", ""},
+	{"cluster", "single replica", "-serve -cluster 3 -replicas 1", ""},
+	{"cluster", "with chaos", "-serve -cluster 3 -replicas 2 -chaos kill@5s:1,slow@10s:2:50ms", ""},
+	{"cluster", "with hedge", "-serve -cluster 3 -replicas 2 -hedge 20ms", ""},
+	{"cluster", "chaos without cluster", "-chaos kill@5s:0", "-chaos"},
+	{"cluster", "hedge without cluster", "-hedge 1ms", "-hedge"},
+	{"cluster", "negative cluster", "-serve -cluster -1", "-cluster"},
+	{"cluster", "cluster without serve", "-cluster 3 -replicas 2", "-serve"},
+	{"cluster", "zero replicas", "-serve -cluster 3 -replicas 0", "-replicas"},
+	{"cluster", "replicas above cluster", "-serve -cluster 2 -replicas 3", "-replicas"},
+	{"cluster", "negative hedge", "-serve -cluster 2 -replicas 2 -hedge -1s", "-hedge"},
+	{"cluster", "cluster with churn", "-serve -cluster 3 -replicas 2 -churn 2", "-churn"},
+	{"cluster", "cluster with export", "-serve -cluster 3 -replicas 2 -serve-export m.json", "-serve-export"},
+	{"cluster", "bad chaos action", "-serve -cluster 3 -replicas 2 -chaos explode@5s:0", "unknown action"},
+	{"cluster", "chaos backend out of range", "-serve -cluster 3 -replicas 2 -chaos kill@5s:3", "out of range"},
+
+	// Counts, flags a mode never reads, and what the parser itself rejects.
+	{"parse", "n with city", "-scenario city -n 400", ""},
+	{"parse", "two nodes", "-n 2 -queries 1", ""},
+	{"parse", "static grid", "-static -scenario grid -n 100000", ""},
+	{"parse", "serve smoke", "-serve -n 300 -queries 0 -addr 127.0.0.1:18080", ""},
+	{"parse", "cluster smoke", "-serve -cluster 3 -replicas 2 -n 300 -queries 0 -addr 127.0.0.1:18090 -chaos kill@3s:1", ""},
+	{"parse", "serve export", "-serve -serve-export m.json", ""},
+	{"parse", "batch engine sizes", "-batch -workers 8 -cache 4096", ""},
+	{"parse", "serve engine sizes", "-serve -workers 2 -cache 64", ""},
+	{"parse", "cluster engine sizes", "-serve -cluster 2 -workers 2 -cache 64", ""},
+	{"parse", "adversary retries", "-adversary 0.2 -retries 1", ""},
+	{"parse", "one node", "-n 1 -queries 5", "-n"},
+	{"parse", "negative n", "-n -5", "-n"},
+	{"parse", "negative queries", "-queries -3", "-queries"},
+	{"parse", "negative holes", "-holes -1", "-holes"},
+	{"parse", "addr without serve", "-addr :9090", "-addr"},
+	{"parse", "addr with serve off", "-serve=false -addr :9090", "-addr"},
+	{"parse", "export without serve", "-serve-export x.json", "-serve-export"},
+	{"parse", "replicas without cluster", "-serve -replicas 2", "-replicas"},
+	{"parse", "retries without faults", "-retries 3", "-retries"},
+	{"parse", "retries in serve", "-serve -churn 2 -retries 3", "-retries"},
+	{"parse", "workers one-shot", "-workers 4", "-workers"},
+	{"parse", "cache one-shot", "-loss 0.1 -cache 16", "-cache"},
+	{"parse", "static loss", "-static -loss 0.1", "-static"},
+	{"parse", "static trace", "-static -trace t.json", "-static"},
+	{"parse", "serve adversary", "-serve -adversary 0.2", "-adversary"},
+	{"parse", "bad adversary", "-adversary 1.5", "-adversary"},
+	{"parse", "stray argument", "-n 300 extra -queries 5", "unexpected argument"},
+	{"parse", "unknown flag", "-bogus", "not defined"},
+	{"parse", "malformed value", "-n x", "invalid value"},
+}
+
+// parseArgv runs parseOptions on a space-separated command line, with a
+// flag set that returns parse errors instead of exiting.
+func parseArgv(argv string) (*options, error) {
+	fs := flag.NewFlagSet("hybridroute", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	return parseOptions(fs, strings.Fields(argv))
+}
+
+func runOptionCases(t *testing.T, group string) {
+	for _, tc := range optionCases {
+		if tc.group != group {
+			continue
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			err := validateFlags(tc.loss, tc.crash, tc.churn, tc.retries)
+			_, err := parseArgv(tc.argv)
 			if tc.wantErr == "" {
 				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
+					t.Fatalf("%q: unexpected error: %v", tc.argv, err)
 				}
 				return
 			}
-			if err == nil {
-				t.Fatalf("expected an error mentioning %q", tc.wantErr)
-			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("%q: error %v does not mention %q", tc.argv, err, tc.wantErr)
 			}
 		})
 	}
+}
+
+func TestValidateFlags(t *testing.T)        { runOptionCases(t, "fault") }
+func TestValidateNameFlags(t *testing.T)    { runOptionCases(t, "name") }
+func TestValidateServeFlags(t *testing.T)   { runOptionCases(t, "serve") }
+func TestValidateClusterFlags(t *testing.T) { runOptionCases(t, "cluster") }
+
+// TestParseOptions runs the remaining rows and checks that validate keeps
+// what it parsed of -adversary and -chaos.
+func TestParseOptions(t *testing.T) {
+	runOptionCases(t, "parse")
+	o, err := parseArgv("-serve -cluster 3 -chaos kill@5s:1,slow@10s:2:50ms")
+	if err != nil || len(o.chaos) != 2 {
+		t.Fatalf("chaos: got %v, %v; want two events", o, err)
+	}
+	o, err = parseArgv("-adversary 0.2,misroute")
+	if err != nil || o.advFrac != 0.2 || o.advBehaviors != sim.AdvMisroute || !o.faulted() {
+		t.Fatalf("adversary: got %v, %v", o, err)
+	}
+}
+
+// FuzzParseOptions splits its input into argv. Parsing never panics, and
+// every accepted command line meets the invariants validate promises.
+func FuzzParseOptions(f *testing.F) {
+	for _, tc := range optionCases {
+		f.Add(tc.argv)
+	}
+	f.Fuzz(func(t *testing.T, argv string) {
+		o, err := parseArgv(argv)
+		if err != nil {
+			return
+		}
+		if !(o.loss >= 0 && o.loss <= 1) || o.n < 2 || o.queries < 0 {
+			t.Fatalf("%q: accepted loss %v, n %d, queries %d", argv, o.loss, o.n, o.queries)
+		}
+		if o.clusterN < 0 || o.clusterN > 0 && (!o.serve || o.replicas < 1 || o.replicas > o.clusterN) {
+			t.Fatalf("%q: accepted cluster %d, replicas %d, serve %v", argv, o.clusterN, o.replicas, o.serve)
+		}
+		if len(o.chaos) > 0 && o.clusterN == 0 || o.static && o.faulted() {
+			t.Fatalf("%q: accepted chaos %v, static %v with faults", argv, o.chaos, o.static)
+		}
+	})
 }
 
 func TestParseAdversaryFlag(t *testing.T) {
@@ -118,123 +241,4 @@ func FuzzParseAdversaryFlag(f *testing.F) {
 			t.Fatalf("%q: behaviors %v do not round-trip (%v, %v)", s, b, back, err)
 		}
 	})
-}
-
-// TestValidateNameFlags pins the fail-fast behaviour for the enum flags that
-// used to be accepted silently: an unknown -scenario or -router fell through
-// to the default case, and an unknown -abstraction only failed at preprocess.
-func TestValidateNameFlags(t *testing.T) {
-	cases := []struct {
-		name                  string
-		scenario, router, abs string
-		wantErr               string
-	}{
-		{name: "defaults", scenario: "uniform", router: "hull"},
-		{name: "all named", scenario: "maze", router: "visibility", abs: "bbox"},
-		{name: "grid hull abstraction", scenario: "grid", router: "hull", abs: "hull"},
-		{name: "scenario typo", scenario: "mase", router: "hull", wantErr: "-scenario"},
-		{name: "empty scenario", scenario: "", router: "hull", wantErr: "-scenario"},
-		{name: "router typo", scenario: "uniform", router: "hulls", wantErr: "-router"},
-		{name: "abstraction typo", scenario: "uniform", router: "hull", abs: "box", wantErr: "-abstraction"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validateNameFlags(tc.scenario, tc.router, tc.abs)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %v does not mention %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-// TestValidateServeFlags pins the serve-mode combination checks.
-func TestValidateServeFlags(t *testing.T) {
-	cases := []struct {
-		name          string
-		serve, static bool
-		batch         bool
-		churn         int
-		loss          float64
-		crash         int
-		traceFile     string
-		router        string
-		wantErr       string
-	}{
-		{name: "off ignores everything", serve: false, batch: true, loss: 0.5, traceFile: "x", router: "weird"},
-		{name: "plain serve", serve: true, router: "hull"},
-		{name: "serve with churn", serve: true, churn: 3, router: "hull"},
-		{name: "serve static no churn", serve: true, static: true, router: "hull"},
-		{name: "serve batch", serve: true, batch: true, router: "hull", wantErr: "-batch"},
-		{name: "serve static churn", serve: true, static: true, churn: 1, router: "hull", wantErr: "-static"},
-		{name: "serve loss", serve: true, loss: 0.1, router: "hull", wantErr: "-loss"},
-		{name: "serve crash", serve: true, crash: 2, router: "hull", wantErr: "-loss/-crash"},
-		{name: "serve trace", serve: true, traceFile: "out.json", router: "hull", wantErr: "-serve-export"},
-		{name: "serve visibility", serve: true, router: "visibility", wantErr: "-router"},
-		{name: "batch visibility", batch: true, router: "visibility", wantErr: "-batch"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validateServeFlags(tc.serve, tc.static, tc.batch, tc.churn, tc.loss, tc.crash, tc.traceFile, tc.router)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %v does not mention %q", err, tc.wantErr)
-			}
-		})
-	}
-}
-
-func TestValidateClusterFlags(t *testing.T) {
-	cases := []struct {
-		name        string
-		serve       bool
-		cluster     int
-		replicas    int
-		chaos       string
-		hedge       time.Duration
-		churn       int
-		serveExport string
-		wantErr     string
-	}{
-		{name: "cluster off", replicas: 2},
-		{name: "plain cluster", serve: true, cluster: 3, replicas: 2},
-		{name: "single replica", serve: true, cluster: 3, replicas: 1},
-		{name: "with chaos", serve: true, cluster: 3, replicas: 2, chaos: "kill@5s:1,slow@10s:2:50ms"},
-		{name: "with hedge", serve: true, cluster: 3, replicas: 2, hedge: 20 * time.Millisecond},
-		{name: "chaos without cluster", chaos: "kill@5s:0", wantErr: "-chaos"},
-		{name: "hedge without cluster", hedge: time.Millisecond, wantErr: "-hedge"},
-		{name: "negative cluster", serve: true, cluster: -1, wantErr: "-cluster"},
-		{name: "cluster without serve", cluster: 3, replicas: 2, wantErr: "-serve"},
-		{name: "zero replicas", serve: true, cluster: 3, replicas: 0, wantErr: "-replicas"},
-		{name: "replicas above cluster", serve: true, cluster: 2, replicas: 3, wantErr: "-replicas"},
-		{name: "negative hedge", serve: true, cluster: 2, replicas: 2, hedge: -time.Second, wantErr: "-hedge"},
-		{name: "cluster with churn", serve: true, cluster: 3, replicas: 2, churn: 2, wantErr: "-churn"},
-		{name: "cluster with export", serve: true, cluster: 3, replicas: 2, serveExport: "m.json", wantErr: "-serve-export"},
-		{name: "bad chaos action", serve: true, cluster: 3, replicas: 2, chaos: "explode@5s:0", wantErr: "unknown action"},
-		{name: "chaos backend out of range", serve: true, cluster: 3, replicas: 2, chaos: "kill@5s:3", wantErr: "out of range"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := validateClusterFlags(tc.serve, tc.cluster, tc.replicas, tc.chaos, tc.hedge, tc.churn, tc.serveExport)
-			if tc.wantErr == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("error %v does not mention %q", err, tc.wantErr)
-			}
-		})
-	}
 }

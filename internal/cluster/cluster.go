@@ -72,15 +72,21 @@ func FromInstances(instances []*Instance) []BackendInfo {
 	return out
 }
 
-// Config tunes the gateway. The zero value is usable: R=2, a 4x4 region
-// grid, 3 failover retries with 5ms..100ms jittered backoff, 2s per-attempt
-// timeout, hedging off, 250ms health polling and a 4096-entry stale cache.
+// The gateway shards by source over a gridDim×gridDim grid of the
+// deployment's bounding box and keeps the last staleCacheSize successful
+// answers for degraded service.
+const (
+	gridDim        = 4
+	staleCacheSize = 4096
+)
+
+// Config tunes the gateway. The zero value is usable: R=2, 3 failover
+// retries with 5ms..100ms jittered backoff, 2s per-attempt timeout, hedging
+// off and 250ms health polling.
 type Config struct {
 	// Replicas is the replica factor R: how many backends own each region;
 	// <= 0 means 2. Clamped to the backend count.
 	Replicas int
-	// GridDim is the region grid dimension (GridDim² regions); <= 0 means 4.
-	GridDim int
 	// Retries bounds failover: a query is attempted at most Retries+1 times
 	// across its replica set; < 0 means 0 retries, 0 means the default (3).
 	Retries int
@@ -98,9 +104,6 @@ type Config struct {
 	HealthInterval time.Duration
 	// Breaker tunes the per-backend circuit breakers.
 	Breaker BreakerConfig
-	// StaleCacheSize bounds the degraded-answer cache of recent successful
-	// routes; <= 0 means 4096, negative disables it.
-	StaleCacheSize int
 	// Seed makes the backoff jitter sequence deterministic.
 	Seed uint64
 	// Tracer, when set, receives gateway events (failovers, breaker
@@ -114,9 +117,6 @@ func (c Config) withDefaults(backends int) Config {
 	}
 	if c.Replicas > backends {
 		c.Replicas = backends
-	}
-	if c.GridDim <= 0 {
-		c.GridDim = 4
 	}
 	if c.Retries == 0 {
 		c.Retries = 3
@@ -134,9 +134,6 @@ func (c Config) withDefaults(backends int) Config {
 	}
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 250 * time.Millisecond
-	}
-	if c.StaleCacheSize == 0 {
-		c.StaleCacheSize = 4096
 	}
 	return c
 }
@@ -165,7 +162,6 @@ type Gateway struct {
 	// Region grid over the deployment's bounding box.
 	minX, minY   float64
 	cellW, cellH float64
-	dim          int
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -193,8 +189,8 @@ func NewGateway(nw *core.Network, backends []BackendInfo, cfg Config) (*Gateway,
 		client: &http.Client{},
 		reg:    trace.NewRegistry(),
 		rng:    rand.New(rand.NewSource(int64(cfg.Seed))),
+		cache:  newStaleCache(),
 		stop:   make(chan struct{}),
-		dim:    cfg.GridDim,
 	}
 	for i, b := range backends {
 		if b.URL == "" {
@@ -206,10 +202,8 @@ func NewGateway(nw *core.Network, backends []BackendInfo, cfg Config) (*Gateway,
 		}
 		g.backends = append(g.backends, &backendRef{idx: i, id: id, url: b.URL, brk: newBreaker(cfg.Breaker)})
 	}
-	if cfg.StaleCacheSize > 0 {
-		g.cache = newStaleCache(cfg.StaleCacheSize)
-	}
-	// Region grid: the bounding box of every node position, split dim×dim.
+	// Region grid: the bounding box of every node position, split
+	// gridDim×gridDim.
 	minX, minY := g.nw.G.Point(0).X, g.nw.G.Point(0).Y
 	maxX, maxY := minX, minY
 	for v := 1; v < g.nw.G.N(); v++ {
@@ -228,8 +222,8 @@ func NewGateway(nw *core.Network, backends []BackendInfo, cfg Config) (*Gateway,
 		}
 	}
 	g.minX, g.minY = minX, minY
-	g.cellW = (maxX - minX) / float64(g.dim)
-	g.cellH = (maxY - minY) / float64(g.dim)
+	g.cellW = (maxX - minX) / gridDim
+	g.cellH = (maxY - minY) / gridDim
 	g.reg.SetGauge("hybridroute_cluster_backends", float64(len(g.backends)))
 	return g, nil
 }
@@ -269,13 +263,7 @@ func (g *Gateway) regionOf(s sim.NodeID) int {
 	if g.cellH > 0 {
 		row = int((p.Y - g.minY) / g.cellH)
 	}
-	if col >= g.dim {
-		col = g.dim - 1
-	}
-	if row >= g.dim {
-		row = g.dim - 1
-	}
-	return row*g.dim + col
+	return min(row, gridDim-1)*gridDim + min(col, gridDim-1)
 }
 
 // ownersOf returns the region's replica set: R consecutive backends starting
@@ -428,7 +416,7 @@ func (g *Gateway) routeQuery(ctx context.Context, s, t sim.NodeID, body []byte) 
 		res, hedgeWon, from := g.attemptHedged(ctx, primary, backup, body)
 		switch {
 		case res.final():
-			if res.status == http.StatusOK && g.cache != nil {
+			if res.status == http.StatusOK {
 				g.cache.put(s, t, res.body)
 			}
 			g.reg.Add("hybridroute_cluster_answered_total", 1)
@@ -566,18 +554,16 @@ func (g *Gateway) attemptHedged(ctx context.Context, primary, backup *backendRef
 // 1-hop long-range answer is always constructible — maximally imprecise,
 // never wrong about connectivity). Tagged degraded in body and metrics.
 func (g *Gateway) degraded(s, t sim.NodeID) gwAnswer {
-	if g.cache != nil {
-		if body, ok := g.cache.get(s, t); ok {
-			var ans routeAnswer
-			if err := json.Unmarshal(body, &ans); err == nil {
-				ans.Degraded = true
-				ans.DegradedSource = "stale"
-				if buf, err := json.Marshal(ans); err == nil {
-					g.emit(trace.Event{Kind: trace.KindDegraded, Plan: "stale", From: int(s), To: int(t)})
-					g.reg.Add("hybridroute_cluster_degraded_stale_total", 1)
-					g.reg.Add("hybridroute_cluster_answered_total", 1)
-					return gwAnswer{status: http.StatusOK, body: buf, degraded: true}
-				}
+	if body, ok := g.cache.get(s, t); ok {
+		var ans routeAnswer
+		if err := json.Unmarshal(body, &ans); err == nil {
+			ans.Degraded = true
+			ans.DegradedSource = "stale"
+			if buf, err := json.Marshal(ans); err == nil {
+				g.emit(trace.Event{Kind: trace.KindDegraded, Plan: "stale", From: int(s), To: int(t)})
+				g.reg.Add("hybridroute_cluster_degraded_stale_total", 1)
+				g.reg.Add("hybridroute_cluster_answered_total", 1)
+				return gwAnswer{status: http.StatusOK, body: buf, degraded: true}
 			}
 		}
 	}
@@ -631,8 +617,8 @@ type staleItem struct {
 	body []byte
 }
 
-func newStaleCache(capacity int) *staleCache {
-	return &staleCache{cap: capacity, entries: make(map[[2]sim.NodeID]*list.Element), order: list.New()}
+func newStaleCache() *staleCache {
+	return &staleCache{cap: staleCacheSize, entries: make(map[[2]sim.NodeID]*list.Element), order: list.New()}
 }
 
 func (c *staleCache) put(s, t sim.NodeID, body []byte) {

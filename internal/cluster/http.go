@@ -137,7 +137,7 @@ func (g *Gateway) Stats() GatewayStats {
 	counters := g.reg.Counters()
 	st := GatewayStats{
 		Replicas:  g.cfg.Replicas,
-		Regions:   g.dim * g.dim,
+		Regions:   gridDim * gridDim,
 		Requests:  counters["hybridroute_cluster_requests_total"],
 		Answered:  counters["hybridroute_cluster_answered_total"],
 		Degraded:  counters["hybridroute_cluster_degraded_answers_total"],

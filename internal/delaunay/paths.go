@@ -1,9 +1,9 @@
 package delaunay
 
 import (
-	"container/heap"
 	"math"
 
+	"hybridroute/internal/mem"
 	"hybridroute/internal/udg"
 )
 
@@ -50,33 +50,34 @@ func (g *PlanarGraph) shortestPath(s, t udg.NodeID, avoid map[udg.NodeID]bool, w
 		prev[i] = -1
 	}
 	dist[s] = 0
-	pq := &pgHeap{{s, 0}}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(pgItem)
-		if item.d > dist[item.v] {
+	var pq mem.Heap[udg.NodeID]
+	pq.Push(s, 0)
+	for len(pq) > 0 {
+		item := pq.Pop()
+		if item.D > dist[item.V] {
 			continue
 		}
-		if item.v == t {
+		if item.V == t {
 			break
 		}
-		pv := g.Point(item.v)
-		for _, w := range g.row(item.v) {
+		pv := g.Point(item.V)
+		for _, w := range g.row(item.V) {
 			if avoid[w] && w != t {
 				continue
 			}
 			l := pv.Dist(g.Point(w))
 			if weight != nil {
-				m := weight(item.v, w)
+				m := weight(item.V, w)
 				if !(m > 0) || math.IsInf(m, 1) {
 					continue
 				}
 				l *= m
 			}
-			nd := item.d + l
+			nd := item.D + l
 			if nd < dist[w] {
 				dist[w] = nd
-				prev[w] = item.v
-				heap.Push(pq, pgItem{w, nd})
+				prev[w] = item.V
+				pq.Push(w, nd)
 			}
 		}
 	}
@@ -94,23 +95,4 @@ func (g *PlanarGraph) shortestPath(s, t udg.NodeID, avoid map[udg.NodeID]bool, w
 		path[i], path[j] = path[j], path[i]
 	}
 	return path, dist[t], true
-}
-
-type pgItem struct {
-	v udg.NodeID
-	d float64
-}
-
-type pgHeap []pgItem
-
-func (h pgHeap) Len() int            { return len(h) }
-func (h pgHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h pgHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *pgHeap) Push(x interface{}) { *h = append(*h, x.(pgItem)) }
-func (h *pgHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

@@ -68,10 +68,14 @@ func E15(opt Options) (*Result, error) {
 	coldStart := time.Now()
 	cold := eng.RouteBatch(queries)
 	coldDur := time.Since(coldStart)
+	coldStats := eng.Stats()
 	warmStart := time.Now()
 	warm := eng.RouteBatch(queries)
 	warmDur := time.Since(warmStart)
-	st := eng.Stats()
+	// Which worker misses a repeated pair first varies from run to run, so
+	// the cold pass's hit count does; the answers cached and the warm
+	// pass's hits do not.
+	warmHits := eng.Stats().Hits - coldStats.Hits
 
 	identical := true
 	for i := range queries {
@@ -87,14 +91,14 @@ func E15(opt Options) (*Result, error) {
 		fmt.Sprintf("%.2f", seqDur.Seconds()/coldDur.Seconds()))
 	res.Table.AddRow("engine warm cache", workers, warmDur.Round(time.Microsecond), fmt.Sprintf("%.0f", qps(warmDur)),
 		fmt.Sprintf("%.2f", seqDur.Seconds()/warmDur.Seconds()))
-	res.note("plan cache: %d hits / %d misses (rate %.2f), %d entries, %d evictions",
-		st.Hits, st.Misses, st.HitRate(), st.Entries, st.Evictions)
+	res.note("answer cache: %d answers cached by the cold pass, warm pass %d/%d hits",
+		coldStats.Entries, warmHits, q)
 	res.note("warm speedup %.2fx over sequential (%d workers, GOMAXPROCS %d)",
 		seqDur.Seconds()/warmDur.Seconds(), workers, runtime.GOMAXPROCS(0))
-	// Pass on correctness (identical outcomes, cache active); the speedup is
-	// recorded but not gated here — wall-clock ratios belong to the
-	// benchmarks, where the runner is controlled.
-	res.Pass = identical && st.Hits > 0
+	// Pass on correctness (identical outcomes, every warm query a cache
+	// hit); the speedup is recorded but not gated here — wall-clock ratios
+	// belong to the benchmarks, where the runner is controlled.
+	res.Pass = identical && warmHits == uint64(q)
 	return res, nil
 }
 

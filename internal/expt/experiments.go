@@ -467,23 +467,25 @@ func E10(opt Options) (*Result, error) {
 	return res, nil
 }
 
-// All runs every experiment in order, including the extension experiments
-// E11–E13 (paper §7 future work and the abstraction ablation), the batch
-// engine (E15), the fault-injection delivery sweep (E16), the loss-aware
-// planning comparison (E17), the traced-query observability demo (E18) and
-// the churn robustness sweep (E19) and the hole-abstraction backend
-// comparison (E20).
-func All(opt Options) ([]*Result, error) {
-	fns := []func(Options) (*Result, error){E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12, E13, E14, E15, E16, E17, E18, E19, E20, E22, E23}
-	var out []*Result
-	for _, fn := range fns {
-		r, err := fn(opt)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+// Experiment is one entry of the suite: its ID and the function that runs it.
+type Experiment struct {
+	ID  string
+	Run func(Options) (*Result, error)
+}
+
+// Experiments is the suite in run order, including the extension
+// experiments E11–E13 (paper §7 future work and the abstraction ablation),
+// the batch engine (E15), the fault-injection delivery sweep (E16), the
+// loss-aware planning comparison (E17), the traced-query observability demo
+// (E18), the churn robustness sweep (E19), the hole-abstraction backend
+// comparison (E20), the Byzantine delivery sweep (E22) and the cluster chaos
+// sweep (E23).
+var Experiments = []Experiment{
+	{"E1", E1}, {"E2", E2}, {"E3", E3}, {"E4", E4}, {"E5", E5}, {"E6", E6},
+	{"E7", E7}, {"E8", E8}, {"E9", E9}, {"E10", E10}, {"E11", E11},
+	{"E12", E12}, {"E13", E13}, {"E14", E14}, {"E15", E15}, {"E16", E16},
+	{"E17", E17}, {"E18", E18}, {"E19", E19}, {"E20", E20}, {"E22", E22},
+	{"E23", E23},
 }
 
 // syntheticRing builds k points on a circle (shuffled IDs) with a UDG

@@ -1,8 +1,8 @@
 // Package mem provides the flat-memory building blocks of the million-node
 // scale-out: a compressed-sparse-row (CSR) layout for adjacency-like data, a
 // bump arena whose blocks are never reused (so returned slices are durable
-// and private at amortized-zero allocation cost), and epoch-stamped
-// membership sets with O(1) clearing. Everything here is deliberately dumb:
+// and private at amortized-zero allocation cost), epoch-stamped membership
+// sets with O(1) clearing, and the typed binary heap every Dijkstra uses. Everything here is deliberately dumb:
 // contiguous slices indexed by dense IDs, no pointers between elements, so a
 // million-row structure is a handful of allocations instead of a million.
 package mem
@@ -157,3 +157,52 @@ func (m *Marks) Has(i int) bool { return m.stamp[i] == m.cur }
 
 // Len returns the capacity of the ID space (not the element count).
 func (m *Marks) Len() int { return len(m.stamp) }
+
+// Item is a Heap entry: V reached at key D.
+type Item[V any] struct {
+	V V
+	D float64
+}
+
+// Heap is a binary min-heap on D. Its Push and Pop are container/heap's Push
+// and Pop with their up and down sifts, step for step, so entries with equal
+// keys leave in the order they would from container/heap; unlike it, a push
+// boxes nothing. The zero value is an empty heap.
+type Heap[V any] []Item[V]
+
+// Push adds v at key d.
+func (h *Heap[V]) Push(v V, d float64) {
+	q := append(*h, Item[V]{v, d})
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].D < q[i].D) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
+}
+
+// Pop removes and returns an entry of least key; the heap must not be empty.
+func (h *Heap[V]) Pop() Item[V] {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n || j < 0 {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].D < q[j].D {
+			j = j2 // right child
+		}
+		if !(q[j].D < q[i].D) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
+}

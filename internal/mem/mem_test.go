@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"container/heap"
+	"math/rand"
+	"testing"
+)
 
 func TestCSRBuilder(t *testing.T) {
 	// rows: 0 -> {10, 11}, 1 -> {}, 2 -> {20}, 3 -> {30, 31, 32}
@@ -151,5 +155,39 @@ func TestMarksEpochWrap(t *testing.T) {
 	m.Set(2)
 	if !m.Has(2) {
 		t.Fatal("Set after wrap lost")
+	}
+}
+
+// refHeap is container/heap's view of a Heap's entries.
+type refHeap []Item[int]
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i].D < h[j].D }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(Item[int])) }
+func (h *refHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// TestHeapMatchesContainerHeap drives Heap and container/heap with the same
+// pushes and pops, many keys equal, and requires the same item out of every
+// pop: the Dijkstras on Heap keep container/heap's tie order.
+func TestHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var h Heap[int]
+	ref := &refHeap{}
+	for step := 0; step < 20000; step++ {
+		if ref.Len() == 0 || rng.Intn(3) > 0 {
+			it := Item[int]{step, float64(rng.Intn(16))}
+			h.Push(it.V, it.D)
+			heap.Push(ref, it)
+			continue
+		}
+		if got, want := h.Pop(), heap.Pop(ref).(Item[int]); got != want {
+			t.Fatalf("step %d: pop %v, container/heap %v", step, got, want)
+		}
 	}
 }

@@ -17,7 +17,7 @@
 //     before a repair and routed after it plans on the patched topology.
 //   - Deadline propagation: a request deadline sheds expired work at dequeue
 //     time and, for on-simulator deliveries, becomes the reliable transport's
-//     TimeoutRounds budget (remaining wall time / RoundCost).
+//     TimeoutRounds budget (remaining wall time / roundCost).
 //   - Streaming observability: a live trace.Registry served as a Prometheus
 //     /metrics endpoint plus periodic OTLP-style JSON export of the drained
 //     event stream, replacing the post-run dump.
@@ -85,6 +85,10 @@ type ChurnEvent struct {
 	Up    bool // false: crash; true: recover
 }
 
+// roundCost converts a Deliver request's remaining wall-clock deadline into
+// the reliable transport's TimeoutRounds: one simulated round per roundCost.
+const roundCost = time.Millisecond
+
 // Config tunes the server. The zero value is usable: GOMAXPROCS workers, a
 // 1024-entry queue, half-queue fair share, 250ms metrics folding and no
 // export.
@@ -102,10 +106,6 @@ type Config struct {
 	// MaxSourceFraction caps one source's share of the queue in (0, 1];
 	// <= 0 means 0.5. The per-source bound is max(1, fraction*QueueSize).
 	MaxSourceFraction float64
-	// RoundCost converts a request's remaining wall-clock deadline into the
-	// reliable transport's TimeoutRounds for Deliver requests; <= 0 means 1ms
-	// per simulated round.
-	RoundCost time.Duration
 	// MetricsInterval is the cadence of the background fold (tracer drain +
 	// gauge refresh); <= 0 means 250ms. /metrics scrapes also fold on demand.
 	MetricsInterval time.Duration
@@ -219,9 +219,6 @@ func New(eng *core.Engine, cfg Config) (*Server, error) {
 	}
 	if cfg.MaxSourceFraction > 1 {
 		return nil, fmt.Errorf("serve: MaxSourceFraction %v > 1", cfg.MaxSourceFraction)
-	}
-	if cfg.RoundCost <= 0 {
-		cfg.RoundCost = time.Millisecond
 	}
 	if cfg.MetricsInterval <= 0 {
 		cfg.MetricsInterval = 250 * time.Millisecond
@@ -405,7 +402,7 @@ func (s *Server) deliver(req Request) (*core.TransportReport, error) {
 	}
 	opt := core.TransportOptions{PayloadWords: 32, Reliable: true}
 	if !req.Deadline.IsZero() {
-		rounds := int(time.Until(req.Deadline) / s.cfg.RoundCost)
+		rounds := int(time.Until(req.Deadline) / roundCost)
 		if rounds < 1 {
 			rounds = 1
 		}

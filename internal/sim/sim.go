@@ -83,8 +83,6 @@ type Config struct {
 	// are still counted but allowed, which is convenient for unit tests of
 	// isolated protocol fragments.
 	Strict bool
-	// MaxRounds bounds a Run; 0 means the default of 1 << 20.
-	MaxRounds int
 	// Parallel steps the nodes of each round on a worker pool. Protocols
 	// must not share mutable state across nodes (every shipped protocol
 	// keeps per-node state only). Delivery order is kept deterministic by
@@ -99,9 +97,10 @@ type Config struct {
 
 // Sim is a synchronous message-passing simulation over a unit disk graph.
 type Sim struct {
-	g      *udg.Graph
-	cfg    Config
-	protos []Proto
+	g         *udg.Graph
+	cfg       Config
+	maxRounds int // Run's round budget; see SetMaxRounds
+	protos    []Proto
 
 	// knowledge[v] is the set of IDs v knows: the E edge set of the hybrid
 	// graph H. Initialized to the UDG neighbourhood (the setup-phase WiFi
@@ -127,12 +126,10 @@ type Sim struct {
 // New creates a simulation over the given UDG. Protocols are attached with
 // SetProto before Run.
 func New(g *udg.Graph, cfg Config) *Sim {
-	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = 1 << 20
-	}
 	s := &Sim{
 		g:         g,
 		cfg:       cfg,
+		maxRounds: defaultMaxRounds,
 		protos:    make([]Proto, g.N()),
 		knowledge: make([]map[NodeID]bool, g.N()),
 		counters:  make([]Counters, g.N()),
@@ -186,14 +183,17 @@ func (s *Sim) SetTracer(tr *trace.Tracer) { s.tracer = tr }
 // Tracer returns the installed event recorder (nil when tracing is off).
 func (s *Sim) Tracer() *trace.Tracer { return s.tracer }
 
-// SetMaxRounds rebounds Run's round budget mid-life (0 restores the default);
-// deadline experiments and tests use it to force MaxRounds exhaustion without
-// rebuilding the simulation.
+// defaultMaxRounds is Run's round budget until SetMaxRounds changes it.
+const defaultMaxRounds = 1 << 20
+
+// SetMaxRounds rebounds Run's round budget mid-life (0 restores the default
+// of 1 << 20); deadline experiments and tests use it to force MaxRounds
+// exhaustion without rebuilding the simulation.
 func (s *Sim) SetMaxRounds(n int) {
 	if n <= 0 {
-		n = 1 << 20
+		n = defaultMaxRounds
 	}
-	s.cfg.MaxRounds = n
+	s.maxRounds = n
 }
 
 // Counters returns the communication counters of node v.
@@ -264,7 +264,7 @@ func (s *Sim) Run() (int, error) {
 	s.running = true
 	defer func() { s.running = false }()
 	start := s.rounds
-	for i := 0; i < s.cfg.MaxRounds; i++ {
+	for i := 0; i < s.maxRounds; i++ {
 		moved, err := s.step()
 		if err != nil {
 			return s.rounds - start, err
@@ -273,7 +273,7 @@ func (s *Sim) Run() (int, error) {
 			return s.rounds - start, nil
 		}
 	}
-	return s.rounds - start, fmt.Errorf("sim: MaxRounds=%d exceeded", s.cfg.MaxRounds)
+	return s.rounds - start, fmt.Errorf("sim: MaxRounds=%d exceeded", s.maxRounds)
 }
 
 // step executes one synchronous round: deliver everything sent last round,

@@ -231,7 +231,8 @@ func TestResetCountersKeepsStorageAndKnowledge(t *testing.T) {
 
 func TestMaxRoundsGuard(t *testing.T) {
 	g := lineGraph(2, 0.9)
-	s := New(g, Config{MaxRounds: 5})
+	s := New(g, Config{})
+	s.SetMaxRounds(5)
 	// Ping-pong forever.
 	s.SetAllProtos(func(v NodeID) Proto {
 		return ProtoFunc(func(ctx *Context, round int, inbox []Envelope) {

@@ -85,7 +85,8 @@ func TestSimEmitsDropEvents(t *testing.T) {
 // the aborted run — callers must not treat the report as empty.
 func TestRunMaxRoundsReturnsPartialCount(t *testing.T) {
 	g := lineGraph(2, 0.9)
-	s := New(g, Config{MaxRounds: 7})
+	s := New(g, Config{})
+	s.SetMaxRounds(7)
 	s.SetAllProtos(func(v NodeID) Proto {
 		return ProtoFunc(func(ctx *Context, round int, inbox []Envelope) {
 			if v == 0 && round == 0 {

@@ -7,12 +7,12 @@
 package udg
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
 
 	"hybridroute/internal/geom"
+	"hybridroute/internal/mem"
 )
 
 // NodeID indexes a node in the point set. IDs are dense: 0..n-1.
@@ -277,45 +277,27 @@ func (g *Graph) dijkstra(s, target NodeID) ([]float64, []NodeID) {
 		prev[i] = -1
 	}
 	dist[s] = 0
-	pq := &nodeHeap{{s, 0}}
-	for pq.Len() > 0 {
-		item := heap.Pop(pq).(nodeDist)
-		if item.d > dist[item.v] {
+	var pq mem.Heap[NodeID]
+	pq.Push(s, 0)
+	for len(pq) > 0 {
+		item := pq.Pop()
+		if item.D > dist[item.V] {
 			continue
 		}
-		if item.v == target {
+		if item.V == target {
 			break
 		}
-		pv := g.pts[item.v]
-		for _, w := range g.Neighbors(item.v) {
-			nd := item.d + pv.Dist(g.pts[w])
+		pv := g.pts[item.V]
+		for _, w := range g.Neighbors(item.V) {
+			nd := item.D + pv.Dist(g.pts[w])
 			if nd < dist[w] {
 				dist[w] = nd
-				prev[w] = item.v
-				heap.Push(pq, nodeDist{w, nd})
+				prev[w] = item.V
+				pq.Push(w, nd)
 			}
 		}
 	}
 	return dist, prev
-}
-
-type nodeDist struct {
-	v NodeID
-	d float64
-}
-
-type nodeHeap []nodeDist
-
-func (h nodeHeap) Len() int            { return len(h) }
-func (h nodeHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(nodeDist)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }
 
 // gridIndex buckets points into square cells of side r, so all unit-disk

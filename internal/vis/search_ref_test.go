@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hybridroute/internal/geom"
+	"hybridroute/internal/mem"
 	"hybridroute/internal/routing"
 	"hybridroute/internal/workload"
 )
@@ -57,22 +58,22 @@ func refDijkstraPoints(adj [][]int, pos func(int) geom.Point, src, dst int) ([]g
 		prev[i] = -1
 	}
 	dist[src] = 0
-	pq := &refHeap{{src, 0}}
+	pq := &refHeap{{V: src}}
 	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
-		if it.d > dist[it.v] {
+		it := heap.Pop(pq).(mem.Item[int])
+		if it.D > dist[it.V] {
 			continue
 		}
-		if it.v == dst {
+		if it.V == dst {
 			break
 		}
-		pv := pos(it.v)
-		for _, w := range adj[it.v] {
-			nd := it.d + pv.Dist(pos(w))
+		pv := pos(it.V)
+		for _, w := range adj[it.V] {
+			nd := it.D + pv.Dist(pos(w))
 			if nd < dist[w] {
 				dist[w] = nd
-				prev[w] = it.v
-				heap.Push(pq, distItem{w, nd})
+				prev[w] = it.V
+				heap.Push(pq, mem.Item[int]{V: w, D: nd})
 			}
 		}
 	}
@@ -93,12 +94,12 @@ func refDijkstraPoints(adj [][]int, pos func(int) geom.Point, src, dst int) ([]g
 	return path, dist[dst], true
 }
 
-type refHeap []distItem
+type refHeap []mem.Item[int]
 
 func (h refHeap) Len() int           { return len(h) }
-func (h refHeap) Less(i, j int) bool { return h[i].d < h[j].d }
+func (h refHeap) Less(i, j int) bool { return h[i].D < h[j].D }
 func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(distItem)) }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(mem.Item[int])) }
 func (h *refHeap) Pop() any {
 	old := *h
 	x := old[len(old)-1]
@@ -323,25 +324,5 @@ func TestConcurrentSearches(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-	}
-}
-
-// TestDistHeapMatchesContainerHeap drives distHeap and container/heap with
-// the same pushes and pops, many keys equal, and requires the same item out
-// of every pop.
-func TestDistHeapMatchesContainerHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var h distHeap
-	ref := &refHeap{}
-	for step := 0; step < 20000; step++ {
-		if ref.Len() == 0 || rng.Intn(3) > 0 {
-			it := distItem{step, float64(rng.Intn(16))}
-			h.push(it)
-			heap.Push(ref, it)
-			continue
-		}
-		if got, want := h.pop(), heap.Pop(ref).(distItem); got != want {
-			t.Fatalf("step %d: pop %v, container/heap %v", step, got, want)
-		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"hybridroute/internal/delaunay"
 	"hybridroute/internal/geom"
+	"hybridroute/internal/mem"
 )
 
 // cullMargin widens each obstacle's bounding box for culling. A skipped
@@ -209,36 +210,37 @@ func Search(corners []geom.Point, base [][]int, s, t geom.Point, fromS, toT func
 		prev[i] = -1
 	}
 	dist[src] = 0
-	pq := append(make(distHeap, 0, n+2), distItem{src, 0})
+	pq := make(mem.Heap[int], 0, n+2)
+	pq.Push(src, 0)
 	relax := func(v int, pv geom.Point, d float64, w int) {
 		if nd := d + pv.Dist(pos(w)); nd < dist[w] {
 			dist[w] = nd
 			prev[w] = v
-			pq.push(distItem{w, nd})
+			pq.Push(w, nd)
 		}
 	}
 	for len(pq) > 0 {
-		it := pq.pop()
-		if it.d > dist[it.v] {
+		it := pq.Pop()
+		if it.D > dist[it.V] {
 			continue
 		}
-		if it.v == dst {
+		if it.V == dst {
 			break
 		}
-		pv := pos(it.v)
-		if it.v == src {
+		pv := pos(it.V)
+		if it.V == src {
 			for i := 0; i < n; i++ {
 				if fromS(i) {
-					relax(src, pv, it.d, i)
+					relax(src, pv, it.D, i)
 				}
 			}
 			continue
 		}
-		for _, w := range base[it.v] {
-			relax(it.v, pv, it.d, w)
+		for _, w := range base[it.V] {
+			relax(it.V, pv, it.D, w)
 		}
-		if toT(it.v) {
-			relax(it.v, pv, it.d, dst)
+		if toT(it.V) {
+			relax(it.V, pv, it.D, dst)
 		}
 	}
 	if math.IsInf(dist[dst], 1) {
@@ -254,53 +256,6 @@ func Search(corners []geom.Point, base [][]int, s, t geom.Point, fromS, toT func
 		path[k] = pos(v)
 	}
 	return path, dist[dst], true
-}
-
-// distItem is a heap entry: vertex v reached at distance d.
-type distItem struct {
-	v int
-	d float64
-}
-
-// distHeap is a binary min-heap on d. Its push and pop are container/heap's
-// Push and Pop with their up and down sifts, step for step, so entries with
-// equal keys leave in the order they would from container/heap; unlike it,
-// a push boxes nothing.
-type distHeap []distItem
-
-func (h *distHeap) push(it distItem) {
-	q := append(*h, it)
-	for j := len(q) - 1; ; {
-		i := (j - 1) / 2 // parent
-		if i == j || !(q[j].d < q[i].d) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-	*h = q
-}
-
-func (h *distHeap) pop() distItem {
-	q := *h
-	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	for i := 0; ; {
-		j := 2*i + 1 // left child
-		if j >= n || j < 0 {
-			break
-		}
-		if j2 := j + 1; j2 < n && q[j2].d < q[j].d {
-			j = j2 // right child
-		}
-		if !(q[j].d < q[i].d) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-	*h = q[:n]
-	return q[n]
 }
 
 // Domain is a set of disjoint polygonal obstacles with the full visibility
