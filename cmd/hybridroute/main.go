@@ -94,6 +94,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("scenario: %v", err)
 	}
+	if err := o.checkObstacles(len(sc.Obstacles)); err != nil {
+		log.Fatalf("flags: %v", err)
+	}
 	fmt.Printf("scenario %q: %d nodes, %d obstacles, radio range %.2f\n",
 		sc.Name, len(sc.Points), len(sc.Obstacles), sc.Radius)
 
@@ -233,6 +236,7 @@ type options struct {
 	advFrac               float64
 	advBehaviors          sim.AdversaryBehavior
 	chaos                 cluster.ChaosSchedule
+	holesSet              bool // -holes was given, so its count must fit
 }
 
 // parseOptions defines every flag on fs, parses args and validates the
@@ -350,6 +354,7 @@ func (o *options) validate(set map[string]bool) error {
 		{"retries", o.faulted() && !o.serve, "a one-shot delivery run with -loss, -crash, -churn or -adversary"},
 		{"workers", o.batch || o.serve, "-batch or -serve"},
 		{"cache", o.batch || o.serve, "-batch or -serve"},
+		{"holes", o.scenario == "uniform", "-scenario uniform"},
 	} {
 		if set[m.flag] && !m.on {
 			return fmt.Errorf("-%s takes effect only with %s", m.flag, m.needs)
@@ -359,6 +364,17 @@ func (o *options) validate(set map[string]bool) error {
 		if o.chaos, err = cluster.ParseChaosSpec(o.chaosSpec, o.clusterN); err != nil {
 			return fmt.Errorf("-chaos: %w", err)
 		}
+	}
+	o.holesSet = set["holes"]
+	return nil
+}
+
+// checkObstacles rejects a run whose scenario placed fewer obstacles than an
+// explicit -holes asked for: how many fit depends on the area -n sets, so
+// validate cannot know. The default count is a ceiling, not a demand.
+func (o *options) checkObstacles(placed int) error {
+	if o.holesSet && placed < o.holes {
+		return fmt.Errorf("-holes %d: only %d obstacles fit at -n %d", o.holes, placed, o.n)
 	}
 	return nil
 }

@@ -89,6 +89,10 @@ var optionCases = []struct {
 	{"parse", "negative n", "-n -5", "-n"},
 	{"parse", "negative queries", "-queries -3", "-queries"},
 	{"parse", "negative holes", "-holes -1", "-holes"},
+	{"parse", "holes with uniform", "-scenario uniform -holes 5", ""},
+	{"parse", "holes with city", "-scenario city -holes 2", "-holes"},
+	{"parse", "holes with maze", "-scenario maze -holes 0", "-holes"},
+	{"parse", "holes with grid", "-static -scenario grid -holes 3", "-holes"},
 	{"parse", "addr without serve", "-addr :9090", "-addr"},
 	{"parse", "addr with serve off", "-serve=false -addr :9090", "-addr"},
 	{"parse", "export without serve", "-serve-export x.json", "-serve-export"},
@@ -150,6 +154,35 @@ func TestParseOptions(t *testing.T) {
 	o, err = parseArgv("-adversary 0.2,misroute")
 	if err != nil || o.advFrac != 0.2 || o.advBehaviors != sim.AdvMisroute || !o.faulted() {
 		t.Fatalf("adversary: got %v, %v", o, err)
+	}
+}
+
+// TestCheckObstacles runs argv rows through parseOptions, builds each
+// scenario and checks that an explicit -holes count that does not fit is
+// refused, and that the default count is not.
+func TestCheckObstacles(t *testing.T) {
+	for _, tc := range []struct {
+		argv, wantErr string
+	}{
+		{"-n 300", ""},
+		{"-n 300 -holes 2", ""},
+		{"-n 300 -holes 0", ""},
+		{"-n 300 -holes 50", "-holes 50: only 2 obstacles fit at -n 300"},
+		{"-n 300 -holes 3", "-holes 3: only 2 obstacles fit at -n 300"},
+		{"-scenario city -n 300", ""},
+	} {
+		o, err := parseArgv(tc.argv)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.argv, err)
+		}
+		sc, err := buildScenario(o.scenario, o.seed, o.n, o.holes)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.argv, err)
+		}
+		err = o.checkObstacles(len(sc.Obstacles))
+		if tc.wantErr == "" && err != nil || tc.wantErr != "" && (err == nil || err.Error() != tc.wantErr) {
+			t.Fatalf("%q: error %v, want %q", tc.argv, err, tc.wantErr)
+		}
 	}
 }
 

@@ -222,20 +222,15 @@ func (nw *Network) buildAbstraction(name string) error {
 	return nil
 }
 
-// setLDel installs ldel as the live LDel² and derives the router and the hole
-// set from it. Both only read the graph (each overlays CH(V) on a Clone's
-// copy-on-write rows), so they run side by side. Preprocess,
+// setLDel installs ldel as the live LDel² and derives the hole set and the
+// router from its one Definition 2.5 map (delaunay.HullMap): holes are
+// classified first, then the router takes the map's tables. Preprocess,
 // PreprocessStatic and churn repair all call it before buildDerived.
 func (nw *Network) setLDel(ldel *delaunay.PlanarGraph) {
 	nw.LDel = ldel
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		nw.Router = routing.New(ldel)
-	}()
-	nw.Holes = delaunay.DetectHoles(ldel, nw.G.Radius())
-	wg.Wait()
+	m := ldel.HullMap()
+	nw.Holes = m.Holes(nw.G.Radius())
+	nw.Router = routing.NewFromMap(m)
 }
 
 // buildDerived (re)builds every query-path structure downstream of (LDel,
@@ -429,9 +424,3 @@ func (nw *Network) Tracer() *trace.Tracer { return nw.tracer }
 
 // HoleCount returns the number of detected radio holes.
 func (nw *Network) HoleCount() int { return len(nw.Holes.Holes) }
-
-// IsHullNode reports whether v is a convex hull node of some hole.
-func (nw *Network) IsHullNode(v sim.NodeID) bool {
-	_, ok := nw.hullNodeOf[nw.G.Point(v)]
-	return ok
-}

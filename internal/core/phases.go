@@ -87,7 +87,7 @@ func (nw *Network) runRingPhase(prev map[string]ringEpochInfo) error {
 			all = append(all, pending{i, ring})
 		}
 	}
-	if ob := dedupeCycle(nw.Holes.OuterBoundary); len(ob) >= 3 {
+	if ob := dedupeCycle(nw.LDel.OuterBoundary()); len(ob) >= 3 {
 		all = append(all, pending{len(nw.Holes.Holes), ob})
 	}
 

@@ -1,6 +1,8 @@
 package delaunay
 
 import (
+	"slices"
+
 	"hybridroute/internal/mem"
 	"hybridroute/internal/udg"
 )
@@ -74,7 +76,8 @@ func nodeIDs(cycle []int32) []udg.NodeID {
 // rotation order within each node) matches the historical map-based
 // implementation exactly.
 func (g *PlanarGraph) Faces() mem.CSR[int32] {
-	return g.faces(nil)
+	faces, _, _ := g.faces(nil)
+	return faces
 }
 
 // FaceAdjacency is a face table with the adjacency a walk through it needs.
@@ -90,15 +93,17 @@ type FaceAdjacency struct {
 	Anchor []int32
 }
 
-// FacesWithAdjacency is Faces plus, for every slot, the slot of its reversed
-// edge and, for every node, one slot leaving it. The enumeration already
-// finds u's position in v's rotation for every directed edge u→v it walks;
-// that position is the reversed edge's CSR index, which a slot-of-index
-// array filled on the same pass turns into its slot, so the adjacency costs
-// one int32 per slot and per node.
-func (g *PlanarGraph) FacesWithAdjacency() FaceAdjacency {
+// adjacency is Faces plus, for every slot, the slot of its reversed edge
+// and, for every node, one slot leaving it. The enumeration already finds
+// u's position in v's rotation for every directed edge u→v it walks; that
+// position is the reversed edge's CSR index, which a slot-of-index array
+// filled on the same pass turns into its slot, so the adjacency costs one
+// int32 per slot and per node. It also returns the slots of the given edges
+// as faces does.
+func (g *PlanarGraph) adjacency(edges [][2]udg.NodeID) (FaceAdjacency, []int32) {
 	var fa FaceAdjacency
-	fa.Faces = g.faces(&fa.Twin)
+	var slots []int32
+	fa.Faces, fa.Twin, slots = g.faces(edges)
 	fa.Anchor = make([]int32, g.N())
 	for v := range fa.Anchor {
 		fa.Anchor[v] = -1
@@ -118,23 +123,20 @@ func (g *PlanarGraph) FacesWithAdjacency() FaceAdjacency {
 			}
 		}
 	}
-	return fa
+	return fa, slots
 }
 
-// faces enumerates the face table; when twin is non-nil it also fills *twin
-// with the slot of every slot's reversed edge.
-func (g *PlanarGraph) faces(twin *[]int32) mem.CSR[int32] {
+// faces enumerates the face table and the twin of every slot. It also
+// returns the slots of the given edges, which must be edges of g: for each,
+// the slot of e[0]→e[1], then that of e[1]→e[0].
+func (g *PlanarGraph) faces(edges [][2]udg.NodeID) (faces mem.CSR[int32], twin, slots []int32) {
 	off, dat := g.flatRows()
 	visited := make([]bool, len(dat))
-	faces := mem.CSR[int32]{Off: []int32{0}, Dat: make([]int32, 0, len(dat))}
-	// slotOf maps a directed edge's CSR index to its slot; rev maps a slot to
-	// the CSR index of its reversed edge. Both are filled only when the
-	// adjacency is asked for.
-	var slotOf, rev []int32
-	if twin != nil {
-		slotOf = make([]int32, len(dat))
-		rev = make([]int32, 0, len(dat))
-	}
+	faces = mem.CSR[int32]{Off: []int32{0}, Dat: make([]int32, 0, len(dat))}
+	// slotOf maps a directed edge's CSR index to its slot; twin first maps a
+	// slot to the CSR index of its reversed edge.
+	slotOf := make([]int32, len(dat))
+	twin = make([]int32, 0, len(dat))
 
 	for u := 0; u < g.N(); u++ {
 		for k := int(off[u]); k < int(off[u+1]); k++ {
@@ -144,9 +146,7 @@ func (g *PlanarGraph) faces(twin *[]int32) mem.CSR[int32] {
 			cu, ck := udg.NodeID(u), k
 			for !visited[ck] {
 				visited[ck] = true
-				if twin != nil {
-					slotOf[ck] = int32(len(faces.Dat))
-				}
+				slotOf[ck] = int32(len(faces.Dat))
 				faces.Dat = append(faces.Dat, int32(cu))
 				cv := dat[ck]
 				nbrs := dat[off[cv]:off[cv+1]]
@@ -160,22 +160,21 @@ func (g *PlanarGraph) faces(twin *[]int32) mem.CSR[int32] {
 				if pi < 0 {
 					panic("delaunay: rotation lookup for absent edge")
 				}
-				if twin != nil {
-					rev = append(rev, off[cv]+int32(pi))
-				}
+				twin = append(twin, off[cv]+int32(pi))
 				ni := (pi - 1 + len(nbrs)) % len(nbrs)
 				cu, ck = cv, int(off[cv])+ni
 			}
 			faces.Off = append(faces.Off, int32(len(faces.Dat)))
 		}
 	}
-	if twin != nil {
-		for p, k := range rev {
-			rev[p] = slotOf[k]
-		}
-		*twin = rev
+	for p, k := range twin {
+		twin[p] = slotOf[k]
 	}
-	return faces
+	for _, e := range edges {
+		p := slotOf[off[e[0]]+int32(slices.Index(dat[off[e[0]]:off[e[0]+1]], e[1]))]
+		slots = append(slots, p, twin[p])
+	}
+	return faces, twin, slots
 }
 
 // OuterFaceIndex returns the index of the unbounded face in faces: the one

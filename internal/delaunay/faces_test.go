@@ -63,13 +63,13 @@ func checkEuler(t *testing.T, g *PlanarGraph) {
 	}
 }
 
-// checkFaceAdjacency holds FacesWithAdjacency to its contract on g: the same
+// checkFaceAdjacency holds g.adjacency to its contract on g: the same
 // table as Faces; every slot's twin a slot whose twin it is in turn, running
 // from the slot's head to its tail; and every node with edges anchored on a
 // slot leaving it (in a three-slot row when it lies on one), every node
 // without edges on none.
 func checkFaceAdjacency(g *PlanarGraph) error {
-	fa := g.FacesWithAdjacency()
+	fa, _ := g.adjacency(nil)
 	plain := g.Faces()
 	if !slices.Equal(fa.Faces.Off, plain.Off) || !slices.Equal(fa.Faces.Dat, plain.Dat) {
 		return fmt.Errorf("the face table differs from Faces")
@@ -143,7 +143,7 @@ func TestFaceAdjacency(t *testing.T) {
 	} {
 		g := c.g
 		t.Run(c.name, func(t *testing.T) {
-			hulled, _ := g.WithHull()
+			hulled, _ := g.withHull()
 			for _, g := range []*PlanarGraph{g, hulled} {
 				if err := checkFaceAdjacency(g); err != nil {
 					t.Fatal(err)

@@ -38,12 +38,6 @@ func (h *Hole) ContainsInHull(p geom.Point) bool {
 	return geom.PointInConvex(p, h.Hull)
 }
 
-// SegmentCrossesHull reports whether the segment properly intersects the
-// hole's convex hull region.
-func (h *Hole) SegmentCrossesHull(s geom.Segment) bool {
-	return geom.SegmentIntersectsPolygon(s, h.Hull)
-}
-
 // SegmentCrossesBoundary reports whether the segment properly intersects the
 // hole's actual boundary polygon.
 func (h *Hole) SegmentCrossesBoundary(s geom.Segment) bool {
@@ -53,84 +47,97 @@ func (h *Hole) SegmentCrossesBoundary(s geom.Segment) bool {
 // HoleSet is the collection of radio holes of a 2-localized Delaunay graph.
 type HoleSet struct {
 	Holes []*Hole
-	// OuterBoundary is the cycle of the unbounded face of LDel²(V), i.e. the
-	// outer boundary ring of the whole network (clockwise as traced).
-	OuterBoundary []udg.NodeID
 }
 
 // DetectHoles finds all radio holes of the planar graph ldel (assumed to be
-// LDel²(V) or a planar supergraph of it) for transmission radius r. A
-// crashed node keeps its point but has no edges (RemoveNodeEdges), so churn
-// repair detects the holes of the patched graph with the same call.
-//
-// Inner holes are bounded faces with ≥ 4 distinct nodes. For outer holes,
-// the convex hull CH(V) of the nodes with edges is overlaid (Definition 2.5,
-// WithHull) and bounded faces of the combined graph with ≥ 3 nodes
-// containing a hull edge longer than r are reported.
+// LDel²(V) or a planar supergraph of it) for transmission radius r: the
+// classification of ldel's Definition 2.5 map (HullMap.Holes). A crashed
+// node keeps its point but has no edges (RemoveNodeEdges), so churn repair
+// detects the holes of the patched graph the same way.
 func DetectHoles(ldel *PlanarGraph, r float64) *HoleSet {
-	hs := &HoleSet{}
-	faces := ldel.Faces()
-	outer := ldel.OuterFaceIndex(&faces)
-	for i := 0; i < faces.Rows(); i++ {
-		cycle := faces.Row(i)
-		if i == outer {
-			hs.OuterBoundary = nodeIDs(cycle)
-			continue
-		}
-		// Removing a cut node can disconnect the embedding, giving each
-		// component its own clockwise unbounded face; only one is the global
-		// outer face, so both passes skip every face of negative area rather
-		// than report the rest as (spurious) holes.
-		if ldel.cycleArea(cycle) >= 0 && DistinctNodes(cycle) >= 4 {
-			hs.addHole(ldel, nodeIDs(cycle), false)
-		}
-	}
+	return ldel.HullMap().Holes(r)
+}
 
-	// Outer holes: the bounded faces of the CH(V) overlay with a hull edge
-	// longer than r. Every such edge is one g lacks, since LDel² edges are
-	// no longer than r.
-	gbar, added := ldel.WithHull()
-	type hedge struct{ a, b udg.NodeID }
-	longHull := make(map[hedge]bool)
-	for _, e := range added {
-		if ldel.Point(e[0]).Dist(ldel.Point(e[1])) > r {
-			longHull[hedge{e[0], e[1]}] = true
-			longHull[hedge{e[1], e[0]}] = true
+// HullMap is the map of Definition 2.5, LDel²(V) ∪ CH(V): a planar graph g
+// plus the edges of CH(V) that g lacks, as one face table with its
+// adjacency. Hole detection classifies its rows (Holes) and Chew's walk
+// moves through them (routing.NewFromMap), so a build sorts for CH(V) and
+// enumerates faces once.
+type HullMap struct {
+	FaceAdjacency
+	// Outer is the outer row, CH(V) traced clockwise; -1 when no row has
+	// negative area.
+	Outer int
+	// Hull holds the slots of the CH(V) edges that g lacks: for each such
+	// edge a→b in hull order, the slot of a→b, then that of b→a.
+	Hull []int32
+	g    *PlanarGraph
+}
+
+// HullMap builds g's Definition 2.5 map.
+func (g *PlanarGraph) HullMap() *HullMap {
+	c, added := g.withHull()
+	m := &HullMap{g: g}
+	m.FaceAdjacency, m.Hull = c.adjacency(added)
+	m.Outer = g.OuterFaceIndex(&m.Faces)
+	return m
+}
+
+// Graph returns the graph the map overlays, without the CH(V) edges.
+func (m *HullMap) Graph() *PlanarGraph { return m.g }
+
+// Holes classifies the map's rows into the radio holes of g for
+// transmission radius r. It reads the rows, the outer row and the hull
+// slots, not Twin. Inner holes come first, in row order: rows other than
+// the outer row that hold no CH(V) slot, so are faces of g itself, with
+// area ≥ 0 and at least 4 distinct nodes. Outer holes follow, in row order:
+// rows other than the outer row with area ≥ 0 and at least 3 distinct nodes
+// that hold a CH(V) slot longer than r. Removing a cut node can disconnect
+// g, giving each further component a clockwise outline of its own; the area
+// test skips those rather than report them as (spurious) holes.
+func (m *HullMap) Holes(r float64) *HoleSet {
+	g := m.g
+	// long maps each row that holds a CH(V) slot to whether one of them is
+	// longer than r; the two slots of an edge sit side by side in Hull.
+	long := make(map[int]bool, len(m.Hull))
+	for i := 0; i < len(m.Hull); i += 2 {
+		p, q := m.Hull[i], m.Hull[i+1]
+		l := g.pts[m.Faces.Dat[p]].Dist(g.pts[m.Faces.Dat[q]]) > r
+		for _, s := range []int32{p, q} {
+			f := int(m.Faces.RowOf(s))
+			long[f] = long[f] || l
 		}
 	}
-	if len(longHull) > 0 {
-		bfaces := gbar.Faces()
-		bouter := gbar.OuterFaceIndex(&bfaces)
-		for i := 0; i < bfaces.Rows(); i++ {
-			cycle := bfaces.Row(i)
-			if i == bouter || DistinctNodes(cycle) < 3 || gbar.cycleArea(cycle) < 0 {
-				continue
+	hs := &HoleSet{}
+	var outer []int
+	for f := range m.Faces.Rows() {
+		cycle := m.Faces.Row(f)
+		l, onHull := long[f]
+		switch {
+		case f == m.Outer:
+		case onHull:
+			if l && DistinctNodes(cycle) >= 3 && g.cycleArea(cycle) >= 0 {
+				outer = append(outer, f)
 			}
-			n := len(cycle)
-			for j := 0; j < n; j++ {
-				if longHull[hedge{udg.NodeID(cycle[j]), udg.NodeID(cycle[(j+1)%n])}] {
-					hs.addHole(ldel, nodeIDs(cycle), true)
-					break
-				}
-			}
+		case len(cycle) >= 4 && DistinctNodes(cycle) >= 4 && g.cycleArea(cycle) >= 0:
+			hs.addHole(g, nodeIDs(cycle), false)
 		}
+	}
+	for _, f := range outer {
+		hs.addHole(g, nodeIDs(m.Faces.Row(f)), true)
 	}
 	return hs
 }
 
-// HullNodeSet returns the union of all hull nodes over all holes.
-func (hs *HoleSet) HullNodeSet() []udg.NodeID {
-	seen := map[udg.NodeID]bool{}
-	var out []udg.NodeID
-	for _, h := range hs.Holes {
-		for _, v := range h.HullNodes {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
+// OuterBoundary returns the walk of g's unbounded face, the outer boundary
+// ring of the whole network (clockwise as traced); nil when no face has
+// negative area.
+func (g *PlanarGraph) OuterBoundary() []udg.NodeID {
+	faces := g.Faces()
+	if i := g.OuterFaceIndex(&faces); i >= 0 {
+		return nodeIDs(faces.Row(i))
 	}
-	return out
+	return nil
 }
 
 // BoundaryNodeSet returns the union of all hole-boundary nodes.
@@ -196,14 +203,14 @@ func hullEdges(h []geom.Point) []geom.Segment {
 	return out
 }
 
-// WithHull returns the overlay of Definition 2.5: a clone of g with the edges
-// of CH(V) that g lacks added, and those edges in hull order. Hole detection
-// and the router both build it here. CH(V) is the convex hull of the nodes
-// that have edges, so a crashed node neither widens it nor hides a notch,
-// and every point on its boundary is a hull node: where a border path is
-// straight, the hull side is that path's own edges, not one edge lying over
-// them. Coincident points resolve to the highest node ID.
-func (g *PlanarGraph) WithHull() (*PlanarGraph, [][2]udg.NodeID) {
+// withHull returns the overlay of Definition 2.5: a clone of g with the
+// edges of CH(V) that g lacks added, and those edges in hull order. CH(V) is
+// the convex hull of the nodes that have edges, so a crashed node neither
+// widens it nor hides a notch, and every point on its boundary is a hull
+// node: where a border path is straight, the hull side is that path's own
+// edges, not one edge lying over them. Coincident points resolve to the
+// highest node ID.
+func (g *PlanarGraph) withHull() (*PlanarGraph, [][2]udg.NodeID) {
 	hull := g.hullNodes()
 	c := g.Clone()
 	var added [][2]udg.NodeID

@@ -3,6 +3,8 @@ package delaunay
 import (
 	"cmp"
 	"fmt"
+	"maps"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -74,7 +76,7 @@ func plane(g *PlanarGraph) bool {
 	return true
 }
 
-// checkWithHull holds g.WithHull to its contract: its hull is the reference
+// checkWithHull holds g.withHull to its contract: its hull is the reference
 // hull node for node; the overlay is g plus the added edges; every added edge
 // joins two consecutive hull nodes that g does not join, and meets no edge
 // of g beyond a common end; every pair of consecutive hull nodes is joined in
@@ -85,7 +87,7 @@ func checkWithHull(g *PlanarGraph) error {
 	if want := refHullNodes(g); !slices.Equal(hull, want) {
 		return fmt.Errorf("hull %v, reference %v", hull, want)
 	}
-	gbar, added := g.WithHull()
+	gbar, added := g.withHull()
 	if gbar.EdgeCount() != g.EdgeCount()+len(added) {
 		return fmt.Errorf("the overlay has %d edges, g %d plus %d added", gbar.EdgeCount(), g.EdgeCount(), len(added))
 	}
@@ -138,10 +140,13 @@ func latticePoints(data []byte) []geom.Point {
 	return pts
 }
 
-// FuzzWithHull checks WithHull, and the face adjacency of the overlay it
-// returns, on the LDel² graph (radius 1) of small point sets snapped to a
+// FuzzWithHull checks withHull, the face adjacency of the overlay it
+// returns, the HullMap built from it and DetectHoles against the two-table
+// oracle, on the LDel² graph (radius 1) of small point sets snapped to a
 // lattice, where borders and interior lines are exactly collinear and
-// cocircular quadruples make some graphs non-plane.
+// cocircular quadruples make some graphs non-plane. The map and the holes
+// are checked again with up to three nodes detached, as churn repair
+// detaches them.
 func FuzzWithHull(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -157,6 +162,7 @@ func FuzzWithHull(f *testing.F) {
 		"\x00\x08\x80\x88\x44",             // components apart
 		"\x00\x01\x10\x11\x33\x35\x53",     // a block and a spread triple
 		"\x00\x03\x30\x33\x11\x12\x21\x22", // an island inside a wide square
+		" 02B0",                            // a path of four, two triangles behind long hull edges
 	} {
 		f.Add([]byte(seed))
 	}
@@ -165,11 +171,92 @@ func FuzzWithHull(f *testing.F) {
 		if err := checkWithHull(g); err != nil {
 			t.Fatal(err)
 		}
-		gbar, _ := g.WithHull()
+		gbar, _ := g.withHull()
 		if err := checkFaceAdjacency(gbar); err != nil {
 			t.Fatal(err)
 		}
+		live := g.Clone()
+		for i, b := range data {
+			if i < 3 && b < byte(g.N()) {
+				live.RemoveNodeEdges(udg.NodeID(b))
+			}
+		}
+		for _, g := range []*PlanarGraph{g, live} {
+			if err := checkHullMap(g); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkDetectHoles(g, 1, twoTablesWithoutTreeOutlines); err != nil {
+				t.Fatal(err)
+			}
+		}
 	})
+}
+
+// twoTablesWithoutTreeOutlines is the two-table oracle without the one
+// class of faces it reports and the map does not: the outline of a tree
+// component of g that meets CH(V). A tree has one face, its outline, which
+// walks every edge both ways and has area 0, so the oracle, which skips
+// only the outer face and faces of negative area, reports it as an inner
+// hole. The map adds the hull edges at the outline's corners and splits it
+// into rows that hold CH(V) slots, none of them an inner hole.
+func twoTablesWithoutTreeOutlines(g *PlanarGraph, r float64) (*HoleSet, []udg.NodeID) {
+	hs, boundary := twoTableDetectHoles(g, r)
+	onHull := map[udg.NodeID]bool{}
+	_, added := g.withHull()
+	for _, e := range added {
+		onHull[e[0]], onHull[e[1]] = true, true
+	}
+	kept := &HoleSet{}
+	for _, h := range hs.Holes {
+		if h.Outer || !treeOutline(h.Ring) || !slices.ContainsFunc(h.Ring, func(v udg.NodeID) bool { return onHull[v] }) {
+			kept.addHole(g, h.Ring, h.Outer)
+		}
+	}
+	return kept, boundary
+}
+
+// treeOutline reports whether the closed walk ring takes every edge both
+// ways, as the one face of a tree does.
+func treeOutline(ring []udg.NodeID) bool {
+	steps := map[[2]udg.NodeID]bool{}
+	for i, v := range ring {
+		steps[[2]udg.NodeID{v, ring[(i+1)%len(ring)]}] = true
+	}
+	for s := range steps {
+		if !steps[[2]udg.NodeID{s[1], s[0]}] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkHullMap holds g.HullMap to the overlay it enumerates: the same face
+// table and adjacency as the overlay's own, the outer row its outer face,
+// and the hull slots exactly the added edges, each in both directions.
+func checkHullMap(g *PlanarGraph) error {
+	gbar, added := g.withHull()
+	m := g.HullMap()
+	fa, _ := gbar.adjacency(nil)
+	if !reflect.DeepEqual(m.FaceAdjacency, fa) {
+		return fmt.Errorf("the map's face table or adjacency differs from the overlay's")
+	}
+	if outer := gbar.OuterFaceIndex(&fa.Faces); m.Outer != outer {
+		return fmt.Errorf("outer row %d, the overlay's outer face %d", m.Outer, outer)
+	}
+	want := map[[2]int32]bool{}
+	for _, e := range added {
+		want[[2]int32{int32(e[0]), int32(e[1])}] = true
+		want[[2]int32{int32(e[1]), int32(e[0])}] = true
+	}
+	got := map[[2]int32]bool{}
+	for _, p := range m.Hull {
+		// The head of slot p is the tail of its twin.
+		got[[2]int32{m.Faces.Dat[p], m.Faces.Dat[m.Twin[p]]}] = true
+	}
+	if len(m.Hull) != len(want) || !maps.Equal(got, want) {
+		return fmt.Errorf("hull slots %v, want the added edges %v both ways", got, added)
+	}
+	return nil
 }
 
 // TestWithHullCoincidentPoints pins the rule for coincident points: of the
@@ -177,7 +264,7 @@ func FuzzWithHull(f *testing.F) {
 func TestWithHullCoincidentPoints(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(3, 0), geom.Pt(0, 3), geom.Pt(3, 0), geom.Pt(3, 0)}
 	g := NewPlanarGraph(pts, [][2]int{{0, 1}, {0, 3}, {0, 2}}) // node 4 has no edges
-	_, added := g.WithHull()
+	_, added := g.withHull()
 	if hull := g.hullNodes(); !slices.Equal(hull, []udg.NodeID{0, 3, 2}) || !slices.Equal(added, [][2]udg.NodeID{{3, 2}}) {
 		t.Fatalf("hull %v adding %v, want [0 3 2] adding [[3 2]]", hull, added)
 	}

@@ -1,7 +1,7 @@
 package delaunay
 
 import (
-	"sort"
+	"slices"
 
 	"hybridroute/internal/geom"
 	"hybridroute/internal/udg"
@@ -15,8 +15,8 @@ import (
 // Storage is a flat CSR (compressed sparse row) layout: the frozen rotations
 // live in two contiguous arrays (off/dat) indexed by dense node IDs, so a
 // million-node graph costs two allocations instead of a million row slices.
-// Mutation — hull-edge overlay during hole detection and edge removal during
-// churn repair — goes through a lazy copy-on-write row overlay (mut): a
+// Mutation — the hull-edge overlay of the Definition 2.5 map and edge removal
+// during churn repair — goes through a lazy copy-on-write row overlay (mut): a
 // non-nil mut row overrides the frozen CSR row for that node, and Clone
 // shares the frozen arrays while deep-copying only the overridden rows.
 // A frozen row is never written after construction.
@@ -202,24 +202,31 @@ func (g *PlanarGraph) Edges() [][2]int {
 	return out
 }
 
-// AddEdge inserts the undirected edge (u, v) if absent and re-sorts the two
-// rotations. Used to overlay convex hull edges (Definition 2.5).
+// AddEdge inserts the undirected edge (u, v) if absent, each end at its
+// place in the other's rotation by the (angle, id) order sortRotations
+// keeps. Used to overlay convex hull edges (Definition 2.5). Two directions
+// that differ can tie on angle, and only Orient orders those.
 func (g *PlanarGraph) AddEdge(u, v udg.NodeID) {
 	if u == v || g.HasEdge(u, v) {
 		return
 	}
-	g.mut[u] = append(g.materialize(u), v)
-	g.mut[v] = append(g.materialize(v), u)
-	g.sortRotationOf(u)
-	g.sortRotationOf(v)
+	g.insertNeighbor(u, v)
+	g.insertNeighbor(v, u)
 }
 
-func (g *PlanarGraph) sortRotationOf(v udg.NodeID) {
+// insertNeighbor inserts w into v's rotation before the first neighbour
+// that follows it by (angle, id).
+func (g *PlanarGraph) insertNeighbor(v, w udg.NodeID) {
 	pv := g.pts[v]
-	nbrs := g.mut[v]
-	sort.Slice(nbrs, func(i, j int) bool {
-		return g.pts[nbrs[i]].Sub(pv).Angle() < g.pts[nbrs[j]].Sub(pv).Angle()
-	})
+	a := g.pts[w].Sub(pv).Angle()
+	row := g.materialize(v)
+	i := 0
+	for ; i < len(row); i++ {
+		if b := g.pts[row[i]].Sub(pv).Angle(); a < b || a == b && w < row[i] {
+			break
+		}
+	}
+	g.mut[v] = slices.Insert(row, i, w)
 }
 
 // Clone returns a copy of the graph that shares the frozen CSR arrays (which

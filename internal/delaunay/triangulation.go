@@ -267,14 +267,3 @@ func (t *Triangulation) Edges() [][2]int {
 	}
 	return out
 }
-
-// Adjacency returns the undirected adjacency lists of the Delaunay graph on
-// the real points.
-func (t *Triangulation) Adjacency() [][]int {
-	adj := make([][]int, t.n)
-	for _, e := range t.Edges() {
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
-	}
-	return adj
-}

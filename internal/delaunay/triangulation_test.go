@@ -98,24 +98,8 @@ func TestTriangulationDelaunayGraphConnected(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	pts := randomPts(rng, 100, 10, 10)
 	tr := Triangulate(pts)
-	adj := tr.Adjacency()
-	seen := make([]bool, len(pts))
-	stack := []int{0}
-	seen[0] = true
-	count := 0
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		count++
-		for _, w := range adj[v] {
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	if count != len(pts) {
-		t.Errorf("Delaunay graph connected: reached %d of %d", count, len(pts))
+	if !NewPlanarGraph(pts, tr.Edges()).Connected() {
+		t.Error("the Delaunay graph is not connected")
 	}
 }
 

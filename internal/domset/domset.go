@@ -9,8 +9,8 @@
 //     nodes, edges connect nodes that know each other's IDs), phase-
 //     synchronized in 5-round phases, terminating when every vertex is
 //     dominated;
-//   - PathDS and ring helpers plus verification and greedy baselines used by
-//     the routing layer and the experiments.
+//   - path and ring helpers plus verification used by the routing layer and
+//     the experiments.
 package domset
 
 import (
@@ -265,57 +265,6 @@ func IsDominatingSet(adj map[sim.NodeID][]sim.NodeID, ds map[sim.NodeID]bool) bo
 		}
 	}
 	return true
-}
-
-// GreedyDS is the centralized greedy baseline: repeatedly add the vertex
-// covering the most uncovered vertices. Its size is within H(Δ+1) of optimal.
-func GreedyDS(adj map[sim.NodeID][]sim.NodeID) map[sim.NodeID]bool {
-	uncovered := map[sim.NodeID]bool{}
-	for v := range adj {
-		uncovered[v] = true
-	}
-	ds := map[sim.NodeID]bool{}
-	for len(uncovered) > 0 {
-		var best sim.NodeID
-		bestGain := -1
-		for v, nbrs := range adj {
-			gain := 0
-			if uncovered[v] {
-				gain++
-			}
-			for _, w := range nbrs {
-				if uncovered[w] {
-					gain++
-				}
-			}
-			if gain > bestGain || (gain == bestGain && v < best) {
-				best, bestGain = v, gain
-			}
-		}
-		ds[best] = true
-		delete(uncovered, best)
-		for _, w := range adj[best] {
-			delete(uncovered, w)
-		}
-	}
-	return ds
-}
-
-// PathDS returns the ranks forming a minimum dominating set of a path of k
-// vertices (ranks 0..k-1): every third vertex starting at rank 1, size ⌈k/3⌉.
-func PathDS(k int) []int {
-	var out []int
-	for i := 1; i < k; i += 3 {
-		out = append(out, i)
-	}
-	if len(out) == 0 && k > 0 {
-		out = []int{0}
-	}
-	// The tail vertex k-1 is dominated iff the last pick is ≥ k-2.
-	if k > 1 && out[len(out)-1] < k-2 {
-		out = append(out, k-1)
-	}
-	return out
 }
 
 // PathAdj builds the adjacency map of a path over the given node sequence.

@@ -133,45 +133,6 @@ func TestIsDominatingSet(t *testing.T) {
 	}
 }
 
-func TestGreedyDSOnRing(t *testing.T) {
-	for _, k := range []int{3, 10, 30} {
-		seq := make([]sim.NodeID, k)
-		for i := range seq {
-			seq[i] = sim.NodeID(i)
-		}
-		adj := RingAdj(seq)
-		ds := GreedyDS(adj)
-		if !IsDominatingSet(adj, ds) {
-			t.Fatalf("k=%d greedy not dominating", k)
-		}
-		opt := (k + 2) / 3
-		if len(ds) > 2*opt {
-			t.Errorf("k=%d: greedy size %d vs opt %d", k, len(ds), opt)
-		}
-	}
-}
-
-func TestPathDS(t *testing.T) {
-	for k := 1; k <= 40; k++ {
-		picks := PathDS(k)
-		ds := map[int]bool{}
-		for _, p := range picks {
-			if p < 0 || p >= k {
-				t.Fatalf("k=%d: pick %d out of range", k, p)
-			}
-			ds[p] = true
-		}
-		for v := 0; v < k; v++ {
-			if !ds[v] && !ds[v-1] && !ds[v+1] {
-				t.Fatalf("k=%d: vertex %d not dominated by %v", k, v, picks)
-			}
-		}
-		if want := (k + 2) / 3; len(picks) > want+1 {
-			t.Errorf("k=%d: size %d, near-optimal would be %d", k, len(picks), want)
-		}
-	}
-}
-
 func TestPathAdjAndRingAdj(t *testing.T) {
 	seq := []sim.NodeID{5, 9, 2}
 	p := PathAdj(seq)

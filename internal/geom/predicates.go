@@ -161,16 +161,6 @@ func Circumcenter(a, b, c Point) (Point, bool) {
 	return Point{ux, uy}, true
 }
 
-// Circumradius returns the radius of the circle through a, b, c, or +Inf when
-// the points are collinear.
-func Circumradius(a, b, c Point) float64 {
-	center, ok := Circumcenter(a, b, c)
-	if !ok {
-		return math.Inf(1)
-	}
-	return center.Dist(a)
-}
-
 // InDiametralCircle reports whether p lies strictly inside the circle with
 // diameter ab. This is the Gabriel-edge test of Definition 2.3(2).
 func InDiametralCircle(a, b, p Point) bool {
@@ -242,21 +232,6 @@ func SegmentIntersection(s, t Segment) (Point, bool) {
 	}
 	u := t.A.Sub(s.A).Cross(q) / den
 	return s.A.Add(r.Scale(u)), true
-}
-
-// AngleAt returns the interior angle ∠(u, v, w) at vertex v in radians,
-// in [0, 2π), measured counterclockwise from ray v→u to ray v→w.
-func AngleAt(u, v, w Point) float64 {
-	a1 := u.Sub(v).Angle()
-	a2 := w.Sub(v).Angle()
-	d := a2 - a1
-	for d < 0 {
-		d += 2 * math.Pi
-	}
-	for d >= 2*math.Pi {
-		d -= 2 * math.Pi
-	}
-	return d
 }
 
 // TurnAngle returns the signed turn angle at b when walking a→b→c, in

@@ -148,9 +148,6 @@ func TestCircumcenterEquidistant(t *testing.T) {
 	if _, ok := Circumcenter(Pt(0, 0), Pt(1, 1), Pt(2, 2)); ok {
 		t.Error("collinear points have no circumcenter")
 	}
-	if !math.IsInf(Circumradius(Pt(0, 0), Pt(1, 1), Pt(2, 2)), 1) {
-		t.Error("collinear circumradius should be +Inf")
-	}
 }
 
 func TestInDiametralCircle(t *testing.T) {
@@ -222,19 +219,6 @@ func TestOnSegment(t *testing.T) {
 	}
 	if OnSegment(Pt(2, 3), s) {
 		t.Error("off the line")
-	}
-}
-
-func TestAngleAt(t *testing.T) {
-	// Right angle at origin between +x and +y rays.
-	got := AngleAt(Pt(1, 0), Pt(0, 0), Pt(0, 1))
-	if !almostEq(got, math.Pi/2, 1e-12) {
-		t.Errorf("angle = %v", got)
-	}
-	// Reflex measured the other way round.
-	got = AngleAt(Pt(0, 1), Pt(0, 0), Pt(1, 0))
-	if !almostEq(got, 3*math.Pi/2, 1e-12) {
-		t.Errorf("reflex angle = %v", got)
 	}
 }
 

@@ -28,41 +28,20 @@ func (c *CSR[T]) Row(i int) []T {
 	return c.Dat[c.Off[i]:c.Off[i+1]]
 }
 
-// CSRBuilder assembles a CSR table in two passes: count every element with
-// Count, seal the offsets with Seal, then place elements with Put. The
-// classic pattern keeps construction at two allocations however many rows
-// there are.
-type CSRBuilder[T any] struct {
-	csr CSR[T]
-	cur []int32 // per-row write cursors during the fill pass
-}
-
-// NewCSRBuilder starts a builder for n rows.
-func NewCSRBuilder[T any](n int) *CSRBuilder[T] {
-	return &CSRBuilder[T]{csr: CSR[T]{Off: make([]int32, n+1)}}
-}
-
-// Count registers one future element in row i. Must precede Seal.
-func (b *CSRBuilder[T]) Count(i int) { b.csr.Off[i+1]++ }
-
-// Seal converts counts to offsets and allocates the data array.
-func (b *CSRBuilder[T]) Seal() {
-	for i := 1; i < len(b.csr.Off); i++ {
-		b.csr.Off[i] += b.csr.Off[i-1]
+// RowOf returns the row that holds position p of Dat, by binary search over
+// the row bounds.
+func (c *CSR[T]) RowOf(p int32) int32 {
+	off := c.Off
+	lo, hi := 0, len(off)-1 // off[lo] <= p < off[hi]
+	for hi-lo > 1 {
+		if m := int(uint(lo+hi) >> 1); off[m] <= p {
+			lo = m
+		} else {
+			hi = m
+		}
 	}
-	b.csr.Dat = make([]T, b.csr.Off[len(b.csr.Off)-1])
-	b.cur = make([]int32, len(b.csr.Off)-1)
-	copy(b.cur, b.csr.Off[:len(b.csr.Off)-1])
+	return int32(lo)
 }
-
-// Put appends v to row i; the row must have been counted.
-func (b *CSRBuilder[T]) Put(i int, v T) {
-	b.csr.Dat[b.cur[i]] = v
-	b.cur[i]++
-}
-
-// Done returns the finished table.
-func (b *CSRBuilder[T]) Done() CSR[T] { return b.csr }
 
 // arenaBlock is the default arena block size in elements. Big enough that a
 // warm routing path amortizes its block allocations to a measured zero

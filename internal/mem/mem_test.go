@@ -6,39 +6,6 @@ import (
 	"testing"
 )
 
-func TestCSRBuilder(t *testing.T) {
-	// rows: 0 -> {10, 11}, 1 -> {}, 2 -> {20}, 3 -> {30, 31, 32}
-	b := NewCSRBuilder[int](4)
-	for i, n := range []int{2, 0, 1, 3} {
-		for j := 0; j < n; j++ {
-			b.Count(i)
-		}
-	}
-	b.Seal()
-	b.Put(3, 30)
-	b.Put(0, 10)
-	b.Put(3, 31)
-	b.Put(2, 20)
-	b.Put(0, 11)
-	b.Put(3, 32)
-	c := b.Done()
-	if c.Rows() != 4 {
-		t.Fatalf("Rows() = %d, want 4", c.Rows())
-	}
-	want := [][]int{{10, 11}, {}, {20}, {30, 31, 32}}
-	for i, w := range want {
-		got := c.Row(i)
-		if len(got) != len(w) {
-			t.Fatalf("row %d = %v, want %v", i, got, w)
-		}
-		for j := range w {
-			if got[j] != w[j] {
-				t.Fatalf("row %d = %v, want %v", i, got, w)
-			}
-		}
-	}
-}
-
 func TestCSRZeroValue(t *testing.T) {
 	var c CSR[int]
 	if c.Rows() != 0 {

@@ -69,10 +69,11 @@ func (r Result) Hops() int {
 // incident faces locally; the router centralizes that per-node knowledge for
 // the simulation).
 //
-// Face classification follows Definition 2.5: the convex hull CH(V) of the
-// nodes with edges is overlaid on the graph (delaunay.WithHull, the overlay
-// hole detection uses), so the region between the outer boundary and the
-// hull decomposes into bounded faces. A segment between two nodes with edges
+// Face classification follows Definition 2.5: the router walks the rows of
+// the graph's delaunay.HullMap, the map hole detection classifies, where the
+// convex hull CH(V) of the nodes with edges is overlaid on the graph, so the
+// region between the outer boundary and the hull decomposes into bounded
+// faces. A segment between two nodes with edges
 // always stays inside CH(V) and therefore never crosses the outer face of
 // the augmented embedding; outer holes (boundary notches behind a hull edge
 // longer than the radio range) appear as ordinary bounded non-triangle
@@ -103,21 +104,25 @@ type Router struct {
 }
 
 // New builds a router over the given planar graph.
-func New(g *delaunay.PlanarGraph) *Router {
+func New(g *delaunay.PlanarGraph) *Router { return NewFromMap(g.HullMap()) }
+
+// NewFromMap builds a router over m's graph that walks m's rows. It takes
+// m's tables: the twin array becomes the router's adjacency in place, so
+// m.Twin is nil afterwards, and the face table and anchors are shared.
+func NewFromMap(m *delaunay.HullMap) *Router {
+	g := m.Graph()
 	r := &Router{
 		g:       g,
+		faces:   m.Faces,
+		anchor:  m.Anchor,
+		outer:   m.Outer,
 		maxHops: 4*g.N() + 16,
 	}
-	gbar, hullEdges := g.WithHull() // for face enumeration only
-	fa := gbar.FacesWithAdjacency()
-	r.faces, r.anchor = fa.Faces, fa.Anchor
-	r.adj = r.encodeAdjacency(fa.Twin)
-	for _, e := range hullEdges {
-		a, b := int32(e[0]), int32(e[1])
-		r.markHull(a, b)
-		r.markHull(b, a)
+	r.adj = r.encodeAdjacency(m.Twin)
+	m.Twin = nil
+	for _, p := range m.Hull {
+		r.adj[p] |= hullBit
 	}
-	r.outer = gbar.OuterFaceIndex(&r.faces)
 	r.islands = r.newIslands()
 	r.scratch = newScratchPool(g.N())
 	return r

@@ -214,7 +214,7 @@ func TestChewHoleHit(t *testing.T) {
 			}
 		}
 	}
-	for _, v := range hs.OuterBoundary {
+	for _, v := range r.Graph().OuterBoundary() {
 		if v == res.HitNode {
 			onBoundary = true
 		}

@@ -111,51 +111,21 @@ func (r *Router) twin(p int32) int32 { return twinOf(r.adj[p]) }
 // pos returns slot p's own position code, which its twin's entry holds.
 func (r *Router) pos(p int32) int32 { return r.adj[r.twin(p)] & notTri }
 
-// rowOf returns the row that holds slot p, by binary search over the row
-// bounds. The walk needs it only for a row that is not a walkable triangle.
-func (r *Router) rowOf(p int32) int32 {
-	off := r.faces.Off
-	lo, hi := 0, len(off)-1 // off[lo] <= p < off[hi]
-	for hi-lo > 1 {
-		if m := int(uint(lo+hi) >> 1); off[m] <= p {
-			lo = m
-		} else {
-			hi = m
-		}
-	}
-	return int32(lo)
-}
-
 // bounds returns the slots [lo, hi) of the row holding slot p, whose
 // position code is pos: a triangle's from the code, any other row's by
-// binary search.
+// binary search, which the walk needs only for a row that is not a walkable
+// triangle.
 func (r *Router) bounds(p, pos int32) (lo, hi int32) {
 	if pos != notTri {
 		return p - pos, p - pos + 3
 	}
-	f := r.rowOf(p)
+	f := r.faces.RowOf(p)
 	return r.faces.Off[f], r.faces.Off[f+1]
 }
 
 // onHull reports whether slot p's edge is a CH(V) edge that g lacks: a step
 // of a chain over it is no step of the network.
 func (r *Router) onHull(p int32) bool { return r.adj[p] < 0 }
-
-// markHull sets the hull bit of the slot of edge a→b, found by turning
-// through the corners around a: the next corner leaves a along the twin of
-// the current corner's incoming edge.
-func (r *Router) markHull(a, b int32) {
-	p := r.anchor[a]
-	for range len(r.adj) + 1 {
-		if r.faces.Dat[r.twin(p)] == b {
-			r.adj[p] |= hullBit
-			return
-		}
-		lo, hi := r.bounds(p, r.pos(p))
-		p = r.twin(prev(p, lo, hi))
-	}
-	panic("routing: hull edge missing from the face table")
-}
 
 // walk is one walk along L from s to t. Besides the faces, it records the
 // two chains: the nodes it meets left of L, and those right of L, in walk
@@ -254,7 +224,7 @@ func (w *walk) leave(p, pos int32) int32 {
 				}
 			} else if wedgeHolds(pv, pa, pb, oa, ob, a == b) {
 				if pos == notTri {
-					return r.rowOf(p)
+					return r.faces.RowOf(p)
 				}
 				return w.enterCorner(p, pos)
 			}
@@ -337,7 +307,7 @@ func (w *walk) cross(p int32) int32 {
 		e := r.adj[p]
 		q, ib := twinOf(e), e&notTri
 		if ib == notTri {
-			return r.rowOf(q)
+			return r.faces.RowOf(q)
 		}
 		w.step()
 		lo := q - ib

@@ -25,7 +25,7 @@ func checkWalk(r *Router, s, t NodeID) error {
 	L := geom.Seg(r.g.Point(s), r.g.Point(t))
 	crossed := make(map[int]bool, len(sc.tris))
 	for _, lo := range sc.tris {
-		f := r.rowOf(lo)
+		f := r.faces.RowOf(lo)
 		if crossed[int(f)] {
 			return fmt.Errorf("walk %d→%d crosses triangle %d twice", s, t, f)
 		}

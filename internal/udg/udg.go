@@ -174,47 +174,6 @@ func (g *Graph) Component(start NodeID) []NodeID {
 	return order
 }
 
-// LargestComponent returns the node set of the largest connected component.
-func (g *Graph) LargestComponent() []NodeID {
-	seen := make([]bool, g.N())
-	var best []NodeID
-	for v := 0; v < g.N(); v++ {
-		if seen[v] {
-			continue
-		}
-		comp := g.Component(NodeID(v))
-		for _, u := range comp {
-			seen[u] = true
-		}
-		if len(comp) > len(best) {
-			best = comp
-		}
-	}
-	return best
-}
-
-// HopDistances returns the BFS hop distance from start to every node;
-// unreachable nodes get -1.
-func (g *Graph) HopDistances(start NodeID) []int {
-	dist := make([]int, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[start] = 0
-	queue := []NodeID{start}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Neighbors(v) {
-			if dist[w] < 0 {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
-}
-
 // KHopNeighborhood returns all nodes within k hops of v (excluding v),
 // ordered by discovery. This is the N_k(v) set the distributed LDel^k
 // construction gathers in k rounds.

@@ -55,9 +55,6 @@ func TestBuildDisconnected(t *testing.T) {
 	if g.EdgeCount() != 0 {
 		t.Errorf("edges = %d", g.EdgeCount())
 	}
-	if got := g.LargestComponent(); len(got) != 1 {
-		t.Errorf("largest component = %d", len(got))
-	}
 }
 
 func TestBuildMatchesBruteForce(t *testing.T) {
@@ -102,21 +99,6 @@ func TestHasEdgeSymmetric(t *testing.T) {
 	}
 }
 
-func TestHopDistances(t *testing.T) {
-	g := Build(linePoints(6, 1.0), 1.0)
-	dist := g.HopDistances(0)
-	for i, d := range dist {
-		if d != i {
-			t.Errorf("hop(%d) = %d", i, d)
-		}
-	}
-	g2 := Build(linePoints(3, 5), 1)
-	d2 := g2.HopDistances(0)
-	if d2[1] != -1 || d2[2] != -1 {
-		t.Error("unreachable should be -1")
-	}
-}
-
 func TestKHopNeighborhood(t *testing.T) {
 	g := Build(linePoints(7, 1.0), 1.0)
 	n2 := g.KHopNeighborhood(3, 2)
@@ -157,11 +139,31 @@ func TestShortestPathUnreachable(t *testing.T) {
 	}
 }
 
+// largestComponent returns the node set of g's largest connected component,
+// the first one found among those of its size.
+func largestComponent(g *Graph) []NodeID {
+	seen := make([]bool, g.N())
+	var best []NodeID
+	for v := 0; v < g.N(); v++ {
+		if seen[v] {
+			continue
+		}
+		comp := g.Component(NodeID(v))
+		for _, u := range comp {
+			seen[u] = true
+		}
+		if len(comp) > len(best) {
+			best = comp
+		}
+	}
+	return best
+}
+
 func TestShortestPathTriangleInequality(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	pts := randomPoints(rng, 120, 4, 4)
 	g := Build(pts, 1.2)
-	comp := g.LargestComponent()
+	comp := largestComponent(g)
 	if len(comp) < 10 {
 		t.Skip("component too small")
 	}
